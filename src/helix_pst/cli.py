@@ -47,16 +47,22 @@ def parse_node(text: str) -> Node:
     return Node(n, alpha)
 
 
-def parse_grid(text: str) -> list[float]:
+def parse_grid(text: str, name: str = "grid") -> list[float]:
+    """Points start, start + step, ..., stop; name labels the error messages."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be 'start:stop:step', got {text!r}")
+        raise ValueError(f"{name} must be 'start:stop:step', got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"{name} start, stop and step must be finite, got {text!r}")
     if step <= 0:
-        raise ValueError("grid step must be positive")
+        raise ValueError(f"{name} step must be positive")
     if stop < start:
-        raise ValueError("grid stop must not precede start")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+        raise ValueError(f"{name} stop must not precede start")
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"{name} has too many points, got {text!r}")
+    count = int(math.floor(span + 0.5)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -119,6 +125,18 @@ def _require_dynamics(spec: NetworkSpec) -> None:
         raise ValueError("J and L cannot both be zero when dynamics are requested")
 
 
+def _check_time_flags(args) -> None:
+    for flag, value in (("--horizon", args.horizon), ("--step", args.step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be positive and finite, got {value:g}")
+
+
+def _time_grid(args) -> np.ndarray:
+    """0, step, ..., horizon; the flags are checked before numpy sees them."""
+    _check_time_flags(args)
+    return np.arange(0.0, args.horizon + 0.5 * args.step, args.step)
+
+
 def _time_label(spec: NetworkSpec) -> str:
     return "tau" if spec.couplings.scaled else "t"
 
@@ -173,10 +191,11 @@ def _maybe_plot_script(args, xlabel: str, ylabel: str, style: str = "lines") -> 
 
 def _cmd_spectrum(args) -> int:
     spec = _network(args)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    H = build_hamiltonian(spec)
+    decomp = eigendecompose_numeric(H)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", newline="") as fh:
-            dump_matrix(build_hamiltonian(spec), fh)
+            dump_matrix(H, fh)
     rows = [
         (k, float(decomp.values[k]), int(decomp.multiplicities[k]))
         for k in range(len(decomp))
@@ -198,8 +217,8 @@ def _cmd_evolve(args) -> int:
     spec = _network(args)
     _require_dynamics(spec)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
+    grid = _time_grid(args)
     decomp = eigendecompose_numeric(build_hamiltonian(spec))
-    grid = np.arange(0.0, args.horizon + 0.5 * args.step, args.step)
     profile = probability_profile(decomp, input, output, grid)
     label = _time_label(spec)
     with _open_out(args.output) as out:
@@ -280,9 +299,9 @@ def _cmd_scan(args) -> int:
     spec = _network(args)
     _require_dynamics(spec)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    grid = _time_grid(args)
     cfg = ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=args.epsilon)
-    grid = np.arange(0.0, cfg.horizon + 0.5 * cfg.coarse_step, cfg.coarse_step)
+    decomp = eigendecompose_numeric(build_hamiltonian(spec))
     profile = probability_profile(decomp, input, output, grid)
     times = find_pst_times(decomp, input, output, cfg)
     label = _time_label(spec)
@@ -305,18 +324,19 @@ def _cmd_scan(args) -> int:
 def _cmd_sweep(args) -> int:
     bc = BoundaryConditions.from_names(args.site_bc, args.channel_bc)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
+    _check_time_flags(args)
     cfg = ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=args.epsilon)
     if (args.gamma_grid is None) == (args.J_grid is None):
         raise ValueError("give exactly one of --gamma-grid or --J-grid")
     if args.gamma_grid is not None:
-        grid = parse_grid(args.gamma_grid)
+        grid = parse_grid(args.gamma_grid, "--gamma-grid")
         template = validate_spec(
             NetworkSpec(args.n, bc, CouplingParams.from_gamma(grid[0])))
         rows = gamma_sweep(template, (input, output), grid, cfg)
         header = ["gamma", "tau_min"]
         xlabel = "gamma"
     else:
-        grid = parse_grid(args.J_grid)
+        grid = parse_grid(args.J_grid, "--J-grid")
         validate_spec(NetworkSpec(args.n, bc, CouplingParams(J=grid[0], L=0.0)))
         rows = coupling_sweep_L0(args.n, bc, (input, output), grid, cfg)
         header = ["J", "t_min"]

@@ -37,10 +37,10 @@ class ScanConfig:
     refine_iters: int = 64
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.coarse_step <= 0:
-            raise ValueError("coarse_step must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be positive and finite")
+        if not (math.isfinite(self.coarse_step) and self.coarse_step > 0):
+            raise ValueError("coarse_step must be positive and finite")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.refine_iters < 1:

@@ -2,9 +2,13 @@
 
 All dynamics go through the resolution H = sum_k lambda_k P_k over
 pairwise distinct eigenvalues, where P_k is the orthogonal projector
-onto the full eigenspace of lambda_k. For a real symmetric H every P_k
-is real, which keeps transfer overlaps real and independent of any
-basis choice inside degenerate eigenspaces.
+onto the full eigenspace of lambda_k. The decomposition stores each
+group as its block of orthonormal eigenvectors V_k; P_k = V_k V_k^dagger
+is implied by the block and never materialised, so a decomposition
+holds O(dim^2) numbers and one projector entry <a| P_k |b> costs
+O(mult_k). For a real symmetric H the eigenvectors, and with them every
+P_k, are real, which keeps transfer overlaps real and independent of
+any basis choice inside degenerate eigenspaces.
 
 For the doubly closed topology (site ring, channel triangle) the whole
 eigensystem is known in closed form: plane waves over the site ring
@@ -15,7 +19,8 @@ tensored with the three Fourier modes of the triangle,
 
 with V_1 = (1, 1, 1) and V_2 = conj(V_3) = (e^{-2 pi i/3}, 1, e^{2 pi i/3}).
 Grouping those labelled pairs by eigenvalue reproduces the numeric
-projectors; the labels themselves stay available for bookkeeping.
+eigenspaces (the complex blocks span the same spaces as the real
+numeric ones); the labels themselves stay available for bookkeeping.
 """
 
 from __future__ import annotations
@@ -41,16 +46,40 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Pairwise distinct eigenvalues with their eigenprojectors."""
+    """Pairwise distinct eigenvalues with their eigenvector blocks.
+
+    Column j of `vectors` is a unit eigenvector; columns are sorted by
+    eigenvalue, and group k owns the `multiplicities[k]` consecutive
+    columns from `starts[k]` on. Its projector P_k = V_k V_k^dagger is
+    implied by that block, never stored.
+    """
 
     values: np.ndarray  # distinct eigenvalues, ascending
-    projectors: np.ndarray  # shape (k, dim, dim), complex
+    vectors: np.ndarray  # shape (dim, dim), real for numeric, complex for analytic
     multiplicities: np.ndarray  # int per group, sums to dim
     grouping_tol: float
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.vectors.shape[0]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """First column of each group's block in `vectors`."""
+        return np.cumsum(self.multiplicities) - self.multiplicities
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The (k, dim, dim) projector tensor, rebuilt on every access.
+
+        Costs O(dim^3) time and k * dim^2 memory: meant for inspecting
+        the projector algebra at small N, never read by the library.
+        """
+        V = self.vectors
+        return np.stack([
+            V[:, a:a + m] @ V[:, a:a + m].conj().T
+            for a, m in zip(self.starts, self.multiplicities)
+        ])
 
     def __len__(self) -> int:
         return len(self.values)
@@ -62,19 +91,13 @@ def default_grouping_tol(values: np.ndarray) -> float:
 
 
 def _group(values: np.ndarray, vectors: np.ndarray, tol: float) -> SpectralDecomposition:
-    """Cluster ascending eigenvalues closer than tol into joint projectors."""
+    """Cluster ascending eigenvalues closer than tol into joint blocks."""
     splits = np.flatnonzero(np.diff(values) > tol) + 1
     starts = np.concatenate(([0], splits))
     stops = np.concatenate((splits, [len(values)]))
     group_values = np.array([values[a:b].mean() for a, b in zip(starts, stops)])
-    projectors = np.stack(
-        [
-            vectors[:, a:b] @ vectors[:, a:b].conj().T
-            for a, b in zip(starts, stops)
-        ]
-    ).astype(complex)
     mult = (stops - starts).astype(int)
-    return SpectralDecomposition(group_values, projectors, mult, tol)
+    return SpectralDecomposition(group_values, vectors, mult, tol)
 
 
 def eigendecompose_numeric(
@@ -91,7 +114,7 @@ def eigendecompose_numeric(
     tol = default_grouping_tol(values) if grouping_tol is None else float(grouping_tol)
     if tol < 0:
         raise ValueError("grouping_tol must be non-negative")
-    return _group(values, vectors.astype(complex), tol)
+    return _group(values, vectors, tol)
 
 
 def _channel_modes() -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +162,7 @@ def group_eigenpairs(
         raise ValueError("no eigenpairs to group")
     order = sorted(range(len(pairs)), key=lambda i: pairs[i].value)
     values = np.array([pairs[i].value for i in order])
-    vectors = np.column_stack([pairs[i].vector for i in order]).astype(complex)
+    vectors = np.column_stack([pairs[i].vector for i in order])
     tol = default_grouping_tol(values) if grouping_tol is None else float(grouping_tol)
     return _group(values, vectors, tol)
 
@@ -165,11 +188,12 @@ def distinct_count_closed_closed(N: int) -> tuple[int, int]:
 
 
 def verify_reconstruction(decomp: SpectralDecomposition, H: np.ndarray) -> float:
-    """Max entrywise |sum_k lambda_k P_k - H|."""
+    """Max entrywise |sum_k lambda_k P_k - H|, as |V diag(lambda) V^dagger - H|."""
     H = np.asarray(H, dtype=float)
     if H.shape != (decomp.dim, decomp.dim):
         raise ValueError(
             f"dimension mismatch: decomposition is {decomp.dim}, matrix is {H.shape}"
         )
-    rebuilt = np.tensordot(decomp.values, decomp.projectors, axes=1)
+    V = decomp.vectors
+    rebuilt = (V * np.repeat(decomp.values, decomp.multiplicities)) @ V.conj().T
     return float(np.max(np.abs(rebuilt - H)))

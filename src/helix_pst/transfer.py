@@ -41,17 +41,21 @@ class TransferReport:
 def projector_overlaps(
     decomp: SpectralDecomposition, input: Node, output: Node
 ) -> np.ndarray:
-    """Real overlaps <in| P_k |out>, one per distinct-eigenvalue group."""
+    """Real overlaps <in| P_k |out>, one per distinct-eigenvalue group.
+
+    Each is summed over its group's eigenvector block, O(dim) in all.
+    """
     N = decomp.dim // CHANNELS
     a = flat_index(input, N)
     b = flat_index(output, N)
-    raw = decomp.projectors[:, a, b]
+    V = decomp.vectors
+    raw = np.add.reduceat(V[a] * V[b].conj(), decomp.starts)
     if raw.size and float(np.max(np.abs(raw.imag))) > OVERLAP_IMAG_TOL:
         raise ValueError(
             "projector overlap has a residual imaginary part; "
             "a degenerate eigenvalue was left ungrouped (raise grouping_tol)"
         )
-    return raw.real.copy()
+    return raw.real
 
 
 def transition_probability(

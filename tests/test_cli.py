@@ -29,6 +29,11 @@ def test_parse_grid():
         parse_grid("2:1:0.5")
     with pytest.raises(ValueError):
         parse_grid("1:2:0")
+    for text in ("0:inf:1", "nan:2:1", "1:2:-inf", "1:2:nan"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_grid(text)
+    with pytest.raises(ValueError, match="too many points"):
+        parse_grid("0:1e308:1e-308")  # the point count overflows, nothing is allocated
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -69,6 +74,50 @@ def test_spectrum_csv_and_dump(tmp_path, capsys):
     assert lines[0] == "group,eigenvalue,multiplicity"
     assert lines[1:] == ["0,-1,6", "1,2,3"]
     assert dump.read_text().splitlines()[0] == "dim= 9"
+
+
+def test_spectrum_dump_builds_hamiltonian_once(tmp_path, capsys, monkeypatch):
+    import helix_pst.cli as cli
+
+    calls = []
+    build = cli.build_hamiltonian
+
+    def counting_build(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(cli, "build_hamiltonian", counting_build)
+    code, _, _ = run(
+        ["spectrum", "--n", "3", "--site-bc", "open", "--channel-bc", "open",
+         "--gamma", "2", "--output", str(tmp_path / "s.csv"),
+         "--dump-matrix", str(tmp_path / "H.txt")],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+PAIR_ARGS = ["--n", "4", "--site-bc", "closed", "--channel-bc", "closed",
+             "--in", "0,1", "--out", "2,1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "--gamma", "2", "--horizon", "inf"], "--horizon"),
+    (["evolve", "--gamma", "2", "--horizon", "nan"], "--horizon"),
+    (["evolve", "--gamma", "2", "--horizon", "-1"], "--horizon"),
+    (["evolve", "--gamma", "2", "--step", "inf"], "--step"),
+    (["scan", "--gamma", "2", "--horizon", "inf"], "--horizon"),
+    (["scan", "--gamma", "2", "--horizon", "nan"], "--horizon"),
+    (["scan", "--gamma", "2", "--step", "nan"], "--step"),
+    (["sweep", "--gamma-grid", "1:2:1", "--horizon", "inf"], "--horizon"),
+    (["sweep", "--gamma-grid", "0:inf:1"], "--gamma-grid"),
+    (["sweep", "--J-grid", "1:2:nan"], "--J-grid"),
+])
+def test_non_finite_inputs_name_their_flag(argv, flag, capsys):
+    code, out, err = run(argv[:1] + PAIR_ARGS + argv[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
 
 
 def test_evolve_csv_scaled_header_and_values(tmp_path, capsys):

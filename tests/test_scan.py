@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,11 @@ def test_scan_config_validation():
         ScanConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         ScanConfig(refine_iters=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            ScanConfig(horizon=bad)
+        with pytest.raises(ValueError, match="coarse_step"):
+            ScanConfig(coarse_step=bad)
 
 
 def test_find_pst_times_frozen_gamma3():

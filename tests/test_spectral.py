@@ -1,15 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_decomp, make_spec
 from helix_pst import (
+    Node,
     build_hamiltonian,
     distinct_count_closed_closed,
     eigendecompose_numeric,
     eigenpairs_closed_closed_analytic,
+    flat_index,
     group_eigenpairs,
+    projector_overlaps,
+    transfer_report,
+    transition_probability,
     verify_reconstruction,
 )
+from oracles import series_expm
+
+TOPOLOGIES = [("closed", "closed"), ("closed", "open"), ("open", "closed"), ("open", "open")]
 
 
 def test_channel_triangle_levels():
@@ -120,3 +130,66 @@ def test_group_count_generic_gamma():
     # its value ties another pair's).
     _, decomp = make_decomp(8, "closed", "closed", gamma=2.5)
     assert len(decomp) == 10
+
+
+def _worst_overlap_error(decomp, N):
+    """Largest |block overlap - rebuilt projector entry| over all node pairs."""
+    P = decomp.projectors
+    nodes = [Node(n, al) for n in range(N) for al in (1, 2, 3)]
+    return max(
+        float(np.abs(projector_overlaps(decomp, a, b)
+                     - P[:, flat_index(a, N), flat_index(b, N)]).max())
+        for a in nodes for b in nodes
+    )
+
+
+@pytest.mark.parametrize("N", range(3, 7))
+def test_block_overlaps_equal_projector_entries(N):
+    for site_bc, channel_bc in TOPOLOGIES:
+        _, decomp = make_decomp(N, site_bc, channel_bc, gamma=1.7)
+        assert _worst_overlap_error(decomp, N) < 1e-12
+    spec = make_spec(N, "closed", "closed", gamma=1.7)
+    analytic = group_eigenpairs(eigenpairs_closed_closed_analytic(spec))
+    assert _worst_overlap_error(analytic, N) < 1e-12
+
+
+def test_exact_cross_factor_level_crossing():
+    # closed/closed N = 5: site mode m = 1 (and 4) in channel modes 2, 3 ties
+    # site mode n = 2 (and 3) in channel mode 1 at gamma = 3 / (2 (cos 2pi/5 -
+    # cos 4pi/5)) = 3 / sqrt(5); that group joins 4 + 2 columns
+    N, m, n = 5, 1, 2
+    gamma = 3.0 / (2.0 * (math.cos(2 * math.pi * m / N) - math.cos(2 * math.pi * n / N)))
+    spec = make_spec(N, "closed", "closed", gamma=gamma)
+    H = build_hamiltonian(spec)
+    crossing = 2.0 * gamma * math.cos(2 * math.pi * m / N) - 1.0
+    pairs = eigenpairs_closed_closed_analytic(spec)
+    tied = {p.labels for p in pairs if abs(p.value - crossing) < 1e-9}
+    assert tied == {(1, 2), (1, 3), (4, 2), (4, 3), (2, 1), (3, 1)}
+
+    nodes = [Node(k, al) for k in range(N) for al in (1, 2, 3)]
+    for decomp in (eigendecompose_numeric(H), group_eigenpairs(pairs)):
+        k = int(np.argmin(np.abs(decomp.values - crossing)))
+        assert abs(decomp.values[k] - crossing) < 1e-12
+        assert int(decomp.multiplicities[k]) == 6
+        for a in nodes:
+            for b in nodes:
+                o = projector_overlaps(decomp, a, b)  # raises if not real
+                assert np.isrealobj(o)
+                assert float(o.sum()) == pytest.approx(float(a == b), abs=1e-12)
+
+    decomp = eigendecompose_numeric(H)
+    for src, dst in [(Node(0, 1), Node(2, 2)), (Node(0, 2), Node(1, 3)), (Node(3, 1), Node(3, 3))]:
+        for t in (0.7, 3.1, 11.9):
+            U = series_expm(H, t)
+            exact = abs(U[flat_index(dst, N), flat_index(src, N)]) ** 2
+            assert transition_probability(decomp, src, dst, t) == pytest.approx(exact, abs=1e-9)
+
+
+def test_decomposition_memory_is_quadratic():
+    N = 150
+    dim = 3 * N
+    _, decomp = make_decomp(N, "open", "open", gamma=2.0)
+    stored = sum(v.nbytes for v in vars(decomp).values() if isinstance(v, np.ndarray))
+    assert stored <= 1.1 * dim * dim * 8 + (1 << 20)
+    report = transfer_report(decomp, Node(0, 1), Node(N - 1, 3))
+    assert len(report.overlaps) == len(decomp)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from helix_pst import (
     dark_predicate_closed_closed,
     eigenpairs_closed_closed_analytic,
     flat_index,
+    group_eigenpairs,
     p_max,
     p_max_rank1,
     probability_profile,
@@ -178,3 +181,14 @@ def test_probability_profile_rejects_bad_grid(ring8):
         probability_profile(decomp, *DIAMETRIC, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         probability_profile(decomp, *DIAMETRIC, np.array([]))
+
+
+def test_overlap_guard_fires_for_ungrouped_complex_degenerate_pair():
+    # shifting (n=1, alpha=1) off its partner (n=4, alpha=1) leaves a lone
+    # complex plane wave, whose projector entries between sites are complex
+    spec = make_spec(5, "closed", "closed", gamma=2.0)
+    pairs = [replace(p, value=p.value + 1e-3) if p.labels == (1, 1) else p
+             for p in eigenpairs_closed_closed_analytic(spec)]
+    decomp = group_eigenpairs(pairs)
+    with pytest.raises(ValueError, match="imaginary"):
+        projector_overlaps(decomp, Node(0, 1), Node(1, 1))
