@@ -86,8 +86,10 @@ def check_attainability(
     constraints: list[Constraint], t: float, tol: float = DEFAULT_RESIDUAL_TOL
 ) -> AttainabilityReport:
     """Evaluate every congruence at time t > 0 with the nearest witness k."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t:g}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol:g}")
     two_pi = 2.0 * math.pi
     filled: list[Constraint] = []
     residuals = np.zeros(len(constraints))

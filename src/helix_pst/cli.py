@@ -269,6 +269,10 @@ def _cmd_dark(args) -> int:
 
 
 def _cmd_attain(args) -> int:
+    if not math.isfinite(args.tau):
+        raise ValueError(f"--tau must be finite, got {args.tau:g}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
     spec = _network(args)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
     decomp = eigendecompose_numeric(build_hamiltonian(spec))

@@ -1,10 +1,22 @@
 """Time-domain searches for perfect-transfer events and parameter sweeps.
 
-A coarse probability grid locates candidate peaks; golden-section
-refinement then pins each peak down to 1e-6 in time. A refined peak
-counts as perfect state transfer (PST) when p >= 1 - epsilon. Sweeps
-evaluate tau_min independently per parameter value and keep input
-order, so output is deterministic for any worker count. The
+p(t) is sampled on the grid t = i * coarse_step, i = 0 .. horizon /
+coarse_step, in blocks of CHUNK points. One table exp(-i lambda j h),
+j < CHUNK, serves the whole scan; the block starting at index s folds
+the exact phase exp(-i lambda s h) into the pair overlaps once and is
+then one complex matrix-vector product, so rounding never accumulates
+from block to block. A scan holds O(CHUNK * groups) numbers whatever
+the horizon.
+
+Candidates are grid local maxima above 1 - 2 epsilon (boundary points
+included, a flat run counted once at its first point), found with one
+numpy mask per block; golden-section refinement then pins each one down
+to 1e-6 in time. A refined peak counts as perfect state transfer (PST)
+when p >= 1 - epsilon. tau_min stops scanning as soon as no later
+candidate can replace the first event it accepted.
+
+Sweeps evaluate tau_min independently per parameter value and keep
+input order, so output is deterministic for any worker count. The
 HELIX_PST_THREADS environment variable caps the worker pool (0 or
 unset means auto).
 """
@@ -25,6 +37,7 @@ from .transfer import projector_overlaps
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_XTOL = 1e-6
+CHUNK = 1 << 12  # grid points per block of the p(t) evaluation
 
 
 @dataclass(frozen=True)
@@ -56,17 +69,21 @@ class SweepRow:
 
 
 def _pair_probability(decomp: SpectralDecomposition, input: Node, output: Node):
-    """Scalar and grid evaluators of p(t) for one node pair."""
+    """Scalar and chunked grid evaluators of p(t) for one node pair."""
     o = projector_overlaps(decomp, input, output)
     lam = decomp.values
 
     def p_of(t: float) -> float:
         return float(np.abs(np.dot(o, np.exp(-1j * lam * t))) ** 2)
 
-    def p_grid(ts: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(-1j * np.outer(ts, lam)) @ o) ** 2
+    def p_chunks(step: float, count: int):
+        """Yield p(i * step) for i < count, CHUNK points at a time."""
+        table = np.exp(-1j * np.outer(step * np.arange(min(count, CHUNK)), lam))
+        for s in range(0, count, CHUNK):
+            seeded = o * np.exp(-1j * lam * (s * step))
+            yield np.abs(table[:count - s] @ seeded) ** 2
 
-    return p_of, p_grid
+    return p_of, p_chunks
 
 
 def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]:
@@ -89,53 +106,76 @@ def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]
     return best, p_of(best)
 
 
+def _scan(
+    decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
+    first_only: bool,
+) -> list[float]:
+    """PST times in [0, horizon], ascending; with first_only, the scan
+    stops once its first element can no longer change."""
+    p_of, p_chunks = _pair_probability(decomp, input, output)
+    h = cfg.coarse_step
+    # len(np.arange(0.0, horizon + h / 2, h)), whose points are exactly i * h
+    count = math.ceil((cfg.horizon + 0.5 * h) / h)
+    thr = 1.0 - 2.0 * cfg.epsilon
+    times: list[float] = []
+    probs: list[float] = []
+
+    def settled(a: float) -> bool:
+        # a candidate whose bracket starts at a can neither merge with
+        # times[0] nor precede it
+        return first_only and bool(times) and (len(times) > 1 or a > times[0] + h)
+
+    # grid values before the first undecided index, -inf standing in for p(-h)
+    tail = np.array([-np.inf])
+    for s, chunk in zip(range(0, count, CHUNK), p_chunks(h, count)):
+        w = np.concatenate((tail, chunk))
+        if s + CHUNK >= count:
+            w = np.append(w, -np.inf)  # p past the horizon
+        first = s + 1 - len(tail)  # grid index of w[1]
+        # a flat run is examined at its first point only, hence p > left
+        mid = w[1:-1]
+        for i in np.flatnonzero((mid > thr) & (mid > w[:-2]) & (mid >= w[2:])) + first:
+            a = max(i * h - h, 0.0)
+            if settled(a):
+                return times
+            b = min(i * h + h, cfg.horizon)
+            t_star, p_star = _golden_max(p_of, a, b, cfg.refine_iters)
+            if p_star >= 1.0 - cfg.epsilon:
+                if times and abs(t_star - times[-1]) < h:
+                    if p_star > probs[-1]:
+                        times[-1], probs[-1] = t_star, p_star
+                else:
+                    times.append(t_star)
+                    probs.append(p_star)
+        tail = w[-2:]
+        if settled((first + len(mid)) * h - h):
+            break
+    return times
+
+
 def find_pst_times(
     decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig
 ) -> list[float]:
     """All PST times in [0, horizon], ascending, refined to 1e-6.
 
     Candidates are coarse-grid local maxima above 1 - 2 epsilon
-    (boundary points included); a refined candidate is kept when its
-    probability reaches 1 - epsilon.
+    (boundary points included, a flat run refined once); a refined
+    candidate is kept when its probability reaches 1 - epsilon, and
+    one closer than a coarse step to the previous kept time replaces
+    it only when higher.
     """
-    p_of, p_grid = _pair_probability(decomp, input, output)
-    ts = np.arange(0.0, cfg.horizon + 0.5 * cfg.coarse_step, cfg.coarse_step)
-    p = p_grid(ts)
-    thr = 1.0 - 2.0 * cfg.epsilon
-    last = len(ts) - 1
-
-    times: list[float] = []
-    probs: list[float] = []
-    i = 0
-    while i <= last:
-        is_max = (
-            p[i] > thr
-            and (i == 0 or p[i] >= p[i - 1])
-            and (i == last or p[i] >= p[i + 1])
-        )
-        if is_max:
-            a = max(ts[i] - cfg.coarse_step, 0.0)
-            b = min(ts[i] + cfg.coarse_step, cfg.horizon)
-            t_star, p_star = _golden_max(p_of, a, b, cfg.refine_iters)
-            if p_star >= 1.0 - cfg.epsilon:
-                if times and abs(t_star - times[-1]) < cfg.coarse_step:
-                    if p_star > probs[-1]:
-                        times[-1], probs[-1] = t_star, p_star
-                else:
-                    times.append(t_star)
-                    probs.append(p_star)
-            # skip any flat plateau so one peak is refined once
-            while i < last and p[i + 1] == p[i]:
-                i += 1
-        i += 1
-    return times
+    return _scan(decomp, input, output, cfg, first_only=False)
 
 
 def tau_min(
     decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig
 ) -> float | None:
-    """Earliest PST time within the horizon, or None when there is none."""
-    times = find_pst_times(decomp, input, output, cfg)
+    """Earliest PST time within the horizon, or None when there is none.
+
+    Equal to the first element of find_pst_times, but the scan stops
+    once a later candidate can no longer replace the first event.
+    """
+    times = _scan(decomp, input, output, cfg, first_only=True)
     return times[0] if times else None
 
 

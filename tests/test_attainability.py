@@ -142,3 +142,15 @@ def test_check_attainability_rejects_bad_tol(ring8_report):
     _, _, chain = ring8_report
     with pytest.raises(ValueError):
         check_attainability(chain, 1.0, tol=-0.1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_attainability(chain, 1.0, tol=bad)
+
+
+def test_check_attainability_rejects_non_finite_time(ring8_report):
+    _, _, chain = ring8_report
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="time must be finite"):
+            check_attainability(chain, bad)
+        with pytest.raises(ValueError, match="time must be finite"):
+            check_attainability([], bad)  # also with nothing to evaluate

@@ -112,6 +112,12 @@ PAIR_ARGS = ["--n", "4", "--site-bc", "closed", "--channel-bc", "closed",
     (["sweep", "--gamma-grid", "1:2:1", "--horizon", "inf"], "--horizon"),
     (["sweep", "--gamma-grid", "0:inf:1"], "--gamma-grid"),
     (["sweep", "--J-grid", "1:2:nan"], "--J-grid"),
+    (["attain", "--gamma", "2", "--tau", "inf"], "--tau"),
+    (["attain", "--gamma", "2", "--tau=-inf"], "--tau"),
+    (["attain", "--gamma", "2", "--tau", "nan"], "--tau"),
+    (["attain", "--gamma", "2", "--tau", "1", "--tol", "inf"], "--tol"),
+    (["attain", "--gamma", "2", "--tau", "1", "--tol", "nan"], "--tol"),
+    (["attain", "--gamma", "2", "--tau", "1", "--tol", "0"], "--tol"),
 ])
 def test_non_finite_inputs_name_their_flag(argv, flag, capsys):
     code, out, err = run(argv[:1] + PAIR_ARGS + argv[1:], capsys)

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_decomp, make_spec
+from helix_pst import scan
 from helix_pst import (
     Node,
     ScanConfig,
@@ -14,9 +17,58 @@ from helix_pst import (
     tau_min,
     transition_probability,
 )
-from oracles import ring_hamiltonian, series_expm
+from helix_pst.scan import CHUNK
+from helix_pst.spectral import SpectralDecomposition
+from oracles import reference_pst_times, ring_hamiltonian, series_expm
 
 PAIR8 = (Node(0, 1), Node(4, 1))
+# the paper's figure networks fig2..fig5 and their node pairs
+FIGURES = {
+    "fig2": (8, "closed", "closed", PAIR8),
+    "fig3": (5, "open", "open", (Node(0, 1), Node(4, 1))),
+    "fig4": (4, "open", "closed", (Node(0, 1), Node(3, 1))),
+    "fig5": (6, "closed", "open", (Node(0, 1), Node(3, 1))),
+}
+# 14.5 and 19.5 are where the fixed grid misses or delays fig2's first event
+EQUIV_GAMMAS = (0.5, 3.0, 5.0, 8.25, 14.5, 19.5)
+EQUIV_J = (0.5, 7.3, 20.0)
+
+
+def _figure_case(fig, gamma=None, J=None):
+    N, site, channel, pair = FIGURES[fig]
+    cfg = ScanConfig()
+    if gamma is not None:
+        _, decomp = make_decomp(N, site, channel, gamma=gamma)
+    else:
+        # the coupling sweep's rescaled step
+        _, decomp = make_decomp(N, site, channel, J=J, L=0.0)
+        cfg = replace(cfg, coarse_step=cfg.coarse_step / J)
+    return decomp, pair, cfg
+
+
+def _one_group_case():
+    # a single group at eigenvalue 0 with unit overlap: p(t) == 1.0 exactly,
+    # a plateau over all 10 001 grid points, about 2.4 chunks
+    decomp = SpectralDecomposition(np.array([0.0]), np.eye(3), np.array([3]), 1e-8)
+    return decomp, (Node(0, 1), Node(0, 1)), ScanConfig(horizon=50.0)
+
+
+def _chunk_edge_case(index):
+    # fig2 at gamma = 3 peaks near 12.576181; this step puts the grid point
+    # nearest the peak at `index`
+    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
+    return decomp, PAIR8, ScanConfig(horizon=30.0, coarse_step=12.576181 / index, epsilon=5e-3)
+
+
+EQUIVALENCE_CASES = {
+    **{f"{fig}-gamma{g}": (lambda f=fig, g=g: _figure_case(f, gamma=g))
+       for fig in FIGURES for g in EQUIV_GAMMAS},
+    **{f"{fig}-L0-J{J}": (lambda f=fig, J=J: _figure_case(f, J=J))
+       for fig in FIGURES for J in EQUIV_J},
+    "one-group-plateau": _one_group_case,
+    "peak-at-CHUNK-1": lambda: _chunk_edge_case(CHUNK - 1),
+    "peak-at-CHUNK": lambda: _chunk_edge_case(CHUNK),
+}
 
 
 def test_scan_config_validation():
@@ -139,3 +191,73 @@ def test_find_pst_times_rejects_coincident_pair_threshold():
     _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
     times = find_pst_times(decomp, Node(0, 1), Node(0, 1), ScanConfig(horizon=5.0))
     assert times and times[0] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+def test_chunked_scan_matches_reference_scan(case):
+    decomp, pair, cfg = EQUIVALENCE_CASES[case]()
+    times = find_pst_times(decomp, *pair, cfg)
+    assert times == reference_pst_times(decomp, *pair, cfg)
+    assert tau_min(decomp, *pair, cfg) == (times or [None])[0]
+    if case == "one-group-plateau":
+        # refined once, from its first point; golden section on a constant
+        # closes in on the bracket's left end
+        assert len(times) == 1 and 0.0 <= times[0] < 1e-6
+    elif case.startswith("peak-at"):
+        index = CHUNK - 1 if case == "peak-at-CHUNK-1" else CHUNK
+        assert abs(times[0] - index * cfg.coarse_step) < cfg.coarse_step / 2
+
+
+def _count_grid_points(monkeypatch) -> list[int]:
+    """Chunk sizes the scan's grid evaluator yields from now on."""
+    sizes: list[int] = []
+    real = scan._pair_probability
+
+    def counting(*args):
+        p_of, p_chunks = real(*args)
+
+        def counted(step, count):
+            for chunk in p_chunks(step, count):
+                sizes.append(len(chunk))
+                yield chunk
+
+        return p_of, counted
+
+    monkeypatch.setattr(scan, "_pair_probability", counting)
+    return sizes
+
+
+def test_tau_min_stops_at_first_event(monkeypatch):
+    decomp, pair, cfg = _figure_case("fig2", J=20.0)
+    grid_points = len(np.arange(0.0, cfg.horizon + 0.5 * cfg.coarse_step, cfg.coarse_step))
+    assert grid_points == 800_001
+    sizes = _count_grid_points(monkeypatch)
+    first = tau_min(decomp, *pair, cfg)
+    assert first is not None and first < 5.0
+    assert sum(sizes) < grid_points / 10
+    sizes.clear()
+    times = find_pst_times(decomp, *pair, cfg)
+    assert sum(sizes) == grid_points
+    assert first == times[0]
+
+
+def test_tau_min_without_event_scans_the_whole_grid(monkeypatch):
+    _, weak = make_decomp(5, "open", "open", gamma=4.0)
+    sizes = _count_grid_points(monkeypatch)
+    assert tau_min(weak, Node(0, 1), Node(4, 1), ScanConfig(horizon=200.0)) is None
+    assert sum(sizes) == 40_001
+    assert max(sizes) == CHUNK
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    # 400 001 points x 24 groups would take 146 MiB as one complex array
+    _, decomp = make_decomp(8, "open", "open", gamma=2.7)
+    assert len(decomp) == 24
+    cfg = ScanConfig(horizon=2000.0, epsilon=1e-3)
+    tracemalloc.start()
+    try:
+        find_pst_times(decomp, Node(0, 1), Node(7, 3), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * CHUNK * len(decomp) * 16
