@@ -45,11 +45,10 @@ from .spectral import (
 )
 from .transfer import (
     TransferReport,
-    dark_eigenspaces,
     dark_predicate_closed_closed,
-    p_max,
+    grid_count,
     p_max_rank1,
-    probability_profile,
+    probability_chunks,
     projector_overlaps,
     sign_factors,
     transfer_report,
@@ -77,7 +76,6 @@ __all__ = [
     "check_attainability",
     "closed_closed_example_constraints",
     "coupling_sweep_L0",
-    "dark_eigenspaces",
     "dark_predicate_closed_closed",
     "distinct_count_closed_closed",
     "dump_matrix",
@@ -86,13 +84,13 @@ __all__ = [
     "find_pst_times",
     "flat_index",
     "gamma_sweep",
+    "grid_count",
     "group_eigenpairs",
     "independent_constraints",
     "neighbors",
     "node_from_index",
-    "p_max",
     "p_max_rank1",
-    "probability_profile",
+    "probability_chunks",
     "projector_overlaps",
     "same_class_step",
     "sign_factors",

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: spectrum, evolve, pmax, dark, attain, scan, sweep,
-reproduce. Exit codes: 0 on success, 2 on usage or validation errors,
-1 on an internal numeric failure. CSV output uses %.12g formatting, LF
-line endings and always carries a header; JSON output carries a
-top-level "schema": 1 field. Plot scripts are plain gnuplot.
+reproduce. Exit codes: 0 on success, 2 on usage or validation errors
+(an unwritable output path included), 1 on an internal numeric failure.
+CSV output uses %.12g formatting, LF line endings and always carries a
+header; p(t) traces are written block by block as the grid kernel
+yields them. JSON output carries a top-level "schema": 1 field. Plot
+scripts are plain gnuplot. reproduce runs evolve and sweep commands.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import numpy as np
 from .attainability import check_attainability, independent_constraints
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
 from .hamiltonian import build_hamiltonian, dump_matrix
-from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep
+# _scan taps the scan's grid blocks, so a CLI scan writes the trace it scans
+from .scan import ScanConfig, _scan, coupling_sweep_L0, gamma_sweep
 from .spectral import eigendecompose_numeric
-from .transfer import probability_profile, transfer_report
+from .transfer import grid_count, probability_chunks, projector_overlaps, transfer_report
 
 SCHEMA_VERSION = 1
 
@@ -131,12 +134,6 @@ def _check_time_flags(args) -> None:
             raise ValueError(f"{flag} must be positive and finite, got {value:g}")
 
 
-def _time_grid(args) -> np.ndarray:
-    """0, step, ..., horizon; the flags are checked before numpy sees them."""
-    _check_time_flags(args)
-    return np.arange(0.0, args.horizon + 0.5 * args.step, args.step)
-
-
 def _time_label(spec: NetworkSpec) -> str:
     return "tau" if spec.couplings.scaled else "t"
 
@@ -145,9 +142,13 @@ def _time_label(spec: NetworkSpec) -> str:
 def _open_out(path: str):
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _write_csv(stream, header: list[str], rows) -> None:
@@ -163,27 +164,56 @@ def _write_json(stream, payload: dict) -> None:
     stream.write("\n")
 
 
-def _plot_script_text(csv_path: str, xlabel: str, ylabel: str, style: str) -> str:
-    return "\n".join(
-        [
-            f"# gnuplot script for {csv_path}",
-            'set datafile separator ","',
-            "set key autotitle columnhead",
-            f'set xlabel "{xlabel}"',
-            f'set ylabel "{ylabel}"',
-            f'plot "{csv_path}" using 1:2 with {style}',
-            "",
-        ]
-    )
+class _Trace:
+    """p(i * step) written as its blocks pass through tap: CSV rows block
+    by block, JSON points kept until close."""
+
+    def __init__(self, stream, fmt: str, label: str, step: float) -> None:
+        self.stream, self.json, self.step = stream, fmt == "json", step
+        self.points: list[list[float]] = []
+        if not self.json:
+            stream.write(f"{label},p\n")
+
+    def tap(self, chunks):
+        start = 0
+        for chunk in chunks:
+            rows = np.column_stack((self.step * np.arange(start, start + len(chunk)), chunk))
+            if self.json:
+                self.points += rows.tolist()
+            else:  # the rows _write_csv would give, _fmt being %.12g on floats
+                self.stream.write("%.12g,%.12g\n" * len(chunk) % tuple(rows.ravel().tolist()))
+            start += len(chunk)
+            yield chunk
+
+    def close(self, **extra) -> None:
+        if self.json:
+            _write_json(self.stream, {"profile": self.points, **extra})
+
+
+def _gnuplot(title: str, panels: list[tuple[str, str, str]]) -> str:
+    """A gnuplot script of (xlabel, ylabel, plot arguments) panels, stacked
+    in one multiplot when there are several."""
+    lines = [f"# gnuplot script for {title}", 'set datafile separator ","',
+             "set key autotitle columnhead"]
+    if len(panels) > 1:
+        lines.append(f"set multiplot layout {len(panels)},1")
+    for xlabel, ylabel, plot in panels:
+        lines += [f'set xlabel "{xlabel}"', f'set ylabel "{ylabel}"', f"plot {plot}"]
+    if len(panels) > 1:
+        lines.append("unset multiplot")
+    return "\n".join(lines + [""])
+
+
+def _check_plot_script(args) -> None:
+    if args.plot_script is not None and args.output == "-":
+        raise ValueError("--plot-script needs --output pointing at a file")
 
 
 def _maybe_plot_script(args, xlabel: str, ylabel: str, style: str = "lines") -> None:
-    if args.plot_script is None:
-        return
-    if args.output == "-":
-        raise ValueError("--plot-script needs --output pointing at a file")
-    with open(args.plot_script, "w", newline="") as fh:
-        fh.write(_plot_script_text(args.output, xlabel, ylabel, style))
+    if args.plot_script is not None:
+        with _open_out(args.plot_script) as fh:
+            plot = f'"{args.output}" using 1:2 with {style}'
+            fh.write(_gnuplot(args.output, [(xlabel, ylabel, plot)]))
 
 
 # ----- subcommand runners -----
@@ -194,7 +224,7 @@ def _cmd_spectrum(args) -> int:
     H = build_hamiltonian(spec)
     decomp = eigendecompose_numeric(H)
     if args.dump_matrix:
-        with open(args.dump_matrix, "w", newline="") as fh:
+        with _open_out(args.dump_matrix) as fh:
             dump_matrix(H, fh)
     rows = [
         (k, float(decomp.values[k]), int(decomp.multiplicities[k]))
@@ -214,18 +244,20 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    _check_plot_script(args)
     spec = _network(args)
     _require_dynamics(spec)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    grid = _time_grid(args)
+    _check_time_flags(args)
+    count = grid_count(args.horizon, args.step)
     decomp = eigendecompose_numeric(build_hamiltonian(spec))
-    profile = probability_profile(decomp, input, output, grid)
+    o = projector_overlaps(decomp, input, output)
     label = _time_label(spec)
     with _open_out(args.output) as out:
-        if args.format == "json":
-            _write_json(out, {"profile": [[t, p] for t, p in profile]})
-        else:
-            _write_csv(out, [label, "p"], profile)
+        trace = _Trace(out, args.format, label, args.step)
+        for _ in trace.tap(probability_chunks(o, decomp.values, args.step, count)):
+            pass
+        trace.close()
     _maybe_plot_script(args, label, "p")
     return 0
 
@@ -300,23 +332,19 @@ def _cmd_attain(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _check_plot_script(args)
     spec = _network(args)
     _require_dynamics(spec)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    grid = _time_grid(args)
+    _check_time_flags(args)
     cfg = ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=args.epsilon)
     decomp = eigendecompose_numeric(build_hamiltonian(spec))
-    profile = probability_profile(decomp, input, output, grid)
-    times = find_pst_times(decomp, input, output, cfg)
     label = _time_label(spec)
     with _open_out(args.output) as out:
-        if args.format == "json":
-            _write_json(out, {
-                "profile": [[t, p] for t, p in profile],
-                "pst_times": times,
-            })
-        else:
-            _write_csv(out, [label, "p"], profile)
+        trace = _Trace(out, args.format, label, args.step)
+        # every grid block is written, then read by the peak pass
+        times = _scan(decomp, input, output, cfg, first_only=False, tap=trace.tap)
+        trace.close(pst_times=times)
     if times:
         print("PST times: " + ", ".join(_fmt(t) for t in times), file=sys.stderr)
     else:
@@ -326,6 +354,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_plot_script(args)
     bc = BoundaryConditions.from_names(args.site_bc, args.channel_bc)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
     _check_time_flags(args)
@@ -371,10 +400,6 @@ class _FigureJob:
     sweep: bool  # tau_min vs gamma panel
     l0_sweep: bool  # t_min vs J panel
 
-    @property
-    def bc(self) -> BoundaryConditions:
-        return BoundaryConditions.from_names(self.site_bc, self.channel_bc)
-
 
 _FIGURES: dict[str, _FigureJob] = {
     "fig2": _FigureJob(8, "closed", "closed", ("0,1", "4,1"), (3.0, 5.0), 150.0, True, True),
@@ -388,67 +413,36 @@ _TRACE_STEP = 0.005
 
 
 def _cmd_reproduce(args) -> int:
+    """Each panel is an evolve or sweep command with the figure's network,
+    pair and defaults, written into the output directory."""
     job = _FIGURES[args.figure]
     outdir = args.output_dir.rstrip("/") or "."
-    input, output = parse_node(job.pair[0]), parse_node(job.pair[1])
-    cfg = ScanConfig()
+    network = ["--n", str(job.N), "--site-bc", job.site_bc,
+               "--channel-bc", job.channel_bc, "--in", job.pair[0], "--out", job.pair[1]]
     written: list[str] = []
-    plots: list[tuple[str, str, str, str, str]] = []
 
-    trace_files = []
-    for gamma in job.trace_gammas:
-        spec = validate_spec(NetworkSpec(job.N, job.bc, CouplingParams.from_gamma(gamma)))
-        decomp = eigendecompose_numeric(build_hamiltonian(spec))
-        grid = np.arange(0.0, job.trace_horizon + 0.5 * _TRACE_STEP, _TRACE_STEP)
-        profile = probability_profile(decomp, input, output, grid)
-        name = f"{args.figure}a_gamma{_fmt(gamma)}.csv"
+    def panel(name: str, command: str, *flags: str) -> str:
         path = f"{outdir}/{name}"
-        with open(path, "w", newline="") as fh:
-            _write_csv(fh, ["tau", "p"], profile)
+        sub = build_parser().parse_args([command, *network, *flags, f"--output={path}"])
+        sub.func(sub)
         written.append(path)
-        trace_files.append((name, gamma))
+        return name
 
-    if job.sweep:
-        grid = parse_grid(_SWEEP_GRID)
-        template = validate_spec(
-            NetworkSpec(job.N, job.bc, CouplingParams.from_gamma(grid[0])))
-        rows = gamma_sweep(template, (input, output), grid, cfg)
-        name = f"{args.figure}b_tau_min_vs_gamma.csv"
-        path = f"{outdir}/{name}"
-        with open(path, "w", newline="") as fh:
-            _write_csv(fh, ["gamma", "tau_min"], [(r.parameter, r.tau_min) for r in rows])
-        written.append(path)
-        plots.append((name, "gamma", "tau_min", "points", "tau_min"))
-
+    traces = []
+    for g in job.trace_gammas:
+        name = panel(f"{args.figure}a_gamma{_fmt(g)}.csv", "evolve", "--gamma", repr(g),
+                     "--horizon", repr(job.trace_horizon), "--step", repr(_TRACE_STEP))
+        traces.append(f'"{name}" using 1:2 with lines title "gamma={_fmt(g)}"')
+    panels = [("tau", "p", ", ".join(traces))]
+    sweeps = [("gamma", "tau_min")] if job.sweep else []
     if job.l0_sweep:
-        grid = parse_grid(_SWEEP_GRID)
-        rows = coupling_sweep_L0(job.N, job.bc, (input, output), grid, cfg)
-        panel = "c" if job.sweep else "b"
-        name = f"{args.figure}{panel}_t_min_vs_J.csv"
-        path = f"{outdir}/{name}"
-        with open(path, "w", newline="") as fh:
-            _write_csv(fh, ["J", "t_min"], [(r.parameter, r.tau_min) for r in rows])
-        written.append(path)
-        plots.append((name, "J", "t_min", "points", "t_min"))
-
-    script = [f"# gnuplot script for {args.figure}",
-              'set datafile separator ","',
-              "set key autotitle columnhead",
-              f"set multiplot layout {1 + len(plots)},1"]
-    trace_parts = ", ".join(
-        f'"{name}" using 1:2 with lines title "gamma={_fmt(g)}"' for name, g in trace_files
-    )
-    script += ['set xlabel "tau"', 'set ylabel "p"', f"plot {trace_parts}"]
-    for name, xlabel, ylabel, style, title in plots:
-        script += [
-            f'set xlabel "{xlabel}"',
-            f'set ylabel "{ylabel}"',
-            f'plot "{name}" using 1:2 with {style} title "{title}"',
-        ]
-    script += ["unset multiplot", ""]
+        sweeps.append(("J", "t_min"))
+    for letter, (x, y) in zip("bc", sweeps):
+        name = panel(f"{args.figure}{letter}_{y}_vs_{x}.csv", "sweep", f"--{x}-grid", _SWEEP_GRID)
+        panels.append((x, y, f'"{name}" using 1:2 with points title "{y}"'))
     gp_path = f"{outdir}/{args.figure}.gp"
-    with open(gp_path, "w", newline="") as fh:
-        fh.write("\n".join(script))
+    with _open_out(gp_path) as fh:
+        fh.write(_gnuplot(args.figure, panels))
     written.append(gp_path)
     for path in written:
         print(path)

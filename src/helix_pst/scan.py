@@ -1,12 +1,11 @@
 """Time-domain searches for perfect-transfer events and parameter sweeps.
 
 p(t) is sampled on the grid t = i * coarse_step, i = 0 .. horizon /
-coarse_step, in blocks of CHUNK points. One table exp(-i lambda j h),
-j < CHUNK, serves the whole scan; the block starting at index s folds
-the exact phase exp(-i lambda s h) into the pair overlaps once and is
-then one complex matrix-vector product, so rounding never accumulates
-from block to block. A scan holds O(CHUNK * groups) numbers whatever
-the horizon.
+coarse_step, by the one grid kernel, transfer.probability_chunks: blocks
+of CHUNK points, each seeded with its exact start phase, so a scan
+holds O(CHUNK * groups) numbers whatever the horizon. A caller that
+also writes the trace (the CLI's scan) taps the same blocks, so every
+grid point is evaluated once.
 
 Candidates are grid local maxima above 1 - 2 epsilon (boundary points
 included, a flat run counted once at its first point), found with one
@@ -33,11 +32,10 @@ import numpy as np
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node
 from .hamiltonian import build_hamiltonian
 from .spectral import SpectralDecomposition, eigendecompose_numeric
-from .transfer import projector_overlaps
+from .transfer import CHUNK, grid_count, probability_chunks, projector_overlaps
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_XTOL = 1e-6
-CHUNK = 1 << 12  # grid points per block of the p(t) evaluation
 
 
 @dataclass(frozen=True)
@@ -68,24 +66,6 @@ class SweepRow:
     tau_min: float | None
 
 
-def _pair_probability(decomp: SpectralDecomposition, input: Node, output: Node):
-    """Scalar and chunked grid evaluators of p(t) for one node pair."""
-    o = projector_overlaps(decomp, input, output)
-    lam = decomp.values
-
-    def p_of(t: float) -> float:
-        return float(np.abs(np.dot(o, np.exp(-1j * lam * t))) ** 2)
-
-    def p_chunks(step: float, count: int):
-        """Yield p(i * step) for i < count, CHUNK points at a time."""
-        table = np.exp(-1j * np.outer(step * np.arange(min(count, CHUNK)), lam))
-        for s in range(0, count, CHUNK):
-            seeded = o * np.exp(-1j * lam * (s * step))
-            yield np.abs(table[:count - s] @ seeded) ** 2
-
-    return p_of, p_chunks
-
-
 def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]:
     """Golden-section maximisation of p on [a, b] down to REFINE_XTOL."""
     x1 = b - INV_PHI * (b - a)
@@ -108,14 +88,22 @@ def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]
 
 def _scan(
     decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
-    first_only: bool,
+    first_only: bool, tap=iter,
 ) -> list[float]:
     """PST times in [0, horizon], ascending; with first_only, the scan
-    stops once its first element can no longer change."""
-    p_of, p_chunks = _pair_probability(decomp, input, output)
+    stops once its first element can no longer change.
+
+    The grid blocks of p pass through tap(blocks) before the peak pass
+    reads them; the CLI's scan writes its trace there.
+    """
+    o = projector_overlaps(decomp, input, output)
+    lam = decomp.values
+
+    def p_of(t: float) -> float:
+        return float(np.abs(np.dot(o, np.exp(-1j * lam * t))) ** 2)
+
     h = cfg.coarse_step
-    # len(np.arange(0.0, horizon + h / 2, h)), whose points are exactly i * h
-    count = math.ceil((cfg.horizon + 0.5 * h) / h)
+    count = grid_count(cfg.horizon, h)
     thr = 1.0 - 2.0 * cfg.epsilon
     times: list[float] = []
     probs: list[float] = []
@@ -127,7 +115,8 @@ def _scan(
 
     # grid values before the first undecided index, -inf standing in for p(-h)
     tail = np.array([-np.inf])
-    for s, chunk in zip(range(0, count, CHUNK), p_chunks(h, count)):
+    blocks = tap(probability_chunks(o, lam, h, count))
+    for s, chunk in zip(range(0, count, CHUNK), blocks):
         w = np.concatenate((tail, chunk))
         if s + CHUNK >= count:
             w = np.append(w, -np.inf)  # p past the horizon

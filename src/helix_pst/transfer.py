@@ -10,12 +10,17 @@ p_max bounds p(t) for all t (triangle inequality) and is reached exactly
 when all surviving phases align up to the overlap signs. Groups with
 o_k = 0 are "dark": the excitation never passes through them and they
 drop out of the phase-alignment analysis.
+
+probability_chunks is the one evaluator of p(t) on a time grid: the
+scan, the CLI traces and the figures all stream its blocks of CHUNK
+points over t = i * step, i < grid_count(horizon, step).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .spectral import EigenPair, SpectralDecomposition
 
 DARK_TOL = 1e-10
 OVERLAP_IMAG_TOL = 1e-9
+CHUNK = 1 << 12  # grid points per block of the p(t) evaluation
 
 
 @dataclass(frozen=True)
@@ -67,28 +73,27 @@ def transition_probability(
     return float(np.abs(amp) ** 2)
 
 
-def probability_profile(
-    decomp: SpectralDecomposition,
-    input: Node,
-    output: Node,
-    t_grid: Sequence[float],
-) -> list[tuple[float, float]]:
-    """p(t) over an ascending time grid, evaluated in one vectorised pass."""
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("time grid is empty")
-    if np.any(np.diff(ts) < 0):
-        raise ValueError("time grid must be sorted ascending")
-    o = projector_overlaps(decomp, input, output)
-    amps = np.exp(-1j * np.outer(ts, decomp.values)) @ o
-    probs = np.abs(amps) ** 2
-    return list(zip(ts.tolist(), probs.tolist()))
+def grid_count(horizon: float, step: float) -> int:
+    """Points of the grid 0, step, ..., horizon: the length of
+    np.arange(0.0, horizon + step / 2, step), whose points are i * step."""
+    return math.ceil((horizon + 0.5 * step) / step)
 
 
-def p_max(decomp: SpectralDecomposition, input: Node, output: Node) -> float:
-    """Phase-alignment upper bound (sum_k |o_k|)^2 over grouped overlaps."""
-    o = projector_overlaps(decomp, input, output)
-    return float(np.sum(np.abs(o)) ** 2)
+def probability_chunks(
+    overlaps: np.ndarray, values: np.ndarray, step: float, count: int
+) -> Iterator[np.ndarray]:
+    """Yield p(i * step) for i < count, CHUNK points at a time.
+
+    One table exp(-i lambda j step), j < CHUNK, serves every block; the
+    block starting at index s folds its exact phase exp(-i lambda s step)
+    into the overlaps once and is then one complex matrix-vector product,
+    so rounding never accumulates from block to block and the evaluation
+    holds O(CHUNK * groups) numbers whatever the count.
+    """
+    table = np.exp(-1j * np.outer(step * np.arange(min(count, CHUNK)), values))
+    for s in range(0, count, CHUNK):
+        seeded = overlaps * np.exp(-1j * values * (s * step))
+        yield np.abs(table[:count - s] @ seeded) ** 2
 
 
 def p_max_rank1(pairs: Sequence[EigenPair], input: Node, output: Node) -> float:
@@ -128,11 +133,6 @@ def transfer_report(
     dark = frozenset(int(k) for k in np.flatnonzero(signs == 0))
     bound = float(np.sum(np.abs(overlaps)) ** 2)
     return TransferReport(input, output, overlaps, bound, signs, dark)
-
-
-def dark_eigenspaces(report: TransferReport) -> frozenset[int]:
-    """Indices of groups the pair never populates (overlap sign 0)."""
-    return report.dark_groups
 
 
 def dark_predicate_closed_closed(N: int, i: int, j: int, n: int) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helix_pst import cli, scan, transfer
 from helix_pst import (
     BoundaryConditions,
     CouplingParams,
@@ -25,6 +26,22 @@ def make_spec(N, site_bc, channel_bc, *, gamma=None, J=None, L=None) -> NetworkS
 def make_decomp(N, site_bc, channel_bc, **kw):
     spec = make_spec(N, site_bc, channel_bc, **kw)
     return spec, eigendecompose_numeric(build_hamiltonian(spec))
+
+
+def count_grid_points(monkeypatch) -> list[int]:
+    """Sizes of the blocks the p(t) grid kernel yields from now on, under
+    every name the package imported it as."""
+    sizes: list[int] = []
+    real = transfer.probability_chunks
+
+    def counted(*args):
+        for chunk in real(*args):
+            sizes.append(len(chunk))
+            yield chunk
+
+    for module in (transfer, scan, cli):
+        monkeypatch.setattr(module, "probability_chunks", counted)
+    return sizes
 
 
 @pytest.fixture

@@ -43,16 +43,16 @@ from helix_pst import (
     build_hamiltonian,
     check_attainability,
     coupling_sweep_L0,
-    dark_eigenspaces,
     dark_predicate_closed_closed,
     distinct_count_closed_closed,
     eigenpairs_closed_closed_analytic,
     find_pst_times,
     flat_index,
     gamma_sweep,
+    grid_count,
     independent_constraints,
-    p_max,
-    probability_profile,
+    probability_chunks,
+    projector_overlaps,
     transfer_report,
     transition_probability,
 )
@@ -196,9 +196,10 @@ def test_criterion_04_open_sites_closed_channels(found):
 
 def _global_max(decomp, pair, horizon, step=0.002):
     """(t, p) of the largest local maximum of p on [0, horizon]."""
-    grid = np.arange(0.0, horizon + 0.5 * step, step)
-    prof = probability_profile(decomp, *pair, grid)
-    p = np.array([row[1] for row in prof])
+    count = grid_count(horizon, step)
+    grid = step * np.arange(count)
+    o = projector_overlaps(decomp, *pair)
+    p = np.concatenate(list(probability_chunks(o, decomp.values, step, count)))
     inner = (p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:])
     cands = [i + 1 for i in np.flatnonzero(inner) if p[i + 1] > p.max() - 1e-3]
     best = (float(grid[p.argmax()]), float(p.max()))
@@ -298,7 +299,7 @@ def test_criterion_08_dark_state_equivalence():
                     continue
                 report = transfer_report(decomp, Node(i, 1), Node(j, 1))
                 got = sorted(round(float(decomp.values[k]), 9)
-                             for k in dark_eigenspaces(report))
+                             for k in report.dark_groups)
                 want = []
                 for n in range(1, top + 1):
                     if dark_predicate_closed_closed(N, i, j, n):
@@ -312,7 +313,7 @@ def test_criterion_08_dark_state_equivalence():
         _, decomp = make_decomp(N, "closed", "closed", gamma=gamma)
         for j in range(1, N):
             report = transfer_report(decomp, Node(0, 1), Node(j, 1))
-            empty_ok &= dark_eigenspaces(report) == frozenset()
+            empty_ok &= report.dark_groups == frozenset()
     ok = not mismatches and empty_ok
     _verdict(8, ok, f"predicate mismatches {len(mismatches)} over N in {{4,8,12}}; "
                     f"dark sets empty for N in {{5,6,7}}: {empty_ok}")
@@ -340,7 +341,7 @@ def test_criterion_09_property_suite():
 
             src = nodes[int(rng.integers(len(nodes)))]
             dst = nodes[int(rng.integers(len(nodes)))]
-            bound = p_max(decomp, src, dst)
+            bound = transfer_report(decomp, src, dst).p_max
             for t in times:
                 t = float(t)
                 total = sum(transition_probability(decomp, src, other, t) for other in nodes)

@@ -11,7 +11,6 @@ from helix_pst import (
     check_attainability,
     closed_closed_example_constraints,
     independent_constraints,
-    p_max,
     same_class_step,
     transfer_report,
     transition_probability,
@@ -112,7 +111,7 @@ def test_alignment_without_full_transfer():
     t_star = math.pi / 3.0
     result = check_attainability(chain, t_star, tol=1e-9)
     assert result.all_satisfied
-    bound = p_max(decomp, a, b)
+    bound = report.p_max
     assert bound == pytest.approx(4.0 / 9.0, abs=1e-12)
     assert transition_probability(decomp, a, b, t_star) == pytest.approx(bound, abs=1e-12)
 

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
+from conftest import count_grid_points
 from helix_pst.cli import parse_grid, parse_node, run_command
-from helix_pst import Node
+from helix_pst import Node, grid_count
 
 
 def run(argv, capsys):
@@ -276,7 +278,7 @@ def test_sweep_J_grid_header(tmp_path, capsys):
 
 
 def test_plot_script_requires_file_output(capsys, tmp_path):
-    code, _, err = run(
+    code, out, err = run(
         ["evolve", "--n", "4", "--site-bc", "open", "--channel-bc", "open",
          "--gamma", "2", "--in", "0,1", "--out", "3,1",
          "--horizon", "1", "--step", "0.5",
@@ -285,6 +287,8 @@ def test_plot_script_requires_file_output(capsys, tmp_path):
     )
     assert code == 2
     assert "--plot-script needs --output" in err
+    assert out == ""  # rejected before the trace is computed
+    assert not (tmp_path / "p.gp").exists()
 
 
 def test_plot_script_contents(tmp_path, capsys):
@@ -333,3 +337,74 @@ def test_reproduce_fig4_writes_expected_files(tmp_path, capsys):
     # the first arrival sits near tau = 8.37 with p about 0.995
     peak = max((float(line.split(",")[1]) for line in trace[1:3000]), default=0.0)
     assert peak > 0.99
+    # each panel is the evolve or sweep command with the same parameters
+    network = ["--n", "4", "--site-bc", "open", "--channel-bc", "closed",
+               "--in", "0,1", "--out", "3,1"]
+    for name, argv in (
+        ("fig4a_gamma4.csv", ["evolve", "--gamma", "4", "--horizon", "100"]),
+        ("fig4a_gamma9.4.csv", ["evolve", "--gamma", "9.4", "--horizon", "100"]),
+        ("fig4b_tau_min_vs_gamma.csv", ["sweep", "--gamma-grid", "0.5:20:0.05"]),
+        ("fig4c_t_min_vs_J.csv", ["sweep", "--J-grid", "0.5:20:0.05"]),
+    ):
+        direct = tmp_path / f"direct-{name}"
+        code, _, _ = run(argv[:1] + network + argv[1:] + ["--output", str(direct)], capsys)
+        assert code == 0
+        assert direct.read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--gamma", "2", "--output", "{missing}/a.csv"],
+    ["spectrum", "--gamma", "2", "--output", "{tmp}/a.csv", "--dump-matrix", "{missing}/H.txt"],
+    ["evolve", "--gamma", "2", "--in", "0,1", "--out", "3,1", "--horizon", "1",
+     "--output", "{tmp}/a.csv", "--plot-script", "{missing}/a.gp"],
+    ["reproduce", "fig4", "--output-dir", "{missing}"],
+])
+def test_unwritable_path_is_a_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+    if argv[0] != "reproduce":
+        argv[1:1] = ["--n", "4", "--site-bc", "open", "--channel-bc", "open"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write ")
+    assert str(missing) in err
+
+
+def test_evolve_csv_memory_does_not_grow_with_the_grid(tmp_path, capsys):
+    out = tmp_path / "long.csv"
+    argv = ["evolve", "--n", "8", "--site-bc", "open", "--channel-bc", "open",
+            "--gamma", "2.7", "--in", "0,1", "--out", "7,3",
+            "--horizon", "2000", "--output", str(out)]
+    tracemalloc.start()
+    try:
+        code = run_command(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = out.read_text().count("\n") - 1
+    assert rows == grid_count(2000.0, 0.005) == 400_001
+    # one (points x groups) complex array would take 400 001 * 24 * 16 B,
+    # 146 MiB; the blocks and their rows need well under a MiB each
+    assert peak < 400_001 * 24 * 16 // 20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_evaluates_each_grid_point_once(fmt, tmp_path, capsys, monkeypatch):
+    sizes = count_grid_points(monkeypatch)
+    out = tmp_path / f"scan.{fmt}"
+    code, _, err = run(
+        ["scan", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
+         "--gamma", "3", "--in", "0,1", "--out", "4,1", "--horizon", "80",
+         "--format", fmt, "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert err == "PST times: 73.3055114357\n"
+    count = grid_count(80.0, 0.005)
+    assert sum(sizes) == count == 16_001
+    if fmt == "json":
+        doc = json.loads(out.read_text())
+        assert len(doc["profile"]) == count and doc["pst_times"]
+    else:
+        assert len(out.read_text().splitlines()) == count + 1

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_decomp, make_spec
+from conftest import count_grid_points, make_decomp, make_spec
 from helix_pst import scan
 from helix_pst import (
     Node,
@@ -17,7 +17,7 @@ from helix_pst import (
     tau_min,
     transition_probability,
 )
-from helix_pst.scan import CHUNK
+from helix_pst.transfer import CHUNK
 from helix_pst.spectral import SpectralDecomposition
 from oracles import reference_pst_times, ring_hamiltonian, series_expm
 
@@ -218,30 +218,11 @@ def test_chunked_scan_matches_reference_scan(case):
         assert abs(times[0] - index * cfg.coarse_step) < cfg.coarse_step / 2
 
 
-def _count_grid_points(monkeypatch) -> list[int]:
-    """Chunk sizes the scan's grid evaluator yields from now on."""
-    sizes: list[int] = []
-    real = scan._pair_probability
-
-    def counting(*args):
-        p_of, p_chunks = real(*args)
-
-        def counted(step, count):
-            for chunk in p_chunks(step, count):
-                sizes.append(len(chunk))
-                yield chunk
-
-        return p_of, counted
-
-    monkeypatch.setattr(scan, "_pair_probability", counting)
-    return sizes
-
-
 def test_tau_min_stops_at_first_event(monkeypatch):
     decomp, pair, cfg = _figure_case("fig2", J=20.0)
     grid_points = len(np.arange(0.0, cfg.horizon + 0.5 * cfg.coarse_step, cfg.coarse_step))
     assert grid_points == 800_001
-    sizes = _count_grid_points(monkeypatch)
+    sizes = count_grid_points(monkeypatch)
     first = tau_min(decomp, *pair, cfg)
     assert first is not None and first < 5.0
     assert sum(sizes) < grid_points / 10
@@ -278,7 +259,7 @@ def test_tau_min_keeps_the_higher_of_two_merged_first_peaks(monkeypatch):
 
 def test_tau_min_without_event_scans_the_whole_grid(monkeypatch):
     _, weak = make_decomp(5, "open", "open", gamma=4.0)
-    sizes = _count_grid_points(monkeypatch)
+    sizes = count_grid_points(monkeypatch)
     assert tau_min(weak, Node(0, 1), Node(4, 1), ScanConfig(horizon=200.0)) is None
     assert sum(sizes) == 40_001
     assert max(sizes) == CHUNK

@@ -6,21 +6,23 @@ import pytest
 from conftest import make_decomp, make_spec
 from helix_pst import (
     Node,
-    dark_eigenspaces,
+    build_hamiltonian,
     dark_predicate_closed_closed,
     eigenpairs_closed_closed_analytic,
     flat_index,
+    grid_count,
     group_eigenpairs,
-    p_max,
     p_max_rank1,
-    probability_profile,
+    probability_chunks,
     projector_overlaps,
     sign_factors,
     transfer_report,
     transition_probability,
 )
+from helix_pst.transfer import CHUNK
 from oracles import series_expm
 
+TOPOLOGIES = (("closed", "closed"), ("closed", "open"), ("open", "closed"), ("open", "open"))
 DIAMETRIC = (Node(0, 1), Node(4, 1))
 
 
@@ -45,8 +47,6 @@ def test_frozen_peak_values(ring8):
 
 def test_spectral_route_matches_series_propagator(ring8):
     spec, decomp = ring8
-    from helix_pst import build_hamiltonian
-
     H = build_hamiltonian(spec)
     a, b = (flat_index(n, spec.N) for n in DIAMETRIC)
     for t in (0.7, 12.57618, 73.3055):
@@ -70,10 +70,12 @@ def test_grouped_overlaps_diametric(ring8):
 
 def test_p_max_one_only_for_special_pairs(ring8):
     _, decomp = ring8
-    assert p_max(decomp, *DIAMETRIC) == pytest.approx(1.0, abs=1e-12)
-    assert p_max(decomp, Node(0, 1), Node(0, 1)) == pytest.approx(1.0, abs=1e-12)
+    assert transfer_report(decomp, *DIAMETRIC).p_max == pytest.approx(1.0, abs=1e-12)
+    assert transfer_report(decomp, Node(0, 1), Node(0, 1)).p_max == pytest.approx(
+        1.0, abs=1e-12)
     # nearest neighbour: the grouped bound is well below 1
-    assert p_max(decomp, Node(0, 1), Node(1, 1)) == pytest.approx(0.364276695297, abs=1e-9)
+    assert transfer_report(decomp, Node(0, 1), Node(1, 1)).p_max == pytest.approx(
+        0.364276695297, abs=1e-9)
 
 
 def test_p_max_rank1_is_one_for_any_pair():
@@ -86,7 +88,7 @@ def test_p_max_rank1_is_one_for_any_pair():
 def test_probability_bounded_by_p_max(ring8, rng):
     _, decomp = ring8
     for a, b in ((Node(0, 1), Node(1, 1)), (Node(0, 1), Node(3, 2))):
-        bound = p_max(decomp, a, b)
+        bound = transfer_report(decomp, a, b).p_max
         for t in rng.uniform(0.0, 50.0, size=25):
             assert transition_probability(decomp, a, b, float(t)) <= bound + 1e-9
 
@@ -106,7 +108,7 @@ def test_sign_factors_zero_marks_dark():
 def test_dark_groups_distance_two():
     _, decomp = make_decomp(8, "closed", "closed", gamma=2.5)
     report = transfer_report(decomp, Node(0, 1), Node(2, 1))
-    dark = dark_eigenspaces(report)
+    dark = report.dark_groups
     assert len(dark) == 4
     got = sorted(round(float(decomp.values[k]), 6) for k in dark)
     # n = 1 and n = 3 site classes of both channel classes, gamma = 2.5
@@ -134,7 +136,7 @@ def test_no_dark_states_when_four_does_not_divide(N):
     _, decomp = make_decomp(N, "closed", "closed", gamma=2.5)
     for j in range(1, N):
         report = transfer_report(decomp, Node(0, 1), Node(j, 1))
-        assert dark_eigenspaces(report) == frozenset()
+        assert report.dark_groups == frozenset()
 
 
 def test_reciprocity(ring8, rng):
@@ -166,21 +168,32 @@ def test_ring_translation_invariance(ring8, rng):
         assert shifted == pytest.approx(base, abs=1e-12)
 
 
-def test_probability_profile_matches_pointwise(ring8):
-    _, decomp = ring8
-    grid = np.linspace(0.0, 5.0, 11)
-    prof = probability_profile(decomp, *DIAMETRIC, grid)
-    assert len(prof) == 11
-    for t, p in prof:
-        assert p == pytest.approx(transition_probability(decomp, *DIAMETRIC, t), abs=1e-12)
+@pytest.mark.parametrize("site_bc, channel_bc", TOPOLOGIES)
+def test_probability_chunks_match_pointwise_and_series(site_bc, channel_bc):
+    # 3 CHUNK + 7 points: three block edges, blocks starting at CHUNK,
+    # 2 CHUNK and 3 CHUNK, the last one short
+    spec, decomp = make_decomp(5, site_bc, channel_bc, gamma=1.7)
+    pair = (Node(0, 1), Node(3, 2))
+    step, count = 0.0021, 3 * CHUNK + 7
+    chunks = list(probability_chunks(
+        projector_overlaps(decomp, *pair), decomp.values, step, count))
+    assert [len(c) for c in chunks] == [CHUNK, CHUNK, CHUNK, 7]
+    p = np.concatenate(chunks)
+    edges = [i for s in range(0, count, CHUNK) for i in (s - 1, s, s + 1) if 0 <= i < count]
+    for i in sorted(set(edges) | set(range(0, count, 37)) | {count - 1}):
+        assert p[i] == pytest.approx(
+            transition_probability(decomp, *pair, i * step), abs=1e-12)
+    H = build_hamiltonian(spec)
+    a, b = (flat_index(n, spec.N) for n in pair)
+    for i in edges + [count - 1]:
+        assert p[i] == pytest.approx(abs(series_expm(H, i * step)[b, a]) ** 2, abs=1e-12)
 
 
-def test_probability_profile_rejects_bad_grid(ring8):
-    _, decomp = ring8
-    with pytest.raises(ValueError):
-        probability_profile(decomp, *DIAMETRIC, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        probability_profile(decomp, *DIAMETRIC, np.array([]))
+def test_grid_count_matches_arange():
+    for horizon, step in ((1.0, 0.5), (200.0, 0.005), (600.0, 0.005), (100.0, 0.0071),
+                          (2000.0, 0.005), (0.3, 0.1)):
+        assert grid_count(horizon, step) == len(np.arange(0.0, horizon + 0.5 * step, step))
+    assert list(probability_chunks(np.ones(1), np.zeros(1), 0.1, 0)) == []
 
 
 def test_overlap_guard_fires_for_ungrouped_complex_degenerate_pair():
