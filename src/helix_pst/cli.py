@@ -12,6 +12,7 @@ scripts are plain gnuplot. reproduce runs evolve and sweep commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,8 +24,7 @@ import numpy as np
 from .attainability import check_attainability, independent_constraints
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
 from .hamiltonian import build_hamiltonian, dump_matrix
-# _scan taps the scan's grid blocks, so a CLI scan writes the trace it scans
-from .scan import ScanConfig, _scan, coupling_sweep_L0, gamma_sweep
+from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep
 from .spectral import eigendecompose_numeric
 from .transfer import grid_count, probability_chunks, projector_overlaps, transfer_report
 
@@ -98,12 +98,14 @@ def _add_scan_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--epsilon", type=float, default=1e-3)
 
 
-def _add_output_args(sp: argparse.ArgumentParser, formats=("csv", "json")) -> None:
+def _add_output_args(sp: argparse.ArgumentParser, formats=("csv", "json"), plot=False) -> None:
+    # plot: the command writes a table a gnuplot script can plot
     if formats:
         sp.add_argument("--format", choices=list(formats), default=formats[0])
     sp.add_argument("--output", default="-", help="output path, '-' for stdout")
-    sp.add_argument("--plot-script", default=None,
-                    help="also write a gnuplot script next to the data")
+    if plot:
+        sp.add_argument("--plot-script", default=None,
+                        help="also write a gnuplot script next to the data")
 
 
 def _couplings(args) -> CouplingParams:
@@ -343,7 +345,7 @@ def _cmd_scan(args) -> int:
     with _open_out(args.output) as out:
         trace = _Trace(out, args.format, label, args.step)
         # every grid block is written, then read by the peak pass
-        times = _scan(decomp, input, output, cfg, first_only=False, tap=trace.tap)
+        times = find_pst_times(decomp, input, output, cfg, tap=trace.tap)
         trace.close(pst_times=times)
     if times:
         print("PST times: " + ", ".join(_fmt(t) for t in times), file=sys.stderr)
@@ -452,7 +454,10 @@ def _cmd_reproduce(args) -> int:
 # ----- parser assembly -----
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The helix-pst parser, built once per process; parsing leaves it
+    unchanged, so every command shares it."""
     parser = argparse.ArgumentParser(
         prog="helix-pst",
         description="Excitation transfer on a three-channel helical spin network",
@@ -472,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling_args(sp)
     _add_pair_args(sp)
     _add_scan_args(sp)
-    _add_output_args(sp)
+    _add_output_args(sp, plot=True)
     sp.set_defaults(func=_cmd_evolve)
 
     sp = sub.add_parser("pmax", help="phase-alignment transfer bound for a pair")
@@ -503,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling_args(sp)
     _add_pair_args(sp)
     _add_scan_args(sp)
-    _add_output_args(sp)
+    _add_output_args(sp, plot=True)
     sp.set_defaults(func=_cmd_scan)
 
     sp = sub.add_parser("sweep", help="tau_min versus gamma, or t_min versus J at L=0")
@@ -512,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_args(sp)
     sp.add_argument("--gamma-grid", default=None, metavar="START:STOP:STEP")
     sp.add_argument("--J-grid", dest="J_grid", default=None, metavar="START:STOP:STEP")
-    _add_output_args(sp)
+    _add_output_args(sp, plot=True)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("reproduce", help="regenerate a bundled figure configuration")

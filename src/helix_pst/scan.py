@@ -2,10 +2,10 @@
 
 p(t) is sampled on the grid t = i * coarse_step, i = 0 .. horizon /
 coarse_step, by the one grid kernel, transfer.probability_chunks: blocks
-of CHUNK points, each seeded with its exact start phase, so a scan
-holds O(CHUNK * groups) numbers whatever the horizon. A caller that
-also writes the trace (the CLI's scan) taps the same blocks, so every
-grid point is evaluated once.
+of CHUNK points, each row of 64 seeded with its exact start phase, so a
+scan holds O(CHUNK * groups) numbers whatever the horizon. A caller that
+also writes the trace (the CLI's scan) taps the same blocks through
+find_pst_times(tap=...), so every grid point is evaluated once.
 
 Candidates are grid local maxima above 1 - 2 epsilon (boundary points
 included, a flat run counted once at its first point), found with one
@@ -14,17 +14,13 @@ to 1e-6 in time. A refined peak counts as perfect state transfer (PST)
 when p >= 1 - epsilon. tau_min stops scanning as soon as no later
 candidate can replace the first event it accepted.
 
-Sweeps evaluate tau_min independently per parameter value and keep
-input order, so output is deterministic for any worker count. The
-HELIX_PST_THREADS environment variable caps the worker pool (0 or
-unset means auto).
+Sweeps evaluate tau_min independently per parameter value, one after
+another in input order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,7 +90,7 @@ def _scan(
     stops once its first element can no longer change.
 
     The grid blocks of p pass through tap(blocks) before the peak pass
-    reads them; the CLI's scan writes its trace there.
+    reads them.
     """
     o = projector_overlaps(decomp, input, output)
     lam = decomp.values
@@ -143,7 +139,8 @@ def _scan(
 
 
 def find_pst_times(
-    decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig
+    decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
+    *, tap=iter,
 ) -> list[float]:
     """All PST times in [0, horizon], ascending, refined to 1e-6.
 
@@ -152,8 +149,14 @@ def find_pst_times(
     candidate is kept when its probability reaches 1 - epsilon, and
     one closer than a coarse step to the previous kept time replaces
     it only when higher.
+
+    tap(blocks) receives the iterator of grid blocks, the arrays of
+    p(i * coarse_step) that probability_chunks yields, and returns the
+    iterator of those same blocks that the scan reads. A caller that
+    wants the sampled trace too (the CLI's scan) passes a generator that
+    records each block as it passes, so no grid point is evaluated twice.
     """
-    return _scan(decomp, input, output, cfg, first_only=False)
+    return _scan(decomp, input, output, cfg, first_only=False, tap=tap)
 
 
 def tau_min(
@@ -166,26 +169,6 @@ def tau_min(
     """
     times = _scan(decomp, input, output, cfg, first_only=True)
     return times[0] if times else None
-
-
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("HELIX_PST_THREADS", "0") or "0"
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HELIX_PST_THREADS must be an integer, got {raw!r}") from exc
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
-
-
-def _map_ordered(fn, params) -> list:
-    params = list(params)
-    workers = _worker_count(len(params))
-    if workers == 1 or len(params) <= 1:
-        return [fn(x) for x in params]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, params))
 
 
 def gamma_sweep(
@@ -202,7 +185,7 @@ def gamma_sweep(
         decomp = eigendecompose_numeric(build_hamiltonian(spec))
         return SweepRow(float(gamma), tau_min(decomp, input, output, cfg))
 
-    return _map_ordered(eval_one, gamma_grid)
+    return [eval_one(g) for g in gamma_grid]
 
 
 def coupling_sweep_L0(
@@ -228,4 +211,4 @@ def coupling_sweep_L0(
             local = replace(cfg, coarse_step=cfg.coarse_step / abs(J))
         return SweepRow(float(J), tau_min(decomp, input, output, local))
 
-    return _map_ordered(eval_one, J_grid)
+    return [eval_one(J) for J in J_grid]

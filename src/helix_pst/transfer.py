@@ -13,7 +13,8 @@ drop out of the phase-alignment analysis.
 
 probability_chunks is the one evaluator of p(t) on a time grid: the
 scan, the CLI traces and the figures all stream its blocks of CHUNK
-points over t = i * step, i < grid_count(horizon, step).
+points over t = i * step, i < grid_count(horizon, step), each block one
+64 x 64 complex matrix product of exactly seeded row phases.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .spectral import EigenPair, SpectralDecomposition
 
 DARK_TOL = 1e-10
 OVERLAP_IMAG_TOL = 1e-9
-CHUNK = 1 << 12  # grid points per block of the p(t) evaluation
+ROOT = 64
+CHUNK = ROOT * ROOT  # grid points per block of the p(t) evaluation
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,21 @@ def probability_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield p(i * step) for i < count, CHUNK points at a time.
 
-    One table exp(-i lambda j step), j < CHUNK, serves every block; the
-    block starting at index s folds its exact phase exp(-i lambda s step)
-    into the overlaps once and is then one complex matrix-vector product,
-    so rounding never accumulates from block to block and the evaluation
-    holds O(CHUNK * groups) numbers whatever the count.
+    CHUNK = ROOT**2, and the index of a point in the block starting at s
+    splits as s + ROOT * r + c with r, c < ROOT. One inner table
+    exp(-i lambda c step) serves every block; the block seeds each of
+    its rows with o exp(-i lambda (s + ROOT r) step), computed from the
+    row's own index, and is then one (rows x groups) @ (groups x ROOT)
+    product, raveled row by row. Each point's phase is thus the product
+    of two directly evaluated phases, never of a chain of earlier ones,
+    so rounding does not accumulate along the grid; the evaluation holds
+    O(CHUNK + ROOT * groups) numbers whatever the count.
     """
-    table = np.exp(-1j * np.outer(step * np.arange(min(count, CHUNK)), values))
+    inner = np.exp(-1j * np.outer(values, step * np.arange(ROOT)))
     for s in range(0, count, CHUNK):
-        seeded = overlaps * np.exp(-1j * values * (s * step))
-        yield np.abs(table[:count - s] @ seeded) ** 2
+        rows = np.arange(s, min(s + CHUNK, count), ROOT)
+        seeds = overlaps * np.exp(-1j * np.outer(step * rows, values))
+        yield (np.abs(seeds @ inner) ** 2).ravel()[:count - s]
 
 
 def p_max_rank1(pairs: Sequence[EigenPair], input: Node, output: Node) -> float:

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from conftest import count_grid_points
+from helix_pst import cli
 from helix_pst.cli import parse_grid, parse_node, run_command
 from helix_pst import Node, grid_count
 
@@ -291,6 +292,27 @@ def test_plot_script_requires_file_output(capsys, tmp_path):
     assert not (tmp_path / "p.gp").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["dark", "--in", "0,1", "--out", "3,1"],
+    ["pmax", "--in", "0,1", "--out", "3,1"],
+    ["attain", "--in", "0,1", "--out", "3,1", "--tau", "1"],
+])
+def test_plot_script_is_not_a_flag_of_table_free_commands(argv, tmp_path, capsys):
+    # these commands write no plottable p(t) or sweep table
+    gp = tmp_path / "p.gp"
+    code, out, err = run(
+        argv[:1] + ["--n", "4", "--site-bc", "open", "--channel-bc", "open", "--gamma", "2"]
+        + argv[1:] + ["--output", str(tmp_path / "f.out"), "--plot-script", str(gp)],
+        capsys,
+    )
+    assert code == 2
+    assert "unrecognized arguments: --plot-script" in err
+    assert out == ""
+    assert not gp.exists()
+    assert not (tmp_path / "f.out").exists()
+
+
 def test_plot_script_contents(tmp_path, capsys):
     csv = tmp_path / "trace.csv"
     gp = tmp_path / "trace.gp"
@@ -408,3 +430,20 @@ def test_scan_evaluates_each_grid_point_once(fmt, tmp_path, capsys, monkeypatch)
         assert len(doc["profile"]) == count and doc["pst_times"]
     else:
         assert len(out.read_text().splitlines()) == count + 1
+
+
+def test_commands_sharing_the_cached_parser_match_fresh_parses(capsys):
+    network = ["--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
+               "--gamma", "3", "--in", "0,1", "--out", "4,1"]
+    argvs = [["evolve", *network, "--horizon", "1", "--step", "0.25", "--format", "json"],
+             ["scan", *network, "--horizon", "80"],
+             ["pmax", *network]]
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(argv, capsys) for argv in argvs]
+    for argv, result in zip(argvs, shared):
+        args = cli.build_parser.__wrapped__().parse_args(argv)
+        code = args.func(args)
+        captured = capsys.readouterr()
+        assert result == (code, captured.out, captured.err), argv[0]
+    assert [r[0] for r in shared] == [0, 0, 0]
+    assert shared[1][2] == "PST times: 73.3055114357\n"

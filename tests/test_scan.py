@@ -14,6 +14,7 @@ from helix_pst import (
     find_pst_times,
     flat_index,
     gamma_sweep,
+    grid_count,
     tau_min,
     transition_probability,
 )
@@ -109,6 +110,24 @@ def test_find_pst_times_frozen_gamma5():
     assert times == pytest.approx([43.983376, 131.950128], abs=5e-4)
 
 
+def test_find_pst_times_tap_sees_every_block_once():
+    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
+    cfg = ScanConfig(horizon=150.0, epsilon=5e-3)
+    seen = []
+
+    def tap(blocks):
+        for block in blocks:
+            seen.append(block)
+            yield block
+
+    assert find_pst_times(decomp, *PAIR8, cfg, tap=tap) == find_pst_times(decomp, *PAIR8, cfg)
+    p = np.concatenate(seen)
+    assert len(p) == grid_count(150.0, cfg.coarse_step)
+    for i in (0, 1, CHUNK, len(p) - 1):
+        assert p[i] == pytest.approx(
+            transition_probability(decomp, *PAIR8, i * cfg.coarse_step), abs=1e-12)
+
+
 def test_returned_times_are_refined_local_maxima():
     _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
     times = find_pst_times(decomp, *PAIR8, ScanConfig(horizon=150.0, epsilon=5e-3))
@@ -149,16 +168,12 @@ def test_time_scale_covariance():
         assert a == pytest.approx(2.0 * b, abs=1e-4)
 
 
-def test_gamma_sweep_rows_and_determinism(monkeypatch):
+def test_gamma_sweep_rows_and_determinism():
     template = make_spec(8, "closed", "closed", gamma=1.0)
     grid = [3.0, 4.0, 5.0]
     cfg = ScanConfig(horizon=80.0, epsilon=5e-3)
-    monkeypatch.setenv("HELIX_PST_THREADS", "1")
     serial = gamma_sweep(template, PAIR8, grid, cfg)
-    monkeypatch.setenv("HELIX_PST_THREADS", "2")
-    threaded = gamma_sweep(template, PAIR8, grid, cfg)
     assert [r.parameter for r in serial] == grid
-    assert serial == threaded
     by_gamma = {r.parameter: r.tau_min for r in serial}
     assert by_gamma[3.0] == pytest.approx(12.576181, abs=5e-4)
     assert by_gamma[5.0] == pytest.approx(43.983376, abs=5e-4)

@@ -19,7 +19,7 @@ from helix_pst import (
     transfer_report,
     transition_probability,
 )
-from helix_pst.transfer import CHUNK
+from helix_pst.transfer import CHUNK, ROOT
 from oracles import series_expm
 
 TOPOLOGIES = (("closed", "closed"), ("closed", "open"), ("open", "closed"), ("open", "open"))
@@ -168,25 +168,46 @@ def test_ring_translation_invariance(ring8, rng):
         assert shifted == pytest.approx(base, abs=1e-12)
 
 
-@pytest.mark.parametrize("site_bc, channel_bc", TOPOLOGIES)
-def test_probability_chunks_match_pointwise_and_series(site_bc, channel_bc):
-    # 3 CHUNK + 7 points: three block edges, blocks starting at CHUNK,
-    # 2 CHUNK and 3 CHUNK, the last one short
+def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
+    """Block sizes of a count-point kernel run, after checking its points
+    against transition_probability and, at block edges, series_expm."""
     spec, decomp = make_decomp(5, site_bc, channel_bc, gamma=1.7)
     pair = (Node(0, 1), Node(3, 2))
-    step, count = 0.0021, 3 * CHUNK + 7
+    step = 0.0021
     chunks = list(probability_chunks(
         projector_overlaps(decomp, *pair), decomp.values, step, count))
-    assert [len(c) for c in chunks] == [CHUNK, CHUNK, CHUNK, 7]
+    sizes = [len(c) for c in chunks]
+    assert sizes[:-1] == [CHUNK] * (len(sizes) - 1)
+    assert 0 < sizes[-1] <= CHUNK
+    assert sum(sizes) == count
     p = np.concatenate(chunks)
-    edges = [i for s in range(0, count, CHUNK) for i in (s - 1, s, s + 1) if 0 <= i < count]
-    for i in sorted(set(edges) | set(range(0, count, 37)) | {count - 1}):
+    edges = {i for s in range(0, count, CHUNK) for i in (s - 1, s, s + 1) if 0 <= i < count}
+    # both ends of every ROOT-point row, and the points around each block edge
+    rows = {i for s in range(0, count, ROOT) for i in (s, s + ROOT - 1) if i < count}
+    for i in sorted(rows | edges | set(range(0, count, 37)) | {count - 1}):
         assert p[i] == pytest.approx(
             transition_probability(decomp, *pair, i * step), abs=1e-12)
     H = build_hamiltonian(spec)
     a, b = (flat_index(n, spec.N) for n in pair)
-    for i in edges + [count - 1]:
+    for i in sorted(edges | {ROOT - 1, ROOT, count - 1} & set(range(count))):
         assert p[i] == pytest.approx(abs(series_expm(H, i * step)[b, a]) ** 2, abs=1e-12)
+    return sizes
+
+
+@pytest.mark.parametrize("site_bc, channel_bc", TOPOLOGIES)
+def test_probability_chunks_match_pointwise_and_series(site_bc, channel_bc):
+    # 3 CHUNK + 7 points: three block edges, blocks starting at CHUNK,
+    # 2 CHUNK and 3 CHUNK, the last one short
+    assert _check_chunks(site_bc, channel_bc, 3 * CHUNK + 7) == [CHUNK, CHUNK, CHUNK, 7]
+
+
+@pytest.mark.parametrize("count", [1, ROOT - 1, ROOT, ROOT + 1, CHUNK - 1, CHUNK,
+                                   CHUNK + 1, 2 * CHUNK + ROOT + 1])
+@pytest.mark.parametrize("site_bc, channel_bc", TOPOLOGIES)
+def test_probability_chunks_block_layout(site_bc, channel_bc, count):
+    # a lone point, short and partial rows, a full block, and a last
+    # block of one full row plus one point
+    _check_chunks(site_bc, channel_bc, count)
 
 
 def test_grid_count_matches_arange():
