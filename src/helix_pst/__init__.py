@@ -1,8 +1,9 @@
 """Excitation transfer on a three-channel helical spin network.
 
 Library layers, bottom up: core (types and index conventions),
-hamiltonian (matrix construction), spectral (grouped eigendecomposition),
-transfer (probabilities, bounds, dark states), attainability (phase
+hamiltonian (matrix construction, for inspection), spectral (grouped
+decomposition from the site and channel factors), transfer
+(probabilities, bounds, dark states), attainability (phase
 congruences), scan (peak searches and sweeps), cli (command line).
 """
 
@@ -34,20 +35,11 @@ from .scan import (
     gamma_sweep,
     tau_min,
 )
-from .spectral import (
-    EigenPair,
-    SpectralDecomposition,
-    distinct_count_closed_closed,
-    eigendecompose_numeric,
-    eigenpairs_closed_closed_analytic,
-    group_eigenpairs,
-    verify_reconstruction,
-)
+from .spectral import SpectralDecomposition, decompose, distinct_count_closed_closed
 from .transfer import (
     TransferReport,
     dark_predicate_closed_closed,
     grid_count,
-    p_max_rank1,
     probability_chunks,
     projector_overlaps,
     sign_factors,
@@ -65,7 +57,6 @@ __all__ = [
     "Constraint",
     "CouplingKind",
     "CouplingParams",
-    "EigenPair",
     "NetworkSpec",
     "Node",
     "ScanConfig",
@@ -76,20 +67,17 @@ __all__ = [
     "check_attainability",
     "closed_closed_example_constraints",
     "coupling_sweep_L0",
+    "decompose",
     "dark_predicate_closed_closed",
     "distinct_count_closed_closed",
     "dump_matrix",
-    "eigendecompose_numeric",
-    "eigenpairs_closed_closed_analytic",
     "find_pst_times",
     "flat_index",
     "gamma_sweep",
     "grid_count",
-    "group_eigenpairs",
     "independent_constraints",
     "neighbors",
     "node_from_index",
-    "p_max_rank1",
     "probability_chunks",
     "projector_overlaps",
     "same_class_step",

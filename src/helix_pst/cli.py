@@ -25,7 +25,7 @@ from .attainability import check_attainability, independent_constraints
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
 from .hamiltonian import build_hamiltonian, dump_matrix
 from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep
-from .spectral import eigendecompose_numeric
+from .spectral import decompose
 from .transfer import grid_count, probability_chunks, projector_overlaps, transfer_report
 
 SCHEMA_VERSION = 1
@@ -223,11 +223,10 @@ def _maybe_plot_script(args, xlabel: str, ylabel: str, style: str = "lines") -> 
 
 def _cmd_spectrum(args) -> int:
     spec = _network(args)
-    H = build_hamiltonian(spec)
-    decomp = eigendecompose_numeric(H)
+    decomp = decompose(spec)
     if args.dump_matrix:
         with _open_out(args.dump_matrix) as fh:
-            dump_matrix(H, fh)
+            dump_matrix(build_hamiltonian(spec), fh)
     rows = [
         (k, float(decomp.values[k]), int(decomp.multiplicities[k]))
         for k in range(len(decomp))
@@ -252,7 +251,7 @@ def _cmd_evolve(args) -> int:
     input, output = parse_node(args.node_in), parse_node(args.node_out)
     _check_time_flags(args)
     count = grid_count(args.horizon, args.step)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    decomp = decompose(spec)
     o = projector_overlaps(decomp, input, output)
     label = _time_label(spec)
     with _open_out(args.output) as out:
@@ -267,7 +266,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_pmax(args) -> int:
     spec = _network(args)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    decomp = decompose(spec)
     report = transfer_report(decomp, input, output)
     with _open_out(args.output) as out:
         _write_json(out, {
@@ -283,7 +282,7 @@ def _cmd_pmax(args) -> int:
 def _cmd_dark(args) -> int:
     spec = _network(args)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    decomp = decompose(spec)
     report = transfer_report(decomp, input, output)
     rows = [
         (k, float(decomp.values[k]), float(report.overlaps[k]), int(report.signs[k]))
@@ -309,7 +308,7 @@ def _cmd_attain(args) -> int:
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
     spec = _network(args)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    decomp = decompose(spec)
     report = transfer_report(decomp, input, output)
     chain = independent_constraints(report, decomp)
     result = check_attainability(chain, args.tau, args.tol)
@@ -340,7 +339,7 @@ def _cmd_scan(args) -> int:
     input, output = parse_node(args.node_in), parse_node(args.node_out)
     _check_time_flags(args)
     cfg = ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=args.epsilon)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    decomp = decompose(spec)
     label = _time_label(spec)
     with _open_out(args.output) as out:
         trace = _Trace(out, args.format, label, args.step)

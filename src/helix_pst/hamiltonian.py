@@ -11,6 +11,9 @@ where the channel block is the complete triangle (closed channels) or
 the 3-site path 1-2-3 (open channels), and the site adjacency is a ring
 (closed sites) or a path (open sites). The diagonal is zero: the
 uniform on-site energy is dropped as a global phase.
+
+The dynamics never build this matrix: spectral.decompose works from the
+two factors. It is written out by `spectrum --dump-matrix`.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ to 1e-6 in time. A refined peak counts as perfect state transfer (PST)
 when p >= 1 - epsilon. tau_min stops scanning as soon as no later
 candidate can replace the first event it accepted.
 
-Sweeps evaluate tau_min independently per parameter value, one after
-another in input order, in the calling thread.
+gamma_sweep evaluates tau_min per gamma, one value after another in
+input order, in the calling thread, each on its own factorised
+decomposition. coupling_sweep_L0 needs one scan in the natural time
+J t for its whole grid.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node
-from .hamiltonian import build_hamiltonian
-from .spectral import SpectralDecomposition, eigendecompose_numeric
+from .spectral import SpectralDecomposition, decompose
 from .transfer import CHUNK, grid_count, probability_chunks, projector_overlaps
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -182,8 +183,7 @@ def gamma_sweep(
 
     def eval_one(gamma: float) -> SweepRow:
         spec = replace(template, couplings=CouplingParams.from_gamma(gamma))
-        decomp = eigendecompose_numeric(build_hamiltonian(spec))
-        return SweepRow(float(gamma), tau_min(decomp, input, output, cfg))
+        return SweepRow(float(gamma), tau_min(decompose(spec), input, output, cfg))
 
     return [eval_one(g) for g in gamma_grid]
 
@@ -197,18 +197,30 @@ def coupling_sweep_L0(
 ) -> list[SweepRow]:
     """t_min versus J in the decoupled-channel limit L = 0 (raw units).
 
-    The coarse step is rescaled to coarse_step / |J| so the search keeps
-    a fixed resolution in the natural time J * t regardless of how fast
-    the dynamics run.
+    At L = 0, p depends on J t only, and on the sign of J not at all (H
+    is real, so flipping it conjugates the amplitude). One tau_min at
+    J = 1 over the natural horizon max|J| * horizon, with the coarse
+    step read in natural time J t, therefore answers every J != 0:
+    t_min(J) = tau_1 / |J| when tau_1 <= |J| * horizon, else None. This
+    keeps the fixed natural resolution a per-J scan at step
+    coarse_step / |J| would have. J = 0 has no dynamics and is scanned
+    on its own.
     """
     input, output = pair
+    J_grid = [float(J) for J in J_grid]
 
-    def eval_one(J: float) -> SweepRow:
-        spec = NetworkSpec(N, bc, CouplingParams(J=float(J), L=0.0))
-        decomp = eigendecompose_numeric(build_hamiltonian(spec))
-        local = cfg
-        if J != 0.0:
-            local = replace(cfg, coarse_step=cfg.coarse_step / abs(J))
-        return SweepRow(float(J), tau_min(decomp, input, output, local))
+    def scan_at(J: float, local: ScanConfig) -> float | None:
+        spec = NetworkSpec(N, bc, CouplingParams(J=J, L=0.0))
+        return tau_min(decompose(spec), input, output, local)
 
-    return [eval_one(J) for J in J_grid]
+    natural = max(map(abs, J_grid), default=0.0) * cfg.horizon
+    tau_1 = scan_at(1.0, replace(cfg, horizon=natural)) if natural > 0.0 else None
+
+    def t_min(J: float) -> float | None:
+        if J == 0.0:
+            return scan_at(J, cfg)
+        if tau_1 is not None and tau_1 <= abs(J) * cfg.horizon:
+            return tau_1 / abs(J)
+        return None
+
+    return [SweepRow(J, t_min(J)) for J in J_grid]

@@ -1,26 +1,36 @@
-"""Eigendecomposition with explicit degeneracy bookkeeping.
+"""Grouped spectral decomposition from the network's two factors.
 
-All dynamics go through the resolution H = sum_k lambda_k P_k over
-pairwise distinct eigenvalues, where P_k is the orthogonal projector
-onto the full eigenspace of lambda_k. The decomposition stores each
-group as its block of orthonormal eigenvectors V_k; P_k = V_k V_k^dagger
-is implied by the block and never materialised, so a decomposition
-holds O(dim^2) numbers and one projector entry <a| P_k |b> costs
-O(mult_k). For a real symmetric H the eigenvectors, and with them every
-P_k, are real, which keeps transfer overlaps real and independent of
-any basis choice inside degenerate eigenspaces.
+The Hamiltonian is a Cartesian product,
 
-For the doubly closed topology (site ring, channel triangle) the whole
-eigensystem is known in closed form: plane waves over the site ring
-tensored with the three Fourier modes of the triangle,
+    H = J S kron I_3 + L I_N kron C,
 
-    lambda[n, alpha] = 2 J cos(2 pi n / N) + 2 L cos(2 pi (alpha-1) / 3)
-    W[n, alpha][m, c] = exp(i 2 pi n m / N) * V_alpha[c] / sqrt(3 N)
+of a site chain S (a ring of N sites when closed, a path when open)
+and a channel block C (the triangle when closed, the 3-path when open),
+so its eigenpairs are (J sigma_i + L c_a, u_i kron v_a) over the modes
+i of S and a of C (Christandl et al., PRL 92, 187902, 2004; Godsil,
+Discrete Math. 312, 2012). Both factors are chains of n nodes (n = N
+for the sites, giving sigma, and n = 3 for the channels, giving c) with
+closed-form modes k < n:
 
-with V_1 = (1, 1, 1) and V_2 = conj(V_3) = (e^{-2 pi i/3}, 1, e^{2 pi i/3}).
-Grouping those labelled pairs by eigenvalue reproduces the numeric
-eigenspaces (the complex blocks span the same spaces as the real
-numeric ones); the labels themselves stay available for bookkeeping.
+    ring  mu_k = 2 cos(2 pi min(k, n-k) / n),
+          u_k[x] u_k[y] -> cos(2 pi k (x-y) / n) / n
+    path  mu_k = 2 cos(pi (k+1) / (n+1)),
+          u_k[x] = sqrt(2 / (n+1)) sin(pi (k+1) (x+1) / (n+1))
+
+For the ring the two modes k and n-k share one value, bit for bit, and
+the weight given is the real part of the plane-wave product: only
+their sum is a projector entry, and since equal values always share a
+group, only that sum is ever read.
+
+decompose sorts the 3N values lambda = J sigma_i + L c_a once and
+groups neighbours that differ by at most DEFAULT_GROUPING_SCALE times
+the spectral radius, so accidental ties between the factors (which
+decide p_max, the dark sets and the congruence chain) join one group.
+A group is then its value, its multiplicity and its labels, the flat
+mode indices CHANNELS * i + a in eigenvalue order. The overlap of a
+node pair with group k, <in| P_k |out>, is the sum over its labels of
+s_i q_a, with s_i = u_i[n] u_i[m] and q_a = v_a[alpha] v_a[beta]: O(N)
+time and memory per pair, with no Hamiltonian and no eigensolver.
 """
 
 from __future__ import annotations
@@ -29,57 +39,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHANNELS, BoundaryCondition, NetworkSpec, validate_spec
+from .core import CHANNELS, BoundaryCondition, NetworkSpec, Node, flat_index, validate_spec
 
 # default eigenvalue clustering width, relative to the spectral radius
 DEFAULT_GROUPING_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """One labelled eigenvalue/eigenvector pair."""
-
-    value: float
-    vector: np.ndarray
-    labels: tuple[int, int] | None = None  # (site mode n, channel mode alpha)
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Pairwise distinct eigenvalues with their eigenvector blocks.
+    """Pairwise distinct eigenvalues with the factor modes of each group.
 
-    Column j of `vectors` is a unit eigenvector; columns are sorted by
-    eigenvalue, and group k owns the `multiplicities[k]` consecutive
-    columns from `starts[k]` on. Its projector P_k = V_k V_k^dagger is
-    implied by that block, never stored.
+    Label j is the product mode `modes[j]` = CHANNELS * i + a of site
+    mode i and channel mode a; labels are sorted by eigenvalue, and
+    group k owns the `multiplicities[k]` consecutive labels from
+    `starts[k]` on.
     """
 
     values: np.ndarray  # distinct eigenvalues, ascending
-    vectors: np.ndarray  # shape (dim, dim), real for numeric, complex for analytic
     multiplicities: np.ndarray  # int per group, sums to dim
     grouping_tol: float
+    modes: np.ndarray  # flat product mode of each label, in eigenvalue order
+    site_closed: bool
+    channel_closed: bool
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.modes)
 
     @property
     def starts(self) -> np.ndarray:
-        """First column of each group's block in `vectors`."""
+        """First label of each group."""
         return np.cumsum(self.multiplicities) - self.multiplicities
-
-    @property
-    def projectors(self) -> np.ndarray:
-        """The (k, dim, dim) projector tensor, rebuilt on every access.
-
-        Costs O(dim^3) time and k * dim^2 memory: meant for inspecting
-        the projector algebra at small N, never read by the library.
-        """
-        V = self.vectors
-        return np.stack([
-            V[:, a:a + m] @ V[:, a:a + m].conj().T
-            for a, m in zip(self.starts, self.multiplicities)
-        ])
 
     def __len__(self) -> int:
         return len(self.values)
@@ -90,81 +80,64 @@ def default_grouping_tol(values: np.ndarray) -> float:
     return DEFAULT_GROUPING_SCALE * radius
 
 
-def _group(values: np.ndarray, vectors: np.ndarray, tol: float) -> SpectralDecomposition:
-    """Cluster ascending eigenvalues closer than tol into joint blocks."""
-    splits = np.flatnonzero(np.diff(values) > tol) + 1
-    starts = np.concatenate(([0], splits))
-    stops = np.concatenate((splits, [len(values)]))
-    group_values = np.array([values[a:b].mean() for a, b in zip(starts, stops)])
-    mult = (stops - starts).astype(int)
-    return SpectralDecomposition(group_values, vectors, mult, tol)
+def _chain_values(size: int, closed: bool) -> np.ndarray:
+    """Adjacency eigenvalues mu_k, k < size, of a ring or path of size nodes."""
+    k = np.arange(size)
+    if closed:
+        return 2.0 * np.cos(2.0 * np.pi * np.minimum(k, size - k) / size)
+    return 2.0 * np.cos(np.pi * (k + 1) / (size + 1))
 
 
-def eigendecompose_numeric(
-    H: np.ndarray, grouping_tol: float | None = None
-) -> SpectralDecomposition:
-    """Decompose a real symmetric matrix into distinct-eigenvalue groups."""
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be a square matrix")
-    scale = float(np.max(np.abs(H))) if H.size else 0.0
-    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
-        raise ValueError("H must be symmetric")
-    values, vectors = np.linalg.eigh(H)
-    tol = default_grouping_tol(values) if grouping_tol is None else float(grouping_tol)
-    if tol < 0:
-        raise ValueError("grouping_tol must be non-negative")
-    return _group(values, vectors, tol)
+def _chain_weights(size: int, closed: bool, x: int, y: int) -> np.ndarray:
+    """u_k[x] u_k[y] for every mode k of _chain_values(size, closed).
 
-
-def _channel_modes() -> tuple[np.ndarray, np.ndarray]:
-    """Channel mode vectors V_alpha (columns) and their triangle offsets."""
-    w = np.exp(2j * np.pi / 3)
-    V = np.column_stack(
-        [
-            np.ones(3, dtype=complex),
-            np.array([w.conjugate(), 1.0, w]),
-            np.array([w, 1.0, w.conjugate()]),
-        ]
+    Phases are reduced modulo their period in integers first, so the
+    weights keep full precision at any size.
+    """
+    k = np.arange(size)
+    if closed:
+        return np.cos(2.0 * np.pi * (k * (x - y) % size) / size) / size
+    period = 2 * (size + 1)
+    k += 1
+    return (2.0 / (size + 1)) * (
+        np.sin(np.pi * (k * (x + 1) % period) / (size + 1))
+        * np.sin(np.pi * (k * (y + 1) % period) / (size + 1))
     )
-    offsets = 2.0 * np.cos(2.0 * np.pi * np.arange(CHANNELS) / 3.0)  # (2, -1, -1)
-    return V, offsets
 
 
-def eigenpairs_closed_closed_analytic(spec: NetworkSpec) -> list[EigenPair]:
-    """Labelled eigenpairs of the doubly closed network, (n, alpha) order."""
+def decompose(spec: NetworkSpec) -> SpectralDecomposition:
+    """Grouped decomposition of the network from its factors' closed forms."""
     validate_spec(spec)
-    if (
-        spec.bc.site_bc is not BoundaryCondition.CLOSED
-        or spec.bc.channel_bc is not BoundaryCondition.CLOSED
-    ):
-        raise ValueError("analytic eigenpairs require closed site and channel boundaries")
-    N = spec.N
     j_eff, l_eff = spec.couplings.effective()
-    V, offsets = _channel_modes()
-    norm = 1.0 / np.sqrt(3.0 * N)
-    pairs: list[EigenPair] = []
-    for n in range(N):
-        site_phases = np.exp(2j * np.pi * n * np.arange(N) / N)
-        site_value = 2.0 * j_eff * np.cos(2.0 * np.pi * n / N)
-        for alpha in (1, 2, 3):
-            value = site_value + l_eff * offsets[alpha - 1]
-            vector = norm * np.kron(site_phases, V[:, alpha - 1])
-            pairs.append(EigenPair(float(value), vector, labels=(n, alpha)))
-    return pairs
+    site_closed = spec.bc.site_bc is BoundaryCondition.CLOSED
+    channel_closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
+    lam = np.add.outer(
+        j_eff * _chain_values(spec.N, site_closed),
+        l_eff * _chain_values(CHANNELS, channel_closed),
+    ).ravel()
+    modes = np.argsort(lam, kind="stable")
+    values = lam[modes]
+    tol = default_grouping_tol(values)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
+    mult = np.diff(np.append(starts, len(values)))
+    group_values = np.add.reduceat(values, starts) / mult
+    return SpectralDecomposition(group_values, mult, tol, modes, site_closed, channel_closed)
 
 
-def group_eigenpairs(
-    pairs: list[EigenPair], grouping_tol: float | None = None
-) -> SpectralDecomposition:
-    """Build the grouped decomposition from labelled eigenpairs."""
-    if not pairs:
-        raise ValueError("no eigenpairs to group")
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i].value)
-    values = np.array([pairs[i].value for i in order])
-    vectors = np.column_stack([pairs[i].vector for i in order])
-    tol = default_grouping_tol(values) if grouping_tol is None else float(grouping_tol)
-    return _group(values, vectors, tol)
+def projector_overlaps(
+    decomp: SpectralDecomposition, input: Node, output: Node
+) -> np.ndarray:
+    """Real overlaps <in| P_k |out>, one per distinct-eigenvalue group.
+
+    Each is the sum of s_i q_a over its group's labels: one reduceat
+    over the labels in eigenvalue order, O(dim) in all.
+    """
+    N = decomp.dim // CHANNELS
+    flat_index(input, N)  # range checks
+    flat_index(output, N)
+    s = _chain_weights(N, decomp.site_closed, input.n, output.n)
+    q = _chain_weights(CHANNELS, decomp.channel_closed, input.alpha - 1, output.alpha - 1)
+    return np.add.reduceat(np.outer(s, q).ravel()[decomp.modes], decomp.starts)
 
 
 def distinct_count_closed_closed(N: int) -> tuple[int, int]:
@@ -185,15 +158,3 @@ def distinct_count_closed_closed(N: int) -> tuple[int, int]:
     else:
         count = N // 2 + 2
     return count, count
-
-
-def verify_reconstruction(decomp: SpectralDecomposition, H: np.ndarray) -> float:
-    """Max entrywise |sum_k lambda_k P_k - H|, as |V diag(lambda) V^dagger - H|."""
-    H = np.asarray(H, dtype=float)
-    if H.shape != (decomp.dim, decomp.dim):
-        raise ValueError(
-            f"dimension mismatch: decomposition is {decomp.dim}, matrix is {H.shape}"
-        )
-    V = decomp.vectors
-    rebuilt = (V * np.repeat(decomp.values, decomp.multiplicities)) @ V.conj().T
-    return float(np.max(np.abs(rebuilt - H)))

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .core import CHANNELS, Node, flat_index
-from .spectral import EigenPair, SpectralDecomposition
+from .core import Node
+from .spectral import SpectralDecomposition, projector_overlaps
 
 DARK_TOL = 1e-10
-OVERLAP_IMAG_TOL = 1e-9
 ROOT = 64
 CHUNK = ROOT * ROOT  # grid points per block of the p(t) evaluation
 
@@ -44,26 +43,6 @@ class TransferReport:
     p_max: float
     signs: np.ndarray  # int in {-1, 0, +1}, 0 marks a dark group
     dark_groups: frozenset[int]
-
-
-def projector_overlaps(
-    decomp: SpectralDecomposition, input: Node, output: Node
-) -> np.ndarray:
-    """Real overlaps <in| P_k |out>, one per distinct-eigenvalue group.
-
-    Each is summed over its group's eigenvector block, O(dim) in all.
-    """
-    N = decomp.dim // CHANNELS
-    a = flat_index(input, N)
-    b = flat_index(output, N)
-    V = decomp.vectors
-    raw = np.add.reduceat(V[a] * V[b].conj(), decomp.starts)
-    if raw.size and float(np.max(np.abs(raw.imag))) > OVERLAP_IMAG_TOL:
-        raise ValueError(
-            "projector overlap has a residual imaginary part; "
-            "a degenerate eigenvalue was left ungrouped (raise grouping_tol)"
-        )
-    return raw.real
 
 
 def transition_probability(
@@ -101,24 +80,6 @@ def probability_chunks(
         rows = np.arange(s, min(s + CHUNK, count), ROOT)
         seeds = overlaps * np.exp(-1j * np.outer(step * rows, values))
         yield (np.abs(seeds @ inner) ** 2).ravel()[:count - s]
-
-
-def p_max_rank1(pairs: Sequence[EigenPair], input: Node, output: Node) -> float:
-    """Transfer bound summed over a full labelled rank-one eigenvector set.
-
-    Uses |<in|v><v|out>| per labelled eigenvector instead of per grouped
-    projector, so on degenerate spectra it is looser than p_max. For the
-    doubly closed network every analytic eigenvector has uniform
-    amplitude 1/sqrt(3N), which makes this bound exactly 1 for every
-    node pair.
-    """
-    if not pairs:
-        raise ValueError("no eigenpairs given")
-    N = len(pairs[0].vector) // CHANNELS
-    a = flat_index(input, N)
-    b = flat_index(output, N)
-    total = sum(abs(p.vector[a]) * abs(p.vector[b]) for p in pairs)
-    return float(total**2)
 
 
 def sign_factors(overlaps: np.ndarray, dark_tol: float = DARK_TOL) -> np.ndarray:

@@ -9,9 +9,10 @@ from helix_pst import (
     CouplingParams,
     NetworkSpec,
     build_hamiltonian,
-    eigendecompose_numeric,
+    decompose,
     validate_spec,
 )
+from oracles import eigendecompose_numeric
 
 
 def make_spec(N, site_bc, channel_bc, *, gamma=None, J=None, L=None) -> NetworkSpec:
@@ -24,6 +25,12 @@ def make_spec(N, site_bc, channel_bc, *, gamma=None, J=None, L=None) -> NetworkS
 
 
 def make_decomp(N, site_bc, channel_bc, **kw):
+    spec = make_spec(N, site_bc, channel_bc, **kw)
+    return spec, decompose(spec)
+
+
+def make_dense(N, site_bc, channel_bc, **kw):
+    """The dense oracle: eigh of the full Hamiltonian, grouped."""
     spec = make_spec(N, site_bc, channel_bc, **kw)
     return spec, eigendecompose_numeric(build_hamiltonian(spec))
 

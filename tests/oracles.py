@@ -5,6 +5,11 @@ the propagator is a scaled-and-squared Taylor series instead of a
 spectral resolution, the Hamiltonian is rebuilt edge by edge from
 neighbor lists instead of Kronecker blocks, and the product rule
 propagates the site and channel factors as separate small matrices.
+The dense route, `eigendecompose_numeric` of the full 3N x 3N matrix
+with its eigenvector blocks and projectors, is the oracle of the
+library's factorised `decompose`; the labelled plane waves of the
+doubly closed network (`eigenpairs_closed_closed_analytic`) are a
+third, complex-valued route to the same groups.
 `reference_pst_times` keeps the earlier peak search (a dense complex
 exp grid and a per-point candidate loop) as the reference that the
 chunked scan must reproduce exactly.
@@ -13,13 +18,180 @@ chunked scan must reproduce exactly.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index
-from helix_pst.core import BoundaryCondition
+from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index, validate_spec
+from helix_pst.core import CHANNELS, BoundaryCondition
 from helix_pst.hamiltonian import CouplingKind
+from helix_pst.spectral import default_grouping_tol
 from helix_pst.transfer import projector_overlaps
+
+OVERLAP_IMAG_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class DenseDecomposition:
+    """Pairwise distinct eigenvalues with their eigenvector blocks.
+
+    Column j of `vectors` is a unit eigenvector; columns are sorted by
+    eigenvalue, and group k owns the `multiplicities[k]` consecutive
+    columns from `starts[k]` on. Its projector P_k = V_k V_k^dagger is
+    implied by that block.
+    """
+
+    values: np.ndarray  # distinct eigenvalues, ascending
+    vectors: np.ndarray  # shape (dim, dim), real for numeric, complex for analytic
+    multiplicities: np.ndarray  # int per group, sums to dim
+    grouping_tol: float
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.multiplicities) - self.multiplicities
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The (k, dim, dim) projector tensor, rebuilt on every access."""
+        V = self.vectors
+        return np.stack([
+            V[:, a:a + m] @ V[:, a:a + m].conj().T
+            for a, m in zip(self.starts, self.multiplicities)
+        ])
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def _group(values: np.ndarray, vectors: np.ndarray, tol: float) -> DenseDecomposition:
+    """Cluster ascending eigenvalues closer than tol into joint blocks."""
+    splits = np.flatnonzero(np.diff(values) > tol) + 1
+    starts = np.concatenate(([0], splits))
+    stops = np.concatenate((splits, [len(values)]))
+    group_values = np.array([values[a:b].mean() for a, b in zip(starts, stops)])
+    mult = (stops - starts).astype(int)
+    return DenseDecomposition(group_values, vectors, mult, tol)
+
+
+def eigendecompose_numeric(H: np.ndarray, grouping_tol: float | None = None) -> DenseDecomposition:
+    """Decompose a real symmetric matrix into distinct-eigenvalue groups."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError("H must be a square matrix")
+    scale = float(np.max(np.abs(H))) if H.size else 0.0
+    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
+        raise ValueError("H must be symmetric")
+    values, vectors = np.linalg.eigh(H)
+    tol = default_grouping_tol(values) if grouping_tol is None else float(grouping_tol)
+    if tol < 0:
+        raise ValueError("grouping_tol must be non-negative")
+    return _group(values, vectors, tol)
+
+
+def block_overlaps(decomp: DenseDecomposition, input: Node, output: Node) -> np.ndarray:
+    """Real overlaps <in| P_k |out>, each summed over its eigenvector block."""
+    N = decomp.dim // CHANNELS
+    a = flat_index(input, N)
+    b = flat_index(output, N)
+    V = decomp.vectors
+    raw = np.add.reduceat(V[a] * V[b].conj(), decomp.starts)
+    if raw.size and float(np.max(np.abs(raw.imag))) > OVERLAP_IMAG_TOL:
+        raise ValueError(
+            "projector overlap has a residual imaginary part; "
+            "a degenerate eigenvalue was left ungrouped (raise grouping_tol)"
+        )
+    return raw.real
+
+
+def verify_reconstruction(decomp: DenseDecomposition, H: np.ndarray) -> float:
+    """Max entrywise |sum_k lambda_k P_k - H|, as |V diag(lambda) V^dagger - H|."""
+    H = np.asarray(H, dtype=float)
+    if H.shape != (decomp.dim, decomp.dim):
+        raise ValueError(
+            f"dimension mismatch: decomposition is {decomp.dim}, matrix is {H.shape}"
+        )
+    V = decomp.vectors
+    rebuilt = (V * np.repeat(decomp.values, decomp.multiplicities)) @ V.conj().T
+    return float(np.max(np.abs(rebuilt - H)))
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    """One labelled eigenvalue/eigenvector pair."""
+
+    value: float
+    vector: np.ndarray
+    labels: tuple[int, int] | None = None  # (site mode n, channel mode alpha)
+
+
+def eigenpairs_closed_closed_analytic(spec: NetworkSpec) -> list[EigenPair]:
+    """Labelled eigenpairs of the doubly closed network, (n, alpha) order.
+
+    Plane waves over the site ring tensored with the three Fourier modes
+    of the triangle:
+
+        lambda[n, alpha] = 2 J cos(2 pi n / N) + 2 L cos(2 pi (alpha-1) / 3)
+        W[n, alpha][m, c] = exp(i 2 pi n m / N) * V_alpha[c] / sqrt(3 N)
+
+    with V_1 = (1, 1, 1) and V_2 = conj(V_3) = (e^{-2 pi i/3}, 1, e^{2 pi i/3}).
+    """
+    validate_spec(spec)
+    if (
+        spec.bc.site_bc is not BoundaryCondition.CLOSED
+        or spec.bc.channel_bc is not BoundaryCondition.CLOSED
+    ):
+        raise ValueError("analytic eigenpairs require closed site and channel boundaries")
+    N = spec.N
+    j_eff, l_eff = spec.couplings.effective()
+    w = np.exp(2j * np.pi / 3)
+    V = np.column_stack([np.ones(3, dtype=complex), [w.conjugate(), 1.0, w], [w, 1.0, w.conjugate()]])
+    offsets = 2.0 * np.cos(2.0 * np.pi * np.arange(CHANNELS) / 3.0)  # (2, -1, -1)
+    norm = 1.0 / np.sqrt(3.0 * N)
+    pairs: list[EigenPair] = []
+    for n in range(N):
+        site_phases = np.exp(2j * np.pi * n * np.arange(N) / N)
+        site_value = 2.0 * j_eff * np.cos(2.0 * np.pi * n / N)
+        for alpha in (1, 2, 3):
+            value = site_value + l_eff * offsets[alpha - 1]
+            vector = norm * np.kron(site_phases, V[:, alpha - 1])
+            pairs.append(EigenPair(float(value), vector, labels=(n, alpha)))
+    return pairs
+
+
+def group_eigenpairs(
+    pairs: list[EigenPair], grouping_tol: float | None = None
+) -> DenseDecomposition:
+    """Build the grouped decomposition from labelled eigenpairs."""
+    if not pairs:
+        raise ValueError("no eigenpairs to group")
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i].value)
+    values = np.array([pairs[i].value for i in order])
+    vectors = np.column_stack([pairs[i].vector for i in order])
+    tol = default_grouping_tol(values) if grouping_tol is None else float(grouping_tol)
+    return _group(values, vectors, tol)
+
+
+def p_max_rank1(pairs: Sequence[EigenPair], input: Node, output: Node) -> float:
+    """Transfer bound summed over a full labelled rank-one eigenvector set.
+
+    Uses |<in|v><v|out>| per labelled eigenvector instead of per grouped
+    projector, so on degenerate spectra it is looser than p_max. For the
+    doubly closed network every analytic eigenvector has uniform
+    amplitude 1/sqrt(3N), which makes this bound exactly 1 for every
+    node pair.
+    """
+    if not pairs:
+        raise ValueError("no eigenpairs given")
+    N = len(pairs[0].vector) // CHANNELS
+    a = flat_index(input, N)
+    b = flat_index(output, N)
+    total = sum(abs(p.vector[a]) * abs(p.vector[b]) for p in pairs)
+    return float(total**2)
 
 
 def series_expm(H: np.ndarray, t: float, terms: int = 24) -> np.ndarray:

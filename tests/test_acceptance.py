@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import make_decomp, make_spec
+from conftest import make_decomp, make_dense, make_spec
 from helix_pst import (
     NetworkSpec,
     Node,
@@ -45,7 +45,6 @@ from helix_pst import (
     coupling_sweep_L0,
     dark_predicate_closed_closed,
     distinct_count_closed_closed,
-    eigenpairs_closed_closed_analytic,
     find_pst_times,
     flat_index,
     gamma_sweep,
@@ -56,7 +55,12 @@ from helix_pst import (
     transfer_report,
     transition_probability,
 )
-from oracles import product_rule_probability, ring_hamiltonian, series_expm
+from oracles import (
+    eigenpairs_closed_closed_analytic,
+    product_rule_probability,
+    ring_hamiltonian,
+    series_expm,
+)
 
 PAIR_CC = (Node(0, 1), Node(4, 1))
 TOPOLOGIES = [
@@ -330,13 +334,15 @@ def test_criterion_09_property_suite():
             nodes = [Node(n, al) for n in range(N) for al in (1, 2, 3)]
             times = rng.uniform(0.0, 30.0, size=20)
 
-            P = decomp.projectors
+            # the projector algebra, on the dense path
+            _, dense = make_dense(N, site_bc, channel_bc, gamma=1.7)
+            P = dense.projectors
             proj_worst = max(
                 proj_worst,
                 float(np.abs(P.imag).max()),
-                float(np.abs(P.sum(axis=0) - np.eye(decomp.dim)).max()),
+                float(np.abs(P.sum(axis=0) - np.eye(dense.dim)).max()),
                 max(float(np.abs(P[k] @ P[l] - (P[k] if k == l else 0.0)).max())
-                    for k in range(len(decomp)) for l in range(len(decomp))),
+                    for k in range(len(dense)) for l in range(len(dense))),
             )
 
             src = nodes[int(rng.integers(len(nodes)))]

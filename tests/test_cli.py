@@ -100,6 +100,45 @@ def test_spectrum_dump_builds_hamiltonian_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the dense route was taken")
+
+
+def test_spectrum_without_dump_never_builds_the_hamiltonian(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    out = tmp_path / "s.csv"
+    code, _, _ = run(
+        ["spectrum", "--n", "3", "--site-bc", "closed", "--channel-bc", "closed",
+         "--gamma", "0", "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert out.read_text().splitlines()[1:] == ["0,-1,6", "1,2,3"]
+
+
+def test_pmax_at_n_1e5_runs_without_the_dense_route(tmp_path, capsys, monkeypatch):
+    # the dense route would need a 300 000 x 300 000 matrix, ~720 GB
+    import numpy as np
+
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    out = tmp_path / "pmax.json"
+    code, _, err = run(
+        ["pmax", "--n", "100000", "--site-bc", "open", "--channel-bc", "open",
+         "--gamma", "2", "--in", "0,1", "--out", "99999,3", "--output", str(out)],
+        capsys,
+    )
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    assert 0.0 < doc["p_max"] <= 1.0 + 1e-12
+    # one sign per group; a few ties between the factors merge labels
+    assert 290_000 < len(doc["signs"]) <= 300_000
+    assert set(doc["signs"]) <= {-1, 0, 1}
+
+
 PAIR_ARGS = ["--n", "4", "--site-bc", "closed", "--channel-bc", "closed",
              "--in", "0,1", "--out", "2,1"]
 

@@ -18,8 +18,9 @@ from helix_pst import (
     tau_min,
     transition_probability,
 )
+from helix_pst.cli import parse_grid
+from helix_pst.scan import REFINE_XTOL
 from helix_pst.transfer import CHUNK
-from helix_pst.spectral import SpectralDecomposition
 from oracles import reference_pst_times, ring_hamiltonian, series_expm
 
 PAIR8 = (Node(0, 1), Node(4, 1))
@@ -48,9 +49,10 @@ def _figure_case(fig, gamma=None, J=None):
 
 
 def _one_group_case():
-    # a single group at eigenvalue 0 with unit overlap: p(t) == 1.0 exactly,
-    # a plateau over all 10 001 grid points, about 2.4 chunks
-    decomp = SpectralDecomposition(np.array([0.0]), np.eye(3), np.array([3]), 1e-8)
+    # no coupling: a single group at eigenvalue 0 with unit overlap, so
+    # p(t) == 1.0 exactly, a plateau over all 10 001 grid points, about
+    # 2.4 chunks
+    _, decomp = make_decomp(3, "closed", "closed", J=0.0, L=0.0)
     return decomp, (Node(0, 1), Node(0, 1)), ScanConfig(horizon=50.0)
 
 
@@ -193,6 +195,35 @@ def test_coupling_sweep_L0_decoupled_channels():
     assert rows[0].tau_min == pytest.approx(2.0 * rows[1].tau_min, rel=1e-6)
 
 
+@pytest.mark.parametrize("fig", list(FIGURES))
+def test_coupling_sweep_L0_matches_per_J_scans(fig):
+    # the one natural-time scan against a tau_min per J at step
+    # coarse_step / |J|, on the figure's J grid (reproduce's 0.5:20:0.05)
+    N, site, channel, pair = FIGURES[fig]
+    bc = make_spec(N, site, channel, J=1.0, L=0.0).bc
+    grid = parse_grid("0.5:20:0.05")
+    cfg = ScanConfig()
+    rows = coupling_sweep_L0(N, bc, pair, grid, cfg)
+    assert [r.parameter for r in rows] == grid
+    for row, J in zip(rows, grid):
+        _, decomp = make_decomp(N, site, channel, J=J, L=0.0)
+        want = tau_min(decomp, *pair, replace(cfg, coarse_step=cfg.coarse_step / J))
+        assert (row.tau_min is None) == (want is None), J
+        if want is not None:
+            assert abs(row.tau_min - want) <= REFINE_XTOL, J
+
+
+def test_coupling_sweep_L0_sign_of_J_and_zero():
+    bc = make_spec(8, "closed", "closed", J=1.0, L=0.0).bc
+    rows = coupling_sweep_L0(8, bc, PAIR8, [-2.0, 0.0, 2.0], ScanConfig(horizon=100.0))
+    assert rows[0].tau_min == rows[2].tau_min == pytest.approx(91.0926 / 2, abs=1e-3)
+    # J = 0 has no dynamics: no transfer between distinct nodes, and the
+    # trivial event at 0 for a node onto itself
+    assert rows[1].tau_min is None
+    [self_row] = coupling_sweep_L0(8, bc, (PAIR8[0], PAIR8[0]), [0.0], ScanConfig())
+    assert self_row.tau_min == pytest.approx(0.0, abs=1e-6)
+
+
 def test_L0_dynamics_match_single_ring(rng):
     spec, decomp = make_decomp(8, "closed", "closed", J=2.0, L=0.0)
     ring = ring_hamiltonian(8, 2.0, closed=True)
@@ -251,13 +282,10 @@ def test_tau_min_keeps_the_higher_of_two_merged_first_peaks(monkeypatch):
     # p = (1 + cos(pi t / h)) / 2 has grid candidates at every even index;
     # the stub refinement puts the first one at 0.8 h and every later one
     # 0.3 h into its bracket, so the second lands 0.5 h after the first,
-    # higher, and must replace it
+    # higher, and must replace it. Two sites at L = 0 have the two
+    # groups -J and J with overlaps 1/2 each, so J = pi / (2 h).
     h = 0.1
-    decomp = SpectralDecomposition(
-        np.array([-math.pi / (2 * h), math.pi / (2 * h)]),
-        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)],
-                  [1.0, -1.0, 0.0]]) / math.sqrt(2.0),
-        np.array([1, 2]), 1e-8)
+    _, decomp = make_decomp(2, "open", "open", J=math.pi / (2 * h), L=0.0)
     pair = (Node(0, 1), Node(0, 1))
     cfg = ScanConfig(horizon=20 * h, coarse_step=h, epsilon=1e-3)
 

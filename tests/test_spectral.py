@@ -3,29 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_decomp, make_spec
+from conftest import make_decomp, make_dense, make_spec
 from helix_pst import (
     Node,
     build_hamiltonian,
+    decompose,
     distinct_count_closed_closed,
-    eigendecompose_numeric,
-    eigenpairs_closed_closed_analytic,
     flat_index,
-    group_eigenpairs,
     projector_overlaps,
+    sign_factors,
     transfer_report,
     transition_probability,
+)
+from oracles import (
+    block_overlaps,
+    eigendecompose_numeric,
+    eigenpairs_closed_closed_analytic,
+    group_eigenpairs,
+    series_expm,
     verify_reconstruction,
 )
-from oracles import series_expm
 
 TOPOLOGIES = [("closed", "closed"), ("closed", "open"), ("open", "closed"), ("open", "open")]
 
 
 def test_channel_triangle_levels():
     # J = 0 leaves the bare channel triangle; its levels are 2, -1, -1 (units of L)
-    spec = make_spec(3, "closed", "closed", gamma=0.0)
-    decomp = eigendecompose_numeric(build_hamiltonian(spec))
+    _, decomp = make_decomp(3, "closed", "closed", gamma=0.0)
     assert np.allclose(decomp.values, [-1.0, 2.0])
     assert tuple(decomp.multiplicities) == (6, 3)
 
@@ -67,7 +71,7 @@ def test_grouped_analytic_matches_numeric_projectors(N):
 
 
 def test_projector_algebra():
-    _, decomp = make_decomp(5, "open", "closed", J=1.7, L=0.6)
+    _, decomp = make_dense(5, "open", "closed", J=1.7, L=0.6)
     P = decomp.projectors
     dim = decomp.dim
     assert np.max(np.abs(P.imag)) < 1e-12
@@ -132,13 +136,11 @@ def test_group_count_generic_gamma():
     assert len(decomp) == 10
 
 
-def _worst_overlap_error(decomp, N):
-    """Largest |block overlap - rebuilt projector entry| over all node pairs."""
-    P = decomp.projectors
+def _worst_overlap_error(overlaps, P, N):
+    """Largest |overlaps(a, b) - projector entry| over all node pairs."""
     nodes = [Node(n, al) for n in range(N) for al in (1, 2, 3)]
     return max(
-        float(np.abs(projector_overlaps(decomp, a, b)
-                     - P[:, flat_index(a, N), flat_index(b, N)]).max())
+        float(np.abs(overlaps(a, b) - P[:, flat_index(a, N), flat_index(b, N)]).max())
         for a in nodes for b in nodes
     )
 
@@ -146,11 +148,17 @@ def _worst_overlap_error(decomp, N):
 @pytest.mark.parametrize("N", range(3, 7))
 def test_block_overlaps_equal_projector_entries(N):
     for site_bc, channel_bc in TOPOLOGIES:
-        _, decomp = make_decomp(N, site_bc, channel_bc, gamma=1.7)
-        assert _worst_overlap_error(decomp, N) < 1e-12
+        spec, dense = make_dense(N, site_bc, channel_bc, gamma=1.7)
+        P = dense.projectors
+        assert _worst_overlap_error(lambda a, b: block_overlaps(dense, a, b), P, N) < 1e-12
+        decomp = decompose(spec)
+        assert tuple(decomp.multiplicities) == tuple(dense.multiplicities)
+        assert _worst_overlap_error(
+            lambda a, b: projector_overlaps(decomp, a, b), P, N) < 1e-12
     spec = make_spec(N, "closed", "closed", gamma=1.7)
     analytic = group_eigenpairs(eigenpairs_closed_closed_analytic(spec))
-    assert _worst_overlap_error(analytic, N) < 1e-12
+    assert _worst_overlap_error(
+        lambda a, b: block_overlaps(analytic, a, b), analytic.projectors, N) < 1e-12
 
 
 def test_exact_cross_factor_level_crossing():
@@ -167,17 +175,20 @@ def test_exact_cross_factor_level_crossing():
     assert tied == {(1, 2), (1, 3), (4, 2), (4, 3), (2, 1), (3, 1)}
 
     nodes = [Node(k, al) for k in range(N) for al in (1, 2, 3)]
-    for decomp in (eigendecompose_numeric(H), group_eigenpairs(pairs)):
+    routes = ((decompose(spec), projector_overlaps),
+              (eigendecompose_numeric(H), block_overlaps),  # raises if not real
+              (group_eigenpairs(pairs), block_overlaps))
+    for decomp, overlaps in routes:
         k = int(np.argmin(np.abs(decomp.values - crossing)))
         assert abs(decomp.values[k] - crossing) < 1e-12
         assert int(decomp.multiplicities[k]) == 6
         for a in nodes:
             for b in nodes:
-                o = projector_overlaps(decomp, a, b)  # raises if not real
+                o = overlaps(decomp, a, b)
                 assert np.isrealobj(o)
                 assert float(o.sum()) == pytest.approx(float(a == b), abs=1e-12)
 
-    decomp = eigendecompose_numeric(H)
+    decomp = decompose(spec)
     for src, dst in [(Node(0, 1), Node(2, 2)), (Node(0, 2), Node(1, 3)), (Node(3, 1), Node(3, 3))]:
         for t in (0.7, 3.1, 11.9):
             U = series_expm(H, t)
@@ -185,11 +196,47 @@ def test_exact_cross_factor_level_crossing():
             assert transition_probability(decomp, src, dst, t) == pytest.approx(exact, abs=1e-9)
 
 
-def test_decomposition_memory_is_quadratic():
+def test_decomposition_memory_is_linear():
     N = 150
     dim = 3 * N
     _, decomp = make_decomp(N, "open", "open", gamma=2.0)
     stored = sum(v.nbytes for v in vars(decomp).values() if isinstance(v, np.ndarray))
-    assert stored <= 1.1 * dim * dim * 8 + (1 << 20)
+    # values, multiplicities and labels: at most three 8-byte numbers per label
+    assert stored <= 3 * 8 * dim
     report = transfer_report(decomp, Node(0, 1), Node(N - 1, 3))
     assert len(report.overlaps) == len(decomp)
+
+
+def _equivalence_cases():
+    """(N, site_bc, channel_bc, gamma) against the dense oracle: every
+    topology at N = 3..20, 64, 150 and 400 with a seeded gamma, plus
+    exact ties between the factors."""
+    rng = np.random.default_rng(7)
+    cases = [(N, s, c, round(float(rng.uniform(0.3, 6.0)), 4))
+             for N in (*range(3, 21), 64, 150, 400) for s, c in TOPOLOGIES]
+    # exact ties between the factors, groups that join labels of
+    # different channel classes (rings with N % 4 == 0 among them), and
+    # gamma = 0, where all site modes of a channel mode tie
+    cases += [(6, "closed", "closed", 1.0), (6, "closed", "closed", 1.5),
+              (5, "closed", "closed", 3.0 / math.sqrt(5.0)), (4, "closed", "closed", 1.5),
+              (8, "closed", "closed", 1.5), (16, "closed", "closed", 0.75),
+              (8, "closed", "open", 1.0 / math.sqrt(2.0)),
+              (5, "open", "open", 1.0 / math.sqrt(2.0)), (8, "open", "open", 0.0)]
+    return cases
+
+
+@pytest.mark.parametrize("N, site_bc, channel_bc, gamma", _equivalence_cases())
+def test_factorised_matches_dense_oracle(N, site_bc, channel_bc, gamma):
+    spec, dense = make_dense(N, site_bc, channel_bc, gamma=gamma)
+    decomp = decompose(spec)
+    assert tuple(decomp.multiplicities) == tuple(dense.multiplicities)
+    radius = float(np.max(np.abs(dense.values)))
+    assert np.max(np.abs(decomp.values - dense.values)) <= 1e-12 * (1.0 + radius)
+    rng = np.random.default_rng(N)
+    nodes = [Node(int(rng.integers(N)), int(rng.integers(1, 4))) for _ in range(12)]
+    for a, b in [(Node(0, 1), Node(N - 1, 3)), (Node(0, 1), Node(N // 2, 1)),
+                 *zip(nodes[::2], nodes[1::2])]:
+        o = projector_overlaps(decomp, a, b)
+        oracle = block_overlaps(dense, a, b)
+        assert np.max(np.abs(o - oracle)) <= 1e-11
+        assert np.array_equal(sign_factors(o), sign_factors(oracle))

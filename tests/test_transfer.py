@@ -8,11 +8,8 @@ from helix_pst import (
     Node,
     build_hamiltonian,
     dark_predicate_closed_closed,
-    eigenpairs_closed_closed_analytic,
     flat_index,
     grid_count,
-    group_eigenpairs,
-    p_max_rank1,
     probability_chunks,
     projector_overlaps,
     sign_factors,
@@ -20,7 +17,13 @@ from helix_pst import (
     transition_probability,
 )
 from helix_pst.transfer import CHUNK, ROOT
-from oracles import series_expm
+from oracles import (
+    block_overlaps,
+    eigenpairs_closed_closed_analytic,
+    group_eigenpairs,
+    p_max_rank1,
+    series_expm,
+)
 
 TOPOLOGIES = (("closed", "closed"), ("closed", "open"), ("open", "closed"), ("open", "open"))
 DIAMETRIC = (Node(0, 1), Node(4, 1))
@@ -225,4 +228,4 @@ def test_overlap_guard_fires_for_ungrouped_complex_degenerate_pair():
              for p in eigenpairs_closed_closed_analytic(spec)]
     decomp = group_eigenpairs(pairs)
     with pytest.raises(ValueError, match="imaginary"):
-        projector_overlaps(decomp, Node(0, 1), Node(1, 1))
+        block_overlaps(decomp, Node(0, 1), Node(1, 1))
