@@ -35,7 +35,7 @@ from .scan import (
     gamma_sweep,
     tau_min,
 )
-from .spectral import SpectralDecomposition, decompose, distinct_count_closed_closed
+from .spectral import SpectralDecomposition, decompose
 from .transfer import (
     TransferReport,
     dark_predicate_closed_closed,
@@ -69,7 +69,6 @@ __all__ = [
     "coupling_sweep_L0",
     "decompose",
     "dark_predicate_closed_closed",
-    "distinct_count_closed_closed",
     "dump_matrix",
     "find_pst_times",
     "flat_index",

@@ -124,6 +124,31 @@ def decompose(spec: NetworkSpec) -> SpectralDecomposition:
     return SpectralDecomposition(group_values, mult, tol, modes, site_closed, channel_closed)
 
 
+def channel_factor(
+    spec: NetworkSpec, input: Node, output: Node
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values c_a, in units of L, and pair weights q_a = v_a[alpha] v_a[beta]
+    of the channel factor: the pair's amplitude is the site factor's times
+    sum_a q_a exp(-i L c_a t)."""
+    closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
+    return (_chain_values(CHANNELS, closed),
+            _chain_weights(CHANNELS, closed, input.alpha - 1, output.alpha - 1))
+
+
+def pair_weights(
+    decomp: SpectralDecomposition, input: Node, output: Node
+) -> tuple[np.ndarray, np.ndarray]:
+    """Site weights s_i = u_i[n] u_i[m] and channel weights
+    q_a = v_a[alpha] v_a[beta] of a node pair; label CHANNELS * i + a
+    weighs s_i q_a."""
+    N = decomp.dim // CHANNELS
+    flat_index(input, N)  # range checks
+    flat_index(output, N)
+    s = _chain_weights(N, decomp.site_closed, input.n, output.n)
+    q = _chain_weights(CHANNELS, decomp.channel_closed, input.alpha - 1, output.alpha - 1)
+    return s, q
+
+
 def projector_overlaps(
     decomp: SpectralDecomposition, input: Node, output: Node
 ) -> np.ndarray:
@@ -132,29 +157,5 @@ def projector_overlaps(
     Each is the sum of s_i q_a over its group's labels: one reduceat
     over the labels in eigenvalue order, O(dim) in all.
     """
-    N = decomp.dim // CHANNELS
-    flat_index(input, N)  # range checks
-    flat_index(output, N)
-    s = _chain_weights(N, decomp.site_closed, input.n, output.n)
-    q = _chain_weights(CHANNELS, decomp.channel_closed, input.alpha - 1, output.alpha - 1)
+    s, q = pair_weights(decomp, input, output)
     return np.add.reduceat(np.outer(s, q).ravel()[decomp.modes], decomp.starts)
-
-
-def distinct_count_closed_closed(N: int) -> tuple[int, int]:
-    """Labelled bookkeeping count of distinct eigenvalues per channel class.
-
-    The two channel classes (symmetric mode alpha=1; degenerate pair
-    alpha=2,3) carry the same count. For N divisible by 4 the count
-    follows the labelled bookkeeping, which tracks the zero-of-cosine
-    pair (n = N/4, 3N/4) as its own entry even though its value ties
-    one of the other pairs, so the plain value count there is N/2 + 1.
-    """
-    if N < 3:
-        raise ValueError(f"need N >= 3, got {N}")
-    if N % 2 == 1:
-        count = (N + 1) // 2
-    elif N % 4 != 0:
-        count = N // 2 + 1
-    else:
-        count = N // 2 + 2
-    return count, count

@@ -14,7 +14,11 @@ drop out of the phase-alignment analysis.
 probability_chunks is the one evaluator of p(t) on a time grid: the
 scan, the CLI traces and the figures all stream its blocks of CHUNK
 points over t = i * step, i < grid_count(horizon, step), each block one
-64 x 64 complex matrix product of exactly seeded row phases.
+64 x 64 complex matrix product of exactly seeded row phases. A caller
+that needs only some rows of 64 points passes their numbers, and the
+other rows are never evaluated. probability_at is the one evaluator of
+p at a single time, for transition_probability and the scan's
+refinement.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import Node
-from .spectral import SpectralDecomposition, projector_overlaps
+from .spectral import SpectralDecomposition, pair_weights, projector_overlaps
 
 DARK_TOL = 1e-10
 ROOT = 64
@@ -45,13 +49,16 @@ class TransferReport:
     dark_groups: frozenset[int]
 
 
+def probability_at(overlaps: np.ndarray, values: np.ndarray, t: float) -> float:
+    """p(t) = |sum_k o_k exp(-i lambda_k t)|^2 at one time t."""
+    return float(np.abs(np.dot(overlaps, np.exp(-1j * values * t))) ** 2)
+
+
 def transition_probability(
     decomp: SpectralDecomposition, input: Node, output: Node, t: float
 ) -> float:
     """p(t) = |<out| exp(-iHt) |in>|^2 via the grouped decomposition."""
-    o = projector_overlaps(decomp, input, output)
-    amp = np.dot(o, np.exp(-1j * decomp.values * t))
-    return float(np.abs(amp) ** 2)
+    return probability_at(projector_overlaps(decomp, input, output), decomp.values, t)
 
 
 def grid_count(horizon: float, step: float) -> int:
@@ -61,25 +68,36 @@ def grid_count(horizon: float, step: float) -> int:
 
 
 def probability_chunks(
-    overlaps: np.ndarray, values: np.ndarray, step: float, count: int
+    overlaps: np.ndarray, values: np.ndarray, step: float, count: int, rows=None
 ) -> Iterator[np.ndarray]:
     """Yield p(i * step) for i < count, CHUNK points at a time.
 
-    CHUNK = ROOT**2, and the index of a point in the block starting at s
-    splits as s + ROOT * r + c with r, c < ROOT. One inner table
-    exp(-i lambda c step) serves every block; the block seeds each of
-    its rows with o exp(-i lambda (s + ROOT r) step), computed from the
-    row's own index, and is then one (rows x groups) @ (groups x ROOT)
-    product, raveled row by row. Each point's phase is thus the product
-    of two directly evaluated phases, never of a chain of earlier ones,
-    so rounding does not accumulate along the grid; the evaluation holds
-    O(CHUNK + ROOT * groups) numbers whatever the count.
+    The grid splits into rows of ROOT points: row r holds the indices
+    ROOT * r + c, c < ROOT, below count. rows, ascending row numbers,
+    picks the rows to evaluate; by default every row, so the blocks run
+    through the whole grid in order. Each block holds ROOT of the picked
+    rows (fewer in the last block), raveled row by row, CHUNK = ROOT**2
+    points unless it holds the grid's last, partial row.
+
+    One inner table exp(-i lambda c step) serves every block; the block
+    seeds each of its rows with o exp(-i lambda ROOT r step), computed
+    from the row's own number, and is then one (rows x groups) @
+    (groups x ROOT) product. Each point's phase is thus the product of
+    two directly evaluated phases, never of a chain of earlier ones, so
+    rounding does not accumulate along the grid. A row's values do not
+    depend on which other rows share its block, except that BLAS may
+    round a block of one row differently in the last bit. The
+    evaluation holds O(CHUNK + ROOT * groups) numbers besides rows,
+    whatever the count.
     """
     inner = np.exp(-1j * np.outer(values, step * np.arange(ROOT)))
-    for s in range(0, count, CHUNK):
-        rows = np.arange(s, min(s + CHUNK, count), ROOT)
-        seeds = overlaps * np.exp(-1j * np.outer(step * rows, values))
-        yield (np.abs(seeds @ inner) ** 2).ravel()[:count - s]
+    for b in range(0, -(-count // ROOT) if rows is None else len(rows), ROOT):
+        if rows is None:
+            starts = np.arange(ROOT * b, min(ROOT * (b + ROOT), count), ROOT)
+        else:
+            starts = ROOT * rows[b:b + ROOT]
+        seeds = overlaps * np.exp(-1j * np.outer(step * starts, values))
+        yield (np.abs(seeds @ inner) ** 2).ravel()[:ROOT * (len(starts) - 1) + count - starts[-1]]
 
 
 def sign_factors(overlaps: np.ndarray, dark_tol: float = DARK_TOL) -> np.ndarray:
@@ -96,8 +114,18 @@ def transfer_report(
     output: Node,
     dark_tol: float = DARK_TOL,
 ) -> TransferReport:
+    """Overlaps, bound, signs and dark groups of one node pair.
+
+    Every overlap is a sum of label weights s_i q_a. A dark group's sum
+    cancels down to the rounding of those terms; a bright group's can be
+    as small as one of them, and the terms shrink like 1/N. So a group
+    is dark when its overlap lies below dark_tol times the pair's largest
+    label weight, max|s| max|q|, which holds at any N and also when every
+    group is dark.
+    """
     overlaps = projector_overlaps(decomp, input, output)
-    signs = sign_factors(overlaps, dark_tol)
+    s, q = pair_weights(decomp, input, output)
+    signs = sign_factors(overlaps, dark_tol * np.max(np.abs(s)) * np.max(np.abs(q)))
     dark = frozenset(int(k) for k in np.flatnonzero(signs == 0))
     bound = float(np.sum(np.abs(overlaps)) ** 2)
     return TransferReport(input, output, overlaps, bound, signs, dark)

@@ -9,7 +9,8 @@ The dense route, `eigendecompose_numeric` of the full 3N x 3N matrix
 with its eigenvector blocks and projectors, is the oracle of the
 library's factorised `decompose`; the labelled plane waves of the
 doubly closed network (`eigenpairs_closed_closed_analytic`) are a
-third, complex-valued route to the same groups.
+third, complex-valued route to the same groups, and
+`distinct_count_closed_closed` is their labelled group count.
 `reference_pst_times` keeps the earlier peak search (a dense complex
 exp grid and a per-point candidate loop) as the reference that the
 chunked scan must reproduce exactly.
@@ -174,6 +175,26 @@ def group_eigenpairs(
     vectors = np.column_stack([pairs[i].vector for i in order])
     tol = default_grouping_tol(values) if grouping_tol is None else float(grouping_tol)
     return _group(values, vectors, tol)
+
+
+def distinct_count_closed_closed(N: int) -> tuple[int, int]:
+    """Labelled bookkeeping count of distinct eigenvalues per channel class.
+
+    The two channel classes (symmetric mode alpha=1; degenerate pair
+    alpha=2,3) carry the same count. For N divisible by 4 the count
+    follows the labelled bookkeeping, which tracks the zero-of-cosine
+    pair (n = N/4, 3N/4) as its own entry even though its value ties
+    one of the other pairs, so the plain value count there is N/2 + 1.
+    """
+    if N < 3:
+        raise ValueError(f"need N >= 3, got {N}")
+    if N % 2 == 1:
+        count = (N + 1) // 2
+    elif N % 4 != 0:
+        count = N // 2 + 1
+    else:
+        count = N // 2 + 2
+    return count, count
 
 
 def p_max_rank1(pairs: Sequence[EigenPair], input: Node, output: Node) -> float:

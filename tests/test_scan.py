@@ -20,7 +20,7 @@ from helix_pst import (
 )
 from helix_pst.cli import parse_grid
 from helix_pst.scan import REFINE_XTOL
-from helix_pst.transfer import CHUNK
+from helix_pst.transfer import CHUNK, ROOT
 from oracles import reference_pst_times, ring_hamiltonian, series_expm
 
 PAIR8 = (Node(0, 1), Node(4, 1))
@@ -180,6 +180,129 @@ def test_gamma_sweep_rows_and_determinism():
     assert by_gamma[3.0] == pytest.approx(12.576181, abs=5e-4)
     assert by_gamma[5.0] == pytest.approx(43.983376, abs=5e-4)
     assert by_gamma[4.0] is None
+
+
+@pytest.mark.parametrize("fig", list(FIGURES))
+def test_gamma_sweep_matches_per_gamma_scans(fig, monkeypatch):
+    # the windowed sweep against a full-grid tau_min per gamma, on the
+    # figure's gamma grid (reproduce's 0.5:20:0.05)
+    N, site, channel, pair = FIGURES[fig]
+    grid = parse_grid("0.5:20:0.05")
+    cfg = ScanConfig()
+    sizes = count_grid_points(monkeypatch)
+    rows = gamma_sweep(make_spec(N, site, channel, gamma=1.0), pair, grid, cfg)
+    # the channel pass and every gamma's rows: under a quarter of the
+    # points of one full scan per gamma
+    assert sum(sizes) <= len(grid) * grid_count(cfg.horizon, cfg.coarse_step) / 4
+    assert [r.parameter for r in rows] == grid
+    for row, gamma in zip(rows, grid):
+        _, decomp = make_decomp(N, site, channel, gamma=gamma)
+        assert row.tau_min == tau_min(decomp, *pair, cfg), gamma
+
+
+def test_gamma_sweep_reads_no_row_where_the_channel_factor_stays_low(monkeypatch):
+    # closed triangle, channel 1 -> 2: p_chan = (2 - 2 cos 3 tau) / 9 <= 4/9
+    template = make_spec(8, "closed", "closed", gamma=1.0)
+    pair = (Node(0, 1), Node(4, 2))
+    cfg = ScanConfig()
+    sizes = count_grid_points(monkeypatch)
+    rows = gamma_sweep(template, pair, [0.5, 3.0, 14.5], cfg)
+    assert [r.tau_min for r in rows] == [None, None, None]
+    # one pass over the grid, the channel factor's; no network row at all
+    assert sum(sizes) == grid_count(cfg.horizon, cfg.coarse_step)
+
+
+def test_gamma_sweep_scans_every_row_where_grouping_error_exceeds_the_margin(monkeypatch):
+    # fig2's groups join four labels (ring modes k, N - k times the two
+    # tied triangle modes), so E = horizon * 3 * 1e-8 * radius: over 1000
+    # time units 2E fits under WINDOW_MARGIN at gamma = 3 (radius 8) but
+    # not at 14.5 or 19.5 (radius 31 and 41)
+    N, site, channel, pair = FIGURES["fig2"]
+    cfg = ScanConfig(horizon=1000.0)
+    picked = []
+    real = scan._scan
+
+    def spy(*args, rows=None, **kwargs):
+        picked.append(rows)
+        return real(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(scan, "_scan", spy)
+    grid = [3.0, 14.5, 19.5]
+    rows = gamma_sweep(make_spec(N, site, channel, gamma=1.0), pair, grid, cfg)
+    assert [p is None for p in picked] == [False, True, True]
+    for row, gamma in zip(rows, grid):
+        _, decomp = make_decomp(N, site, channel, gamma=gamma)
+        assert row.tau_min == tau_min(decomp, *pair, cfg), gamma
+
+
+@pytest.mark.parametrize("channel, p_chan", [
+    ("closed", lambda tau: (5.0 + 4.0 * np.cos(3.0 * tau)) / 9.0),  # triangle, 1 -> 1
+    ("open", lambda tau: np.cos(tau / math.sqrt(2.0)) ** 4),  # 3-path, 1 -> 1
+])
+def test_channel_rows_are_the_rows_where_p_chan_can_reach_the_threshold(channel, p_chan):
+    cfg = ScanConfig()
+    count = grid_count(cfg.horizon, cfg.coarse_step)
+    tau = cfg.coarse_step * np.arange(-(-count // ROOT) * ROOT)
+    peak = np.where(np.arange(len(tau)) < count, p_chan(tau), 0.0).reshape(-1, ROOT).max(axis=1)
+    floor = 1.0 - 2.0 * cfg.epsilon - scan.WINDOW_MARGIN
+    rows = scan._channel_rows(make_spec(8, "closed", channel, gamma=1.0), PAIR8, cfg)
+    clear = np.abs(peak - floor) > 1e-12
+    assert np.array_equal(np.isin(np.arange(len(peak)), rows)[clear], (peak > floor)[clear])
+
+
+def test_row_scan_decides_edge_candidates_as_the_full_scan(monkeypatch):
+    # synthetic p through tap: below thr inside the rows and in skipped
+    # rows, above it at both ends of every picked row. Each picked row
+    # ends on a rise, and the next one opens above or below that end, so
+    # the candidates on either side of a skipped row, of adjacent rows, of
+    # a block edge and of the horizon all turn on their neighbours
+    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
+    cfg = ScanConfig(horizon=400 * ROOT * 0.005 - 0.05)
+    count = grid_count(cfg.horizon, cfg.coarse_step)
+    thr = 1.0 - 2.0 * cfg.epsilon
+    picked = np.flatnonzero(np.arange(-(-count // ROOT)) % 3 != 1)
+    assert len(picked) > 4 * ROOT and picked[-1] == (count - 1) // ROOT
+    p = np.random.default_rng(8).uniform(0.0, thr, size=-(-count // ROOT) * ROOT)
+    d = (1.0 - thr) / 4
+    for r in picked:
+        p[ROOT * r:ROOT * r + 2] = thr + (3 * d if r // 3 % 2 else 1.5 * d), thr + d
+        p[ROOT * r + ROOT - 2:ROOT * r + ROOT] = thr + d, thr + 2 * d
+    p = p[:count]
+    brackets = []
+
+    def stub_golden(p_of, a, b, max_iters):
+        brackets.append((a, b))
+        return (a + b) / 2, 1.0
+
+    monkeypatch.setattr(scan, "_golden_max", stub_golden)
+
+    def candidates(rows):
+        values = p if rows is None else np.concatenate([p[ROOT * r:ROOT * r + ROOT] for r in rows])
+        tap = lambda blocks: iter(np.split(values, range(CHUNK, len(values), CHUNK)))
+        brackets.clear()
+        scan._scan(decomp, *PAIR8, cfg, first_only=False, tap=tap, rows=rows)
+        return list(brackets)
+
+    full = candidates(None)
+    assert len(full) > len(picked)
+    assert candidates(picked) == full
+
+
+def test_channel_rows_memory_is_linear_in_the_row_count():
+    template = make_spec(8, "closed", "closed", gamma=1.0)
+    cfg = ScanConfig(horizon=50_000.0)
+    count = grid_count(cfg.horizon, cfg.coarse_step)
+    assert count == 10_000_001
+    tracemalloc.start()
+    try:
+        rows = scan._channel_rows(template, PAIR8, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(rows) < count / ROOT / 4
+    # a flag per row, the kept row numbers and one block's arrays; p_chan
+    # over the whole grid would take 80 MB
+    assert peak < 16 * count / ROOT
 
 
 def test_coupling_sweep_L0_decoupled_channels():

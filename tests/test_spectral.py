@@ -8,7 +8,6 @@ from helix_pst import (
     Node,
     build_hamiltonian,
     decompose,
-    distinct_count_closed_closed,
     flat_index,
     projector_overlaps,
     sign_factors,
@@ -17,6 +16,7 @@ from helix_pst import (
 )
 from oracles import (
     block_overlaps,
+    distinct_count_closed_closed,
     eigendecompose_numeric,
     eigenpairs_closed_closed_analytic,
     group_eigenpairs,

@@ -108,6 +108,29 @@ def test_sign_factors_zero_marks_dark():
     assert tuple(signs) == (1, -1, 0)
 
 
+def test_single_label_groups_are_bright_at_large_n():
+    # a lone label's overlap is one weight s_i q_a, and for this end-to-end
+    # pair on a path s_i ~ sin^2(pi k / (N + 1)) never vanishes; at N = 1e5
+    # such overlaps reach down to ~1e-12, under any absolute cut of 1e-10
+    N = 100_000
+    _, decomp = make_decomp(N, "open", "open", gamma=2.0)
+    report = transfer_report(decomp, Node(0, 1), Node(N - 1, 3))
+    single = decomp.multiplicities == 1
+    assert np.min(np.abs(report.overlaps[single])) < 1e-11
+    assert np.all(report.signs[single] != 0)
+
+
+@pytest.mark.parametrize("couplings, pair", [
+    ({"J": 1.0, "L": 0.0}, (Node(0, 1), Node(3, 2))),  # channels decoupled
+    ({"J": 0.0, "L": 1.0}, (Node(0, 1), Node(3, 1))),  # sites decoupled
+])
+def test_disconnected_pair_is_dark_in_every_group(couplings, pair):
+    # every overlap cancels down to rounding, however small the largest one
+    _, decomp = make_decomp(8, "closed", "closed", **couplings)
+    report = transfer_report(decomp, *pair)
+    assert report.dark_groups == frozenset(range(len(decomp)))
+
+
 def test_dark_groups_distance_two():
     _, decomp = make_decomp(8, "closed", "closed", gamma=2.5)
     report = transfer_report(decomp, Node(0, 1), Node(2, 1))
@@ -173,7 +196,8 @@ def test_ring_translation_invariance(ring8, rng):
 
 def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     """Block sizes of a count-point kernel run, after checking its points
-    against transition_probability and, at block edges, series_expm."""
+    against transition_probability and, at block edges, series_expm, and
+    a run over every other row against them."""
     spec, decomp = make_decomp(5, site_bc, channel_bc, gamma=1.7)
     pair = (Node(0, 1), Node(3, 2))
     step = 0.0021
@@ -190,6 +214,17 @@ def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     for i in sorted(rows | edges | set(range(0, count, 37)) | {count - 1}):
         assert p[i] == pytest.approx(
             transition_probability(decomp, *pair, i * step), abs=1e-12)
+    # every other row and the last: each picked row holds the values the
+    # full run gives it (up to the last bit, which BLAS may round another
+    # way for a block of one row), ROOT rows to a block
+    nrows = -(-count // ROOT)
+    picked = np.union1d(np.arange(0, nrows, 2), [nrows - 1])
+    sub = list(probability_chunks(
+        projector_overlaps(decomp, *pair), decomp.values, step, count, picked))
+    want = [p[ROOT * r:ROOT * r + ROOT] for r in picked]
+    assert [len(c) for c in sub] == [
+        sum(map(len, want[b:b + ROOT])) for b in range(0, len(want), ROOT)]
+    assert np.max(np.abs(np.concatenate(sub) - np.concatenate(want))) <= 1e-15
     H = build_hamiltonian(spec)
     a, b = (flat_index(n, spec.N) for n in pair)
     for i in sorted(edges | {ROOT - 1, ROOT, count - 1} & set(range(count))):
@@ -218,6 +253,7 @@ def test_grid_count_matches_arange():
                           (2000.0, 0.005), (0.3, 0.1)):
         assert grid_count(horizon, step) == len(np.arange(0.0, horizon + 0.5 * step, step))
     assert list(probability_chunks(np.ones(1), np.zeros(1), 0.1, 0)) == []
+    assert list(probability_chunks(np.ones(1), np.zeros(1), 0.1, 100, np.arange(0))) == []
 
 
 def test_overlap_guard_fires_for_ungrouped_complex_degenerate_pair():
