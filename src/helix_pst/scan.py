@@ -3,10 +3,10 @@
 p(t) is sampled on the grid t = i * coarse_step, i = 0 .. horizon /
 coarse_step, by the one grid kernel, transfer.probability_chunks: rows
 of 64 points, each seeded with its exact start phase, evaluated CHUNK
-points at a time, so a scan holds O(CHUNK * groups) numbers whatever
-the horizon. A caller that also writes the trace (the CLI's scan) taps
-the same blocks through find_pst_times(tap=...), so every grid point is
-evaluated once.
+points at a time, so a scan holds O(CHUNK * groups) numbers and one
+row number per 64 points, never the grid's values. A caller that also
+writes the trace (the CLI's scan) taps the same blocks through
+find_pst_times(tap=...), so every grid point is evaluated once.
 
 Candidates are grid local maxima above thr = 1 - 2 epsilon, p > thr,
 p > left and p >= right (boundary points included, a flat run counted
@@ -21,8 +21,8 @@ skipped row has p <= thr. Such a point is never a candidate, and as the
 neighbour of a point with p > thr, -inf settles p > left and
 p >= right the way its true value would. So the scan puts -inf on both
 sides of each break between rows that do not follow on, and finds the
-same candidates, hence the same times, as the full scan (a block of one
-row may differ from the full scan's block in the last bit, which can
+same candidates, hence the same times, as the full scan (a block of few
+rows may differ from the full scan's block in the last bit, which can
 matter only where a comparison is decided by rounding). The full scan
 skips the adjacency test, and a partial one tests adjacency once per
 row, not per point.
@@ -231,9 +231,10 @@ def gamma_sweep(
 ) -> list[SweepRow]:
     """tau_min as a function of gamma = J/L, in scaled units.
 
-    Each row equals tau_min on the decomposition of its gamma, but the
-    scan reads only the grid rows where the gamma-free channel factor
-    has p_chan > 1 - 2 epsilon - M, M = WINDOW_MARGIN (see the module
+    Each row equals tau_min on the decomposition of its gamma (up to
+    comparisons decided by last-bit rounding), but the scan reads only
+    the grid rows where the gamma-free channel factor has
+    p_chan > 1 - 2 epsilon - M, M = WINDOW_MARGIN (see the module
     docstring). M must cover what the computed p can exceed p_chan by.
     The grouped amplitude replaces each label's value by its group's
     mean, within (m_k - 1) grouping_tol of it, and the label weights

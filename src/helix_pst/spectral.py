@@ -124,6 +124,14 @@ def decompose(spec: NetworkSpec) -> SpectralDecomposition:
     return SpectralDecomposition(group_values, mult, tol, modes, site_closed, channel_closed)
 
 
+def _channel_weights(N: int, closed: bool, input: Node, output: Node) -> np.ndarray:
+    """q_a = v_a[alpha] v_a[beta] of a node pair of an N-site network,
+    after checking that both nodes lie in it."""
+    flat_index(input, N)  # range checks
+    flat_index(output, N)
+    return _chain_weights(CHANNELS, closed, input.alpha - 1, output.alpha - 1)
+
+
 def channel_factor(
     spec: NetworkSpec, input: Node, output: Node
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +139,7 @@ def channel_factor(
     of the channel factor: the pair's amplitude is the site factor's times
     sum_a q_a exp(-i L c_a t)."""
     closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
-    return (_chain_values(CHANNELS, closed),
-            _chain_weights(CHANNELS, closed, input.alpha - 1, output.alpha - 1))
+    return _chain_values(CHANNELS, closed), _channel_weights(spec.N, closed, input, output)
 
 
 def pair_weights(
@@ -142,11 +149,8 @@ def pair_weights(
     q_a = v_a[alpha] v_a[beta] of a node pair; label CHANNELS * i + a
     weighs s_i q_a."""
     N = decomp.dim // CHANNELS
-    flat_index(input, N)  # range checks
-    flat_index(output, N)
-    s = _chain_weights(N, decomp.site_closed, input.n, output.n)
-    q = _chain_weights(CHANNELS, decomp.channel_closed, input.alpha - 1, output.alpha - 1)
-    return s, q
+    q = _channel_weights(N, decomp.channel_closed, input, output)
+    return _chain_weights(N, decomp.site_closed, input.n, output.n), q
 
 
 def projector_overlaps(

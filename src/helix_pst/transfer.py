@@ -86,16 +86,16 @@ def probability_chunks(
     two directly evaluated phases, never of a chain of earlier ones, so
     rounding does not accumulate along the grid. A row's values do not
     depend on which other rows share its block, except that BLAS may
-    round a block of one row differently in the last bit. The
-    evaluation holds O(CHUNK + ROOT * groups) numbers besides rows,
-    whatever the count.
+    round a block of few rows differently in the last bit (a one-row
+    block always takes another route). The evaluation holds
+    O(CHUNK + ROOT * groups) numbers besides the row numbers, one per
+    ROOT points (an array even by default: slicing it costs less per
+    block than converting a range).
     """
     inner = np.exp(-1j * np.outer(values, step * np.arange(ROOT)))
-    for b in range(0, -(-count // ROOT) if rows is None else len(rows), ROOT):
-        if rows is None:
-            starts = np.arange(ROOT * b, min(ROOT * (b + ROOT), count), ROOT)
-        else:
-            starts = ROOT * rows[b:b + ROOT]
+    picked = np.arange(-(-count // ROOT)) if rows is None else rows
+    for b in range(0, len(picked), ROOT):
+        starts = ROOT * picked[b:b + ROOT]
         seeds = overlaps * np.exp(-1j * np.outer(step * starts, values))
         yield (np.abs(seeds @ inner) ** 2).ravel()[:ROOT * (len(starts) - 1) + count - starts[-1]]
 
@@ -121,11 +121,13 @@ def transfer_report(
     as small as one of them, and the terms shrink like 1/N. So a group
     is dark when its overlap lies below dark_tol times the pair's largest
     label weight, max|s| max|q|, which holds at any N and also when every
-    group is dark.
+    group is dark. dark_tol is thus relative to that weight, whereas
+    sign_factors takes an absolute cut on |o_k|.
     """
     overlaps = projector_overlaps(decomp, input, output)
     s, q = pair_weights(decomp, input, output)
-    signs = sign_factors(overlaps, dark_tol * np.max(np.abs(s)) * np.max(np.abs(q)))
+    weight_scale = np.max(np.abs(s)) * np.max(np.abs(q))
+    signs = sign_factors(overlaps, dark_tol * weight_scale)
     dark = frozenset(int(k) for k in np.flatnonzero(signs == 0))
     bound = float(np.sum(np.abs(overlaps)) ** 2)
     return TransferReport(input, output, overlaps, bound, signs, dark)

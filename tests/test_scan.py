@@ -185,7 +185,9 @@ def test_gamma_sweep_rows_and_determinism():
 @pytest.mark.parametrize("fig", list(FIGURES))
 def test_gamma_sweep_matches_per_gamma_scans(fig, monkeypatch):
     # the windowed sweep against a full-grid tau_min per gamma, on the
-    # figure's gamma grid (reproduce's 0.5:20:0.05)
+    # figure's gamma grid (reproduce's 0.5:20:0.05). A row in a block of
+    # another shape may round differently in the last bit, so equality
+    # holds where no candidate comparison is that close, as on these grids
     N, site, channel, pair = FIGURES[fig]
     grid = parse_grid("0.5:20:0.05")
     cfg = ScanConfig()
@@ -210,6 +212,14 @@ def test_gamma_sweep_reads_no_row_where_the_channel_factor_stays_low(monkeypatch
     assert [r.tau_min for r in rows] == [None, None, None]
     # one pass over the grid, the channel factor's; no network row at all
     assert sum(sizes) == grid_count(cfg.horizon, cfg.coarse_step)
+
+
+def test_gamma_sweep_rejects_a_node_off_the_network_before_any_grid_pass(monkeypatch):
+    template = make_spec(8, "closed", "closed", gamma=1.0)
+    sizes = count_grid_points(monkeypatch)
+    with pytest.raises(ValueError, match="out of range"):
+        gamma_sweep(template, (Node(0, 1), Node(8, 1)), [3.0], ScanConfig())
+    assert sizes == []
 
 
 def test_gamma_sweep_scans_every_row_where_grouping_error_exceeds_the_margin(monkeypatch):
