@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attainability import check_attainability, independent_constraints
+from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independent_constraints
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
 from .hamiltonian import build_hamiltonian, dump_matrix
 from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep
@@ -92,20 +92,13 @@ def _add_pair_args(sp: argparse.ArgumentParser) -> None:
                     help="output node 'n,alpha'")
 
 
-def _add_scan_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--horizon", type=float, default=200.0)
-    sp.add_argument("--step", type=float, default=0.005)
-    sp.add_argument("--epsilon", type=float, default=1e-3)
+def _add_time_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--horizon", type=float, default=ScanConfig.horizon)
+    sp.add_argument("--step", type=float, default=ScanConfig.coarse_step)
 
 
-def _add_output_args(sp: argparse.ArgumentParser, formats=("csv", "json"), plot=False) -> None:
-    # plot: the command writes a table a gnuplot script can plot
-    if formats:
-        sp.add_argument("--format", choices=list(formats), default=formats[0])
-    sp.add_argument("--output", default="-", help="output path, '-' for stdout")
-    if plot:
-        sp.add_argument("--plot-script", default=None,
-                        help="also write a gnuplot script next to the data")
+def _add_epsilon_arg(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--epsilon", type=float, default=ScanConfig.epsilon)
 
 
 def _couplings(args) -> CouplingParams:
@@ -125,19 +118,16 @@ def _network(args) -> NetworkSpec:
     return validate_spec(NetworkSpec(args.n, bc, _couplings(args)))
 
 
-def _require_dynamics(spec: NetworkSpec) -> None:
-    if spec.couplings.J == 0.0 and spec.couplings.L == 0.0:
-        raise ValueError("J and L cannot both be zero when dynamics are requested")
-
-
-def _check_time_flags(args) -> None:
+def _scan_config(args) -> ScanConfig:
+    """--horizon, --step and, where the command has it, --epsilon, each
+    checked under its flag's name."""
     for flag, value in (("--horizon", args.horizon), ("--step", args.step)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be positive and finite, got {value:g}")
-
-
-def _time_label(spec: NetworkSpec) -> str:
-    return "tau" if spec.couplings.scaled else "t"
+    epsilon = getattr(args, "epsilon", ScanConfig.epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"--epsilon must lie in (0, 1), got {epsilon:g}")
+    return ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=epsilon)
 
 
 @contextmanager
@@ -164,6 +154,16 @@ def _write_json(stream, payload: dict) -> None:
     doc.update(payload)
     json.dump(doc, stream, indent=2)
     stream.write("\n")
+
+
+def _write_table(args, header: list[str], rows, doc: dict | None = None) -> None:
+    """rows as CSV under header, or as the JSON doc, by default one object
+    per row (a spectral group) keyed by header under "groups"."""
+    with _open_out(args.output) as out:
+        if args.format == "json":
+            _write_json(out, doc or {"groups": [dict(zip(header, row)) for row in rows]})
+        else:
+            _write_csv(out, header, rows)
 
 
 class _Trace:
@@ -231,43 +231,55 @@ def _cmd_spectrum(args) -> int:
         (k, float(decomp.values[k]), int(decomp.multiplicities[k]))
         for k in range(len(decomp))
     ]
-    with _open_out(args.output) as out:
-        if args.format == "json":
-            _write_json(out, {
-                "groups": [
-                    {"group": k, "eigenvalue": v, "multiplicity": m}
-                    for k, v, m in rows
-                ],
-            })
-        else:
-            _write_csv(out, ["group", "eigenvalue", "multiplicity"], rows)
+    _write_table(args, ["group", "eigenvalue", "multiplicity"], rows)
     return 0
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_trace(args) -> int:
+    """evolve and scan: p(i * step) written block by block; scan reads the
+    same blocks for its PST times and reports them on stderr."""
     _check_plot_script(args)
     spec = _network(args)
-    _require_dynamics(spec)
+    if spec.couplings.J == 0.0 and spec.couplings.L == 0.0:
+        raise ValueError("J and L cannot both be zero when dynamics are requested")
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    _check_time_flags(args)
-    count = grid_count(args.horizon, args.step)
+    cfg = _scan_config(args)
+    scan = args.command == "scan"
     decomp = decompose(spec)
-    o = projector_overlaps(decomp, input, output)
-    label = _time_label(spec)
+    if not scan:  # evolve checks the pair before it opens the output
+        o = projector_overlaps(decomp, input, output)
+        blocks = probability_chunks(o, decomp.values, cfg.coarse_step,
+                                    grid_count(cfg.horizon, cfg.coarse_step))
+    label = "tau" if spec.couplings.scaled else "t"
     with _open_out(args.output) as out:
-        trace = _Trace(out, args.format, label, args.step)
-        for _ in trace.tap(probability_chunks(o, decomp.values, args.step, count)):
-            pass
-        trace.close()
+        trace = _Trace(out, args.format, label, cfg.coarse_step)
+        if scan:
+            # every grid block is written, then read by the peak pass
+            times = find_pst_times(decomp, input, output, cfg, tap=trace.tap)
+            trace.close(pst_times=times)
+        else:
+            for _ in trace.tap(blocks):
+                pass
+            trace.close()
+    if scan and times:
+        print("PST times: " + ", ".join(_fmt(t) for t in times), file=sys.stderr)
+    elif scan:
+        print("no PST event within the horizon", file=sys.stderr)
     _maybe_plot_script(args, label, "p")
     return 0
 
 
-def _cmd_pmax(args) -> int:
+def _pair_report(args):
+    """The decomposition of the network and the transfer report of the
+    --in/--out pair, with the pair."""
     spec = _network(args)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
     decomp = decompose(spec)
-    report = transfer_report(decomp, input, output)
+    return decomp, (input, output), transfer_report(decomp, input, output)
+
+
+def _cmd_pmax(args) -> int:
+    _, (input, output), report = _pair_report(args)
     with _open_out(args.output) as out:
         _write_json(out, {
             "input": [input.n, input.alpha],
@@ -280,24 +292,12 @@ def _cmd_pmax(args) -> int:
 
 
 def _cmd_dark(args) -> int:
-    spec = _network(args)
-    input, output = parse_node(args.node_in), parse_node(args.node_out)
-    decomp = decompose(spec)
-    report = transfer_report(decomp, input, output)
+    decomp, _, report = _pair_report(args)
     rows = [
         (k, float(decomp.values[k]), float(report.overlaps[k]), int(report.signs[k]))
         for k in range(len(decomp))
     ]
-    with _open_out(args.output) as out:
-        if args.format == "json":
-            _write_json(out, {
-                "groups": [
-                    {"group": k, "eigenvalue": v, "overlap": o, "sign": s}
-                    for k, v, o, s in rows
-                ],
-            })
-        else:
-            _write_csv(out, ["group", "eigenvalue", "overlap", "sign"], rows)
+    _write_table(args, ["group", "eigenvalue", "overlap", "sign"], rows)
     return 0
 
 
@@ -306,10 +306,7 @@ def _cmd_attain(args) -> int:
         raise ValueError(f"--tau must be finite, got {args.tau:g}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
-    spec = _network(args)
-    input, output = parse_node(args.node_in), parse_node(args.node_out)
-    decomp = decompose(spec)
-    report = transfer_report(decomp, input, output)
+    decomp, _, report = _pair_report(args)
     chain = independent_constraints(report, decomp)
     result = check_attainability(chain, args.tau, args.tol)
     with _open_out(args.output) as out:
@@ -332,34 +329,11 @@ def _cmd_attain(args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
-    _check_plot_script(args)
-    spec = _network(args)
-    _require_dynamics(spec)
-    input, output = parse_node(args.node_in), parse_node(args.node_out)
-    _check_time_flags(args)
-    cfg = ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=args.epsilon)
-    decomp = decompose(spec)
-    label = _time_label(spec)
-    with _open_out(args.output) as out:
-        trace = _Trace(out, args.format, label, args.step)
-        # every grid block is written, then read by the peak pass
-        times = find_pst_times(decomp, input, output, cfg, tap=trace.tap)
-        trace.close(pst_times=times)
-    if times:
-        print("PST times: " + ", ".join(_fmt(t) for t in times), file=sys.stderr)
-    else:
-        print("no PST event within the horizon", file=sys.stderr)
-    _maybe_plot_script(args, label, "p")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     _check_plot_script(args)
     bc = BoundaryConditions.from_names(args.site_bc, args.channel_bc)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    _check_time_flags(args)
-    cfg = ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=args.epsilon)
+    cfg = _scan_config(args)
     if (args.gamma_grid is None) == (args.J_grid is None):
         raise ValueError("give exactly one of --gamma-grid or --J-grid")
     if args.gamma_grid is not None:
@@ -375,14 +349,8 @@ def _cmd_sweep(args) -> int:
         rows = coupling_sweep_L0(args.n, bc, (input, output), grid, cfg)
         header = ["J", "t_min"]
         xlabel = "J"
-    with _open_out(args.output) as out:
-        if args.format == "json":
-            _write_json(out, {
-                "rows": [[r.parameter, r.tau_min] for r in rows],
-                "columns": header,
-            })
-        else:
-            _write_csv(out, header, [(r.parameter, r.tau_min) for r in rows])
+    table = [(r.parameter, r.tau_min) for r in rows]
+    _write_table(args, header, table, {"rows": table, "columns": header})
     _maybe_plot_script(args, xlabel, header[1], style="points")
     return 0
 
@@ -398,15 +366,14 @@ class _FigureJob:
     pair: tuple[str, str]
     trace_gammas: tuple[float, ...]
     trace_horizon: float
-    sweep: bool  # tau_min vs gamma panel
-    l0_sweep: bool  # t_min vs J panel
+    sweep: bool  # tau_min vs gamma panel; every figure has the t_min vs J one
 
 
 _FIGURES: dict[str, _FigureJob] = {
-    "fig2": _FigureJob(8, "closed", "closed", ("0,1", "4,1"), (3.0, 5.0), 150.0, True, True),
-    "fig3": _FigureJob(5, "open", "open", ("0,1", "4,1"), (4.0, 15.0), 150.0, True, True),
-    "fig4": _FigureJob(4, "open", "closed", ("0,1", "3,1"), (4.0, 9.4), 100.0, True, True),
-    "fig5": _FigureJob(6, "closed", "open", ("0,1", "3,1"), (4.0, 8.25), 500.0, False, True),
+    "fig2": _FigureJob(8, "closed", "closed", ("0,1", "4,1"), (3.0, 5.0), 150.0, True),
+    "fig3": _FigureJob(5, "open", "open", ("0,1", "4,1"), (4.0, 15.0), 150.0, True),
+    "fig4": _FigureJob(4, "open", "closed", ("0,1", "3,1"), (4.0, 9.4), 100.0, True),
+    "fig5": _FigureJob(6, "closed", "open", ("0,1", "3,1"), (4.0, 8.25), 500.0, False),
 }
 
 _SWEEP_GRID = "0.5:20:0.05"
@@ -436,9 +403,7 @@ def _cmd_reproduce(args) -> int:
         traces.append(f'"{name}" using 1:2 with lines title "gamma={_fmt(g)}"')
     panels = [("tau", "p", ", ".join(traces))]
     sweeps = [("gamma", "tau_min")] if job.sweep else []
-    if job.l0_sweep:
-        sweeps.append(("J", "t_min"))
-    for letter, (x, y) in zip("bc", sweeps):
+    for letter, (x, y) in zip("bc", sweeps + [("J", "t_min")]):
         name = panel(f"{args.figure}{letter}_{y}_vs_{x}.csv", "sweep", f"--{x}-grid", _SWEEP_GRID)
         panels.append((x, y, f'"{name}" using 1:2 with points title "{y}"'))
     gp_path = f"{outdir}/{args.figure}.gp"
@@ -462,62 +427,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Excitation transfer on a three-channel helical spin network",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    network = (_add_network_args, _add_coupling_args)
+    pair = (*network, _add_pair_args)
 
-    sp = sub.add_parser("spectrum", help="distinct eigenvalues and multiplicities")
-    _add_network_args(sp)
-    _add_coupling_args(sp)
-    _add_output_args(sp)
+    def command(name, help, run, groups, formats=("csv", "json"), plot=False):
+        """Register a subcommand: its argument groups in order, then
+        --format when it has formats, --output, and --plot-script when
+        it writes a table a gnuplot script can plot."""
+        sp = sub.add_parser(name, help=help)
+        for add in groups:
+            add(sp)
+        if formats:
+            sp.add_argument("--format", choices=list(formats), default=formats[0])
+        sp.add_argument("--output", default="-", help="output path, '-' for stdout")
+        if plot:
+            sp.add_argument("--plot-script", default=None,
+                            help="also write a gnuplot script next to the data")
+        sp.set_defaults(func=run)
+        return sp
+
+    def attain_args(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--tau", type=float, required=True, help="candidate time")
+        sp.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
+                        help="residual tolerance, radians")
+
+    def grid_args(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--gamma-grid", default=None, metavar="START:STOP:STEP")
+        sp.add_argument("--J-grid", dest="J_grid", default=None, metavar="START:STOP:STEP")
+
+    sp = command("spectrum", "distinct eigenvalues and multiplicities", _cmd_spectrum, network)
     sp.add_argument("--dump-matrix", default=None,
                     help="also write the Hamiltonian as plain text")
-    sp.set_defaults(func=_cmd_spectrum)
-
-    sp = sub.add_parser("evolve", help="transition probability over a time grid")
-    _add_network_args(sp)
-    _add_coupling_args(sp)
-    _add_pair_args(sp)
-    _add_scan_args(sp)
-    _add_output_args(sp, plot=True)
-    sp.set_defaults(func=_cmd_evolve)
-
-    sp = sub.add_parser("pmax", help="phase-alignment transfer bound for a pair")
-    _add_network_args(sp)
-    _add_coupling_args(sp)
-    _add_pair_args(sp)
-    _add_output_args(sp, formats=())
-    sp.set_defaults(func=_cmd_pmax)
-
-    sp = sub.add_parser("dark", help="per-group overlaps, signs and dark groups")
-    _add_network_args(sp)
-    _add_coupling_args(sp)
-    _add_pair_args(sp)
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_dark)
-
-    sp = sub.add_parser("attain", help="check phase congruences at a candidate time")
-    _add_network_args(sp)
-    _add_coupling_args(sp)
-    _add_pair_args(sp)
-    sp.add_argument("--tau", type=float, required=True, help="candidate time")
-    sp.add_argument("--tol", type=float, default=0.05, help="residual tolerance, radians")
-    _add_output_args(sp, formats=())
-    sp.set_defaults(func=_cmd_attain)
-
-    sp = sub.add_parser("scan", help="locate perfect-transfer times on a horizon")
-    _add_network_args(sp)
-    _add_coupling_args(sp)
-    _add_pair_args(sp)
-    _add_scan_args(sp)
-    _add_output_args(sp, plot=True)
-    sp.set_defaults(func=_cmd_scan)
-
-    sp = sub.add_parser("sweep", help="tau_min versus gamma, or t_min versus J at L=0")
-    _add_network_args(sp)
-    _add_pair_args(sp)
-    _add_scan_args(sp)
-    sp.add_argument("--gamma-grid", default=None, metavar="START:STOP:STEP")
-    sp.add_argument("--J-grid", dest="J_grid", default=None, metavar="START:STOP:STEP")
-    _add_output_args(sp, plot=True)
-    sp.set_defaults(func=_cmd_sweep)
+    command("evolve", "transition probability over a time grid", _cmd_trace,
+            (*pair, _add_time_args), plot=True)
+    command("pmax", "phase-alignment transfer bound for a pair", _cmd_pmax, pair, formats=())
+    command("dark", "per-group overlaps, signs and dark groups", _cmd_dark, pair)
+    command("attain", "check phase congruences at a candidate time", _cmd_attain,
+            (*pair, attain_args), formats=())
+    command("scan", "locate perfect-transfer times on a horizon", _cmd_trace,
+            (*pair, _add_time_args, _add_epsilon_arg), plot=True)
+    command("sweep", "tau_min versus gamma, or t_min versus J at L=0", _cmd_sweep,
+            (_add_network_args, _add_pair_args, _add_time_args, _add_epsilon_arg, grid_args),
+            plot=True)
 
     sp = sub.add_parser("reproduce", help="regenerate a bundled figure configuration")
     sp.add_argument("figure", choices=sorted(_FIGURES))

@@ -61,9 +61,8 @@ class CouplingParams:
     """Coupling energies of the network.
 
     J couples neighbouring sites within a channel; L couples channels at
-    a fixed site. E0 is the uniform on-site excitation energy: it is
-    recorded for completeness but never enters the dynamics, since it
-    shifts every level equally and cancels from all probabilities.
+    a fixed site. There is no on-site energy E0: a uniform one shifts
+    every level equally and cancels from all probabilities.
 
     With scaled=True the Hamiltonian is built in units of L (entries
     J/L and 1) and all times are understood as tau = L * t. Raw mode
@@ -73,13 +72,12 @@ class CouplingParams:
 
     J: float
     L: float
-    E0: float = 0.0
     scaled: bool = False
 
     @classmethod
-    def from_gamma(cls, gamma: float, E0: float = 0.0) -> CouplingParams:
+    def from_gamma(cls, gamma: float) -> CouplingParams:
         """Dimensionless parametrisation gamma = J/L used by the scans."""
-        return cls(J=float(gamma), L=1.0, E0=E0, scaled=True)
+        return cls(J=float(gamma), L=1.0, scaled=True)
 
     def effective(self) -> tuple[float, float]:
         """(site, channel) coupling strengths as they enter the matrix."""
@@ -115,7 +113,7 @@ def node_from_index(idx: int, N: int) -> Node:
 def validate_spec(spec: NetworkSpec) -> NetworkSpec:
     """Check every invariant; returns the argument unchanged when valid."""
     c = spec.couplings
-    if not (math.isfinite(c.J) and math.isfinite(c.L) and math.isfinite(c.E0)):
+    if not (math.isfinite(c.J) and math.isfinite(c.L)):
         raise ValueError("couplings must be finite")
     if c.scaled and c.L == 0.0:
         raise ValueError("scaled couplings require L != 0")

@@ -54,6 +54,9 @@ from .transfer import ROOT, grid_count, probability_at, probability_chunks, proj
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_XTOL = 1e-6
+# golden-section steps per candidate; the cap must stay, since at large t
+# the spacing of floats exceeds REFINE_XTOL and b - a cannot shrink to it
+REFINE_ITERS = 64
 # M: how far below 1 - 2 epsilon p_chan may reach in a row gamma_sweep
 # skips; it covers grouping and rounding error (derived at gamma_sweep)
 WINDOW_MARGIN = 1e-3
@@ -66,7 +69,6 @@ class ScanConfig:
     horizon: float = 200.0
     coarse_step: float = 0.005
     epsilon: float = 1e-3
-    refine_iters: int = 64
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -75,8 +77,6 @@ class ScanConfig:
             raise ValueError("coarse_step must be positive and finite")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def _scan(
             if settled(a):
                 return times
             b = min(i * h + h, cfg.horizon)
-            t_star, p_star = _golden_max(p_of, a, b, cfg.refine_iters)
+            t_star, p_star = _golden_max(p_of, a, b, REFINE_ITERS)
             if p_star >= 1.0 - cfg.epsilon:
                 if times and abs(t_star - times[-1]) < h:
                     if p_star > probs[-1]:

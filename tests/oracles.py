@@ -330,7 +330,8 @@ def reference_pst_times(decomp, input: Node, output: Node, cfg) -> list[float]:
         if is_max:
             a = max(ts[i] - cfg.coarse_step, 0.0)
             b = min(ts[i] + cfg.coarse_step, cfg.horizon)
-            t_star, p_star = _reference_golden_max(p_of, a, b, cfg.refine_iters)
+            # its own cap of 64 steps, not read from the library
+            t_star, p_star = _reference_golden_max(p_of, a, b, 64)
             if p_star >= 1.0 - cfg.epsilon:
                 if times and abs(t_star - times[-1]) < cfg.coarse_step:
                     if p_star > probs[-1]:

@@ -160,12 +160,31 @@ PAIR_ARGS = ["--n", "4", "--site-bc", "closed", "--channel-bc", "closed",
     (["attain", "--gamma", "2", "--tau", "1", "--tol", "inf"], "--tol"),
     (["attain", "--gamma", "2", "--tau", "1", "--tol", "nan"], "--tol"),
     (["attain", "--gamma", "2", "--tau", "1", "--tol", "0"], "--tol"),
+    (["scan", "--gamma", "2", "--epsilon", "nan"], "--epsilon"),
 ])
 def test_non_finite_inputs_name_their_flag(argv, flag, capsys):
     code, out, err = run(argv[:1] + PAIR_ARGS + argv[1:], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize("command", ["scan", "sweep"])
+def test_out_of_range_epsilon_names_flag_and_value(command, capsys):
+    grid = ["--gamma-grid", "1:2:1"] if command == "sweep" else ["--gamma", "2"]
+    code, out, err = run([command] + PAIR_ARGS + grid + ["--epsilon", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --epsilon must lie in (0, 1), got 7\n"
+
+
+def test_evolve_has_no_epsilon_flag(capsys):
+    # evolve finds no PST times, so a threshold would be silently ignored
+    code, out, err = run(["evolve"] + PAIR_ARGS + ["--gamma", "2", "--horizon", "1",
+                                                   "--epsilon", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --epsilon 0.5" in err
 
 
 def test_evolve_csv_scaled_header_and_values(tmp_path, capsys):
@@ -469,6 +488,19 @@ def test_scan_evaluates_each_grid_point_once(fmt, tmp_path, capsys, monkeypatch)
         assert len(doc["profile"]) == count and doc["pst_times"]
     else:
         assert len(out.read_text().splitlines()) == count + 1
+    # scan writes the very trace evolve writes for the same grid
+    traced = tmp_path / f"evolve.{fmt}"
+    code, _, err = run(
+        ["evolve", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
+         "--gamma", "3", "--in", "0,1", "--out", "4,1", "--horizon", "80",
+         "--format", fmt, "--output", str(traced)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert json.loads(traced.read_text()) == {"schema": 1, "profile": doc["profile"]}
+    else:
+        assert traced.read_bytes() == out.read_bytes()
 
 
 def test_commands_sharing_the_cached_parser_match_fresh_parses(capsys):

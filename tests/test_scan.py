@@ -91,8 +91,6 @@ def test_scan_config_validation():
         ScanConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         ScanConfig(epsilon=1.0)
-    with pytest.raises(ValueError):
-        ScanConfig(refine_iters=0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon"):
             ScanConfig(horizon=bad)
