@@ -5,8 +5,11 @@ reproduce. Exit codes: 0 on success, 2 on usage or validation errors
 (an unwritable output path included), 1 on an internal numeric failure.
 CSV output uses %.12g formatting, LF line endings and always carries a
 header; p(t) traces are written block by block as the grid kernel
-yields them. JSON output carries a top-level "schema": 1 field. Plot
-scripts are plain gnuplot. reproduce runs evolve and sweep commands.
+yields them, through the vectorised writer csvtext.rows_g12, byte for
+byte what %.12g gives. JSON output carries a top-level "schema": 1
+field. Plot scripts are plain gnuplot. reproduce runs evolve and sweep
+commands. A --horizon/--step grid may hold at most MAX_GRID_POINTS
+points.
 """
 
 from __future__ import annotations
@@ -22,13 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independent_constraints
-from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
+from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, flat_index, validate_spec
+from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
 from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep
 from .spectral import decompose
 from .transfer import grid_count, probability_chunks, projector_overlaps, transfer_report
 
 SCHEMA_VERSION = 1
+# Largest time grid --horizon/--step may ask for. The default grid has
+# 40 001 points and the longest bundled trace 120 001. At the bound a
+# CSV trace is about 250 MB; a JSON trace holds every point as a Python
+# list, about 1.4 GB.
+MAX_GRID_POINTS = 10 ** 7
 
 
 def _fmt(x) -> str:
@@ -124,6 +133,11 @@ def _scan_config(args) -> ScanConfig:
     for flag, value in (("--horizon", args.horizon), ("--step", args.step)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be positive and finite, got {value:g}")
+    # the ratio first: it may overflow to inf, where grid_count would raise
+    if not (args.horizon / args.step < MAX_GRID_POINTS
+            and grid_count(args.horizon, args.step) <= MAX_GRID_POINTS):
+        raise ValueError(f"--horizon {args.horizon:g} at --step {args.step:g} gives more "
+                         f"than {MAX_GRID_POINTS} grid points")
     epsilon = getattr(args, "epsilon", ScanConfig.epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"--epsilon must lie in (0, 1), got {epsilon:g}")
@@ -179,11 +193,11 @@ class _Trace:
     def tap(self, chunks):
         start = 0
         for chunk in chunks:
-            rows = np.column_stack((self.step * np.arange(start, start + len(chunk)), chunk))
+            times = self.step * np.arange(start, start + len(chunk))
             if self.json:
-                self.points += rows.tolist()
+                self.points += np.column_stack((times, chunk)).tolist()
             else:  # the rows _write_csv would give, _fmt being %.12g on floats
-                self.stream.write("%.12g,%.12g\n" * len(chunk) % tuple(rows.ravel().tolist()))
+                self.stream.write(rows_g12(times, chunk))
             start += len(chunk)
             yield chunk
 
@@ -243,10 +257,12 @@ def _cmd_trace(args) -> int:
     if spec.couplings.J == 0.0 and spec.couplings.L == 0.0:
         raise ValueError("J and L cannot both be zero when dynamics are requested")
     input, output = parse_node(args.node_in), parse_node(args.node_out)
+    for node in (input, output):  # checked before the output is opened
+        flat_index(node, spec.N)
     cfg = _scan_config(args)
     scan = args.command == "scan"
     decomp = decompose(spec)
-    if not scan:  # evolve checks the pair before it opens the output
+    if not scan:
         o = projector_overlaps(decomp, input, output)
         blocks = probability_chunks(o, decomp.values, cfg.coarse_step,
                                     grid_count(cfg.horizon, cfg.coarse_step))

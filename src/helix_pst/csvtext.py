@@ -1,0 +1,151 @@
+"""CSV text of numeric columns, byte-identical to "%.12g" formatting.
+
+rows_g12(*columns) returns the text that
+
+    ("%.12g," * (k - 1) + "%.12g\\n") % row
+
+gives for every row of the k columns, rendered a whole block at a time
+with numpy instead of one float at a time in Python.
+
+Exactness. For a positive finite x take e = floor(log10 x) and
+y = fl(x * 10**(11 - e)). For 0 <= 11 - e <= 22, 10**(11 - e) is an
+exact double, so y is the exact product z rounded once. Rounding is
+monotone, and 1e11, 1e12 and every half-integer below 2**52 are
+doubles, so y lies on the same side of each of them as z, or on it.
+So when y >= 1e11, y is no half-integer and m = rint(y) < 1e12, m is
+the integer nearest to z: the 12-digit mantissa of x that %g gives,
+which rounds the exact binary value. (y = 1e11 with z just below 1e11
+is no exception: x then rounds to 10**e at 12 digits too.) A log10 off
+by one near a power of ten leaves y outside [1e11, 1e12).
+
+From the mantissa m and e the text is %g's: fixed notation for
+-4 <= e <= 11, d.ddddddddddde-XX below; trailing zeros after the "."
+and a bare "." are stripped. Each field is built in three
+little-endian uint64 words, FIELD bytes, NUL padded, from the 16
+digits of m * 10**z, z = 4 + e for -4 <= e < 0 and 4 otherwise: they
+read "0.000ddd..." once a "." goes in after the first digit, and
+"ddd.ddd..." once it goes in after digit e + 1 (fixed) or 1
+(scientific). The field keeps the digits up to the last nonzero one or
+up to the ".", whichever is later, then the "." if a digit follows
+it, the exponent and the separator. Tables give the ASCII digits four
+at a time and, by e and the last nonzero digit, the masks and the text
+behind the digits; every other step is one whole-array operation.
+
+Every other value goes through "%.12g" % v on its own and is patched
+into its field: 0, -0.0, negatives, subnormals, non-finite values,
+e outside [-11, 11], a y that is a half-integer and a mantissa that
+rounds up to 10**12.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+E_LO, E_HI = -11, 11  # exponents of the fast path
+FIELD = 24  # bytes per field; the longest %.12g text is 19, plus the separator
+# rows per pass: no temporary array exceeds 64 KiB, as larger ones, freed
+# at the top of the heap, went back to the system and were faulted in
+# again on every block
+ROWS = 1024
+
+_U = np.dtype("<u8")  # little-endian words, whatever the machine's order
+_255, _56 = np.uint64(255), np.uint64(56)
+
+# by exponent e - E_LO: the scale 10**(11 - e), the divisor 10**(8 - z)
+# and factor 10**z that split m * 10**z into 8-digit halves, the digit p
+# the "." follows, the bytes of each half that move up one byte to make
+# room for it, and the exponent text, empty in fixed notation
+_EXPS = range(E_LO, E_HI + 1)
+_SCALE = np.array([float(10 ** (11 - e)) for e in _EXPS])  # exact doubles
+_z = [4 + e if -4 <= e < 0 else 4 for e in _EXPS]
+_DIV = np.array([float(10 ** (8 - z)) for z in _z])
+_MUL = np.array([float(10 ** z) for z in _z])
+_dot = [e + 1 if e >= 0 else 1 for e in _EXPS]
+_MOVE_LO = np.array([2 ** 64 - (1 << 8 * p) if p < 8 else 0 for p in _dot], dtype=_U)
+_MOVE_HI = np.array([2 ** 64 - (1 << 8 * max(p - 8, 0)) for p in _dot], dtype=_U)
+_exponent = [b"" if e >= -4 else b"e%+03d" % e for e in _EXPS]
+
+# four ASCII digits of 0..9999 as one little-endian word; and by
+# 10000 j + v, for group j of four of the 16 digits, the number of digits
+# up to the last nonzero one of v there (0 for v = 0)
+_ascii = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+for _j in range(4):
+    _ascii[..., _j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - _j))
+_DIGITS = _ascii.view("<u4").ravel()
+_significant = np.full(10000, 4, dtype=np.uint8)
+for _j in (10, 100, 1000, 10000):
+    _significant[::_j] -= 1
+_END = ((_significant + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (_significant > 0)).ravel()
+_COLUMN = 10000 * np.arange(4).reshape(2, 1, 2)
+
+# by ((newline * len(_EXPS) + e - E_LO) * 17 + end), end the digits up to
+# the last nonzero one: each word's mask of the digit and "." bytes the
+# field keeps, `length` of them, and its bytes of what follows the
+# digits: the "." where a digit follows it, then the exponent text and
+# the separator from byte `length` on
+_kept = np.maximum(np.arange(17), np.array(_dot)[:, None])
+_length = _kept + (_kept > np.array(_dot)[:, None])
+_MASK = np.tile((np.arange(FIELD) < _length[..., None]).astype(np.uint8) * np.uint8(255), (2, 1, 1))
+_text = np.zeros((2, len(_EXPS), 18 + FIELD), dtype=np.uint8)
+_text[:, :, 18:23] = np.frombuffer(
+    b"".join(t.ljust(5, b"\0") for t in _exponent), dtype=np.uint8).reshape(-1, 5)
+_text[:, np.arange(len(_EXPS)), [18 + len(t) for t in _exponent]] = [[ord(",")], [ord("\n")]]
+# the text from byte 18 - length on, the dot, where kept, at its digit
+_tail = _text[:, np.arange(len(_EXPS))[:, None, None], 18 - _length[..., None] + np.arange(FIELD)]
+_a, _end = np.nonzero(_length > _kept)
+_tail[:, _a, _end, np.array(_dot)[_a]] = ord(".")
+_MASK, _TAIL = (t.reshape(-1, FIELD).view(_U).T.copy() for t in (_MASK, _tail))
+del _ascii, _j, _significant, _z, _dot, _exponent, _kept, _length, _text, _tail, _a, _end
+
+
+def _fields(x: np.ndarray, newline: np.ndarray) -> np.ndarray:
+    """The "%.12g" text of each x followed by "\\n" where newline is true
+    and by "," elsewhere, one field per row of the returned (n, 3)
+    uint64 array."""
+    n = len(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmax and fmin map nan to a bound, so every index is valid
+        at = (np.fmin(np.fmax(np.floor(np.log10(x)), E_LO), E_HI) - E_LO).astype(np.intp)
+        y = x * _SCALE[at]
+        m = np.rint(y)
+        fast = (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5)
+    m = np.fmin(np.fmax(m, 1e11), 1e12 - 1)  # any in-range m for the others
+    # the 16 digits of m * 10**z as two halves of two 4-digit groups: each
+    # step is exact, as m < 2**40 and each true quotient lies at least
+    # 1e-8 from the next integer, far above its rounding
+    div = _DIV[at]
+    groups = np.empty((2, n, 2))
+    np.floor(m / div, out=groups[0, :, 1])
+    np.multiply(m - groups[0, :, 1] * div, _MUL[at], out=groups[1, :, 1])
+    np.floor(groups[:, :, 1] / 1e4, out=groups[:, :, 0])
+    groups[:, :, 1] -= groups[:, :, 0] * 1e4
+    g = groups.astype(np.intp)
+    left, right = _DIGITS[g].view(_U)[:, :, 0]
+    end = _END[g + _COLUMN]
+    end = np.maximum(np.maximum(end[0, :, 0], end[0, :, 1]), np.maximum(end[1, :, 0], end[1, :, 1]))
+    key = (at + len(_EXPS) * newline) * 17 + end
+    # the digits behind the "." move one byte up, leaving its byte free:
+    # x + moved * 255 is x - moved + (moved << 8)
+    moved_lo = left & _MOVE_LO[at]
+    moved_hi = right & _MOVE_HI[at]
+    words = np.empty((n, 3), dtype=_U)
+    words[:, 0] = (left + moved_lo * _255) & _MASK[0][key] | _TAIL[0][key]
+    words[:, 1] = (right + moved_hi * _255 + (moved_lo >> _56)) & _MASK[1][key] | _TAIL[1][key]
+    words[:, 2] = (moved_hi >> _56) & _MASK[2][key] | _TAIL[2][key]
+    for i in np.flatnonzero(~fast):
+        text = "%.12g" % x[i] + ("\n" if newline[i] else ",")
+        words[i] = np.frombuffer(text.encode("ascii").ljust(FIELD, b"\0"), dtype=_U)
+    return words
+
+
+def rows_g12(*columns) -> str:
+    """The lines of "%.12g" fields, one per row of the equal-length
+    columns, joined by "," and ended by "\\n"."""
+    values = np.column_stack(columns).astype(float, copy=False)
+    newline = np.zeros(values.shape, dtype=bool)
+    newline[:, -1] = True
+    text = []
+    for r in range(0, len(values), ROWS):
+        words = _fields(values[r:r + ROWS].ravel(), newline[r:r + ROWS].ravel())
+        text.append(words.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)

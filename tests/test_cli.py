@@ -1,12 +1,14 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from conftest import count_grid_points
+from conftest import count_grid_points, make_decomp
 from helix_pst import cli
 from helix_pst.cli import parse_grid, parse_node, run_command
 from helix_pst import Node, grid_count
+from helix_pst.transfer import probability_chunks, projector_overlaps
 
 
 def run(argv, capsys):
@@ -518,3 +520,69 @@ def test_commands_sharing_the_cached_parser_match_fresh_parses(capsys):
         assert result == (code, captured.out, captured.err), argv[0]
     assert [r[0] for r in shared] == [0, 0, 0]
     assert shared[1][2] == "PST times: 73.3055114357\n"
+
+
+@pytest.mark.parametrize("network, pair, flags", [
+    # a bright pair
+    (("8", "closed", "closed"), ("0,1", "4,1"), ["--horizon", "20"]),
+    # p below 1e-11 for the first 583 points, then down to e-06 form
+    (("24", "open", "open"), ("0,1", "23,3"), ["--horizon", "10"]),
+    # times from 1e-05 on
+    (("8", "closed", "closed"), ("0,1", "4,1"), ["--horizon", "0.002", "--step", "1e-5"]),
+    # times of four digits
+    (("5", "open", "open"), ("0,1", "4,1"), ["--horizon", "5000", "--step", "0.0731"]),
+])
+def test_evolve_csv_equals_percent_formatting_of_the_blocks(network, pair, flags, tmp_path,
+                                                            capsys):
+    N, site, channel = network
+    out = tmp_path / "trace.csv"
+    argv = ["evolve", "--n", N, "--site-bc", site, "--channel-bc", channel, "--gamma", "2",
+            "--in", pair[0], "--out", pair[1], *flags, "--output", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    args = cli.build_parser().parse_args(argv)
+    _, decomp = make_decomp(int(N), site, channel, gamma=2.0)
+    o = projector_overlaps(decomp, parse_node(pair[0]), parse_node(pair[1]))
+    text, start = ["tau,p\n"], 0
+    for chunk in probability_chunks(o, decomp.values, args.step,
+                                    grid_count(args.horizon, args.step)):
+        rows = np.column_stack((args.step * np.arange(start, start + len(chunk)), chunk))
+        text.append("%.12g,%.12g\n" * len(chunk) % tuple(rows.ravel().tolist()))
+        start += len(chunk)
+    assert out.read_bytes() == "".join(text).encode("ascii")
+
+
+def test_scan_with_a_node_off_the_network_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _, err = run(["scan", "--n", "4", "--site-bc", "open", "--channel-bc", "open",
+                        "--gamma", "2", "--in", "0,1", "--out", "9,1",
+                        "--output", str(out)], capsys)
+    assert code == 2
+    assert err == "error: site index 9 out of range for N=4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--gamma", "2", "--horizon", "1e308", "--step", "1e-300"],
+    ["scan", "--gamma", "2", "--horizon", "1e6", "--step", "1e-3"],
+    ["sweep", "--gamma-grid", "1:2:1", "--horizon", "1e300", "--step", "1e-20"],
+])
+def test_grid_beyond_the_point_limit_names_horizon_and_step(argv, tmp_path, capsys):
+    # each grid would need far more points than memory or time allows, so
+    # the check must come before any of them is evaluated
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(argv[:1] + PAIR_ARGS + argv[1:] + ["--output", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: --horizon ")
+    assert f"--step {float(argv[-1]):g} gives more than {cli.MAX_GRID_POINTS} grid points" in err
+
+
+def test_grid_point_limit_is_inclusive():
+    args = cli.build_parser().parse_args(["scan"] + PAIR_ARGS + ["--step", "1"])
+    args.horizon = cli.MAX_GRID_POINTS - 1.0
+    assert grid_count(args.horizon, 1.0) == cli.MAX_GRID_POINTS
+    assert cli._scan_config(args).horizon == args.horizon
+    args.horizon += 1.0
+    with pytest.raises(ValueError, match="--horizon 1e\\+07 at --step 1 gives more than"):
+        cli._scan_config(args)
