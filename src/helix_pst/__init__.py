@@ -11,9 +11,7 @@ from .attainability import (
     AttainabilityReport,
     Constraint,
     check_attainability,
-    closed_closed_example_constraints,
     independent_constraints,
-    same_class_step,
 )
 from .core import (
     CHANNELS,
@@ -38,7 +36,6 @@ from .scan import (
 from .spectral import SpectralDecomposition, decompose
 from .transfer import (
     TransferReport,
-    dark_predicate_closed_closed,
     grid_count,
     probability_chunks,
     projector_overlaps,
@@ -65,10 +62,8 @@ __all__ = [
     "TransferReport",
     "build_hamiltonian",
     "check_attainability",
-    "closed_closed_example_constraints",
     "coupling_sweep_L0",
     "decompose",
-    "dark_predicate_closed_closed",
     "dump_matrix",
     "find_pst_times",
     "flat_index",
@@ -79,7 +74,6 @@ __all__ = [
     "node_from_index",
     "probability_chunks",
     "projector_overlaps",
-    "same_class_step",
     "sign_factors",
     "tau_min",
     "transfer_report",

@@ -101,39 +101,3 @@ def check_attainability(
     ok = bool(np.all(residuals < tol)) if len(constraints) else True
     return AttainabilityReport(float(t), float(tol), tuple(filled), residuals, ok)
 
-
-def same_class_step(N: int, gamma: float, n: int) -> float:
-    """Eigenvalue step between consecutive site modes of one channel class.
-
-    2 gamma (cos(2 pi n / N) - cos(2 pi (n+1) / N))
-        = 4 gamma sin(pi (2n + 1) / N) sin(pi / N),
-    in units of L.
-    """
-    return 4.0 * gamma * math.sin(math.pi * (2 * n + 1) / N) * math.sin(math.pi / N)
-
-
-def closed_closed_example_constraints(N: int, gamma: float) -> list[tuple[str, float]]:
-    """Deduplicated constraint-coefficient table for the doubly closed ring.
-
-    Covers the three families of consecutive congruences in scaled units:
-    same-class steps 4 gamma sin(pi (2n+1)/N) sin(pi/N), cross-class
-    steps shifted by the channel splitting 3, and the splitting itself.
-    For N=8 the table is {(2 - sqrt 2) gamma, sqrt 2 gamma,
-    (2 - sqrt 2) gamma + 3, sqrt 2 gamma + 3, 3}.
-    """
-    if N < 3:
-        raise ValueError(f"need N >= 3, got {N}")
-    table: list[tuple[str, float]] = []
-
-    def add(desc: str, coeff: float) -> None:
-        if not any(abs(coeff - c) < 1e-9 for _, c in table):
-            table.append((desc, coeff))
-
-    for n in range(N // 2):
-        step = same_class_step(N, gamma, n)
-        add(f"same-class step n={n}->{n + 1}", step)
-    for n in range(N // 2):
-        step = same_class_step(N, gamma, n)
-        add(f"cross-class step n={n}->{n + 1}", step + 3.0)
-    add("channel splitting", 3.0)
-    return table

@@ -9,7 +9,8 @@ yields them, through the vectorised writer csvtext.rows_g12, byte for
 byte what %.12g gives. JSON output carries a top-level "schema": 1
 field. Plot scripts are plain gnuplot. reproduce runs evolve and sweep
 commands. A --horizon/--step grid may hold at most MAX_GRID_POINTS
-points.
+points, and so may a sweep's site-factor pass over the largest
+|--gamma-grid| or |--J-grid| value times the horizon.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independen
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, flat_index, validate_spec
 from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
-from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep
+from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep, sweep_pass_points
 from .spectral import decompose
 from .transfer import grid_count, probability_chunks, projector_overlaps, transfer_report
 
@@ -348,26 +349,30 @@ def _cmd_attain(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_plot_script(args)
     bc = BoundaryConditions.from_names(args.site_bc, args.channel_bc)
-    input, output = parse_node(args.node_in), parse_node(args.node_out)
+    pair = parse_node(args.node_in), parse_node(args.node_out)
     cfg = _scan_config(args)
     if (args.gamma_grid is None) == (args.J_grid is None):
         raise ValueError("give exactly one of --gamma-grid or --J-grid")
     if args.gamma_grid is not None:
-        grid = parse_grid(args.gamma_grid, "--gamma-grid")
-        template = validate_spec(
-            NetworkSpec(args.n, bc, CouplingParams.from_gamma(grid[0])))
-        rows = gamma_sweep(template, (input, output), grid, cfg)
+        flag, grid = "--gamma-grid", parse_grid(args.gamma_grid, "--gamma-grid")
+        spec = validate_spec(NetworkSpec(args.n, bc, CouplingParams.from_gamma(grid[0])))
         header = ["gamma", "tau_min"]
-        xlabel = "gamma"
     else:
-        grid = parse_grid(args.J_grid, "--J-grid")
-        validate_spec(NetworkSpec(args.n, bc, CouplingParams(J=grid[0], L=0.0)))
-        rows = coupling_sweep_L0(args.n, bc, (input, output), grid, cfg)
+        flag, grid = "--J-grid", parse_grid(args.J_grid, "--J-grid")
+        spec = validate_spec(NetworkSpec(args.n, bc, CouplingParams(J=grid[0], L=0.0)))
         header = ["J", "t_min"]
-        xlabel = "J"
+    points = sweep_pass_points(spec, pair, grid, cfg)
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"{flag} up to {max(map(abs, grid)):g} at --horizon {args.horizon:g} "
+                         f"needs {points:.3g} site-factor grid points, more than "
+                         f"{MAX_GRID_POINTS}")
+    if header[0] == "gamma":
+        rows = gamma_sweep(spec, pair, grid, cfg)
+    else:
+        rows = coupling_sweep_L0(args.n, bc, pair, grid, cfg)
     table = [(r.parameter, r.tau_min) for r in rows]
     _write_table(args, header, table, {"rows": table, "columns": header})
-    _maybe_plot_script(args, xlabel, header[1], style="points")
+    _maybe_plot_script(args, header[0], header[1], style="points")
     return 0
 
 

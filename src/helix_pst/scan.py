@@ -1,44 +1,40 @@
 """Time-domain searches for perfect-transfer events and parameter sweeps.
 
-p(t) is sampled on the grid t = i * coarse_step, i = 0 .. horizon /
-coarse_step, by the one grid kernel, transfer.probability_chunks: rows
-of 64 points, each seeded with its exact start phase, evaluated CHUNK
-points at a time, so a scan holds O(CHUNK * groups) numbers and one
-row number per 64 points, never the grid's values. A caller that also
-writes the trace (the CLI's scan) taps the same blocks through
-find_pst_times(tap=...), so every grid point is evaluated once.
+Every search reads p on a grid t = i * h through _scan. Candidates are
+grid local maxima above thr = 1 - 2 epsilon, p > thr, p > left and
+p >= right (boundary points included, a flat run counted once at its
+first point); golden-section refinement pins each down to 1e-6 in
+time, and a refined peak with p >= 1 - epsilon is a perfect-transfer
+(PST) event. tau_min stops once no later candidate can replace its
+first event. find_pst_times and tau_min read the whole grid at
+coarse_step from transfer.probability_chunks in O(CHUNK * groups)
+memory (the CLI's scan taps its blocks for the trace). _scan may read
+only index ranges outside which p <= thr: a point there is no candidate
+and, next to one above thr, compares like the -inf put around a range.
 
-Candidates are grid local maxima above thr = 1 - 2 epsilon, p > thr,
-p > left and p >= right (boundary points included, a flat run counted
-once at its first point), found with one numpy mask per block;
-golden-section refinement then pins each one down to 1e-6 in time. A
-refined peak counts as perfect state transfer (PST) when
-p >= 1 - epsilon. tau_min stops scanning as soon as no later candidate
-can replace the first event it accepted.
+Certified steps. Let A(t) = sum_k w_k exp(-i v_k t), c the |w|-weighted
+mean of v and W2 = sum_k |w_k| (v_k - c)^2. For any t*,
+f(t) = Re(A(t) exp(i c t - i phi)), with f(t*) = |A(t*)|, has f <= |A|
+and |f''| <= W2, so it lies at most W2 h^2 / 8 above its chord between
+the grid points around t*; one of them has |A| >= |A(t*)| - W2 h^2 / 8.
+At h <= _step_for(W2) = sqrt(8 (sqrt(1 - epsilon) - sqrt(thr)) / W2)
+each peak with p >= 1 - epsilon thus has a grid neighbour with p >= thr
+(pretty good state transfer: Godsil et al., PRL 109, 050502, 2012).
 
-A scan may read only some rows of the grid, when every point of a
-skipped row has p <= thr. Such a point is never a candidate, and as the
-neighbour of a point with p > thr, -inf settles p > left and
-p >= right the way its true value would. So the scan puts -inf on both
-sides of each break between rows that do not follow on, and finds the
-same candidates, hence the same times, as the full scan (a block of few
-rows may differ from the full scan's block in the last bit, which can
-matter only where a comparison is decided by rounding). The full scan
-skips the adjacency test, and a partial one tests adjacency once per
-row, not per point.
-
-gamma_sweep scans that way. In scaled units the network is the
-Cartesian product of the site chain at coupling gamma and the channel
-block at coupling 1, so the amplitude factorises as
-A(tau) = A_site(gamma tau) A_chan(tau) (Christandl et al., PRL 92,
-187902, 2004), with |A_site| <= 1 and p_chan = |A_chan|^2 the same for
-every gamma. So p <= p_chan, and a row whose largest p_chan stays below
-thr holds no candidate at any gamma. The sweep evaluates p_chan once,
-and each gamma scans only the rows where p_chan can reach thr; the
-margin that makes this hold for the computed p is derived at
-gamma_sweep. coupling_sweep_L0 needs one scan in the natural time J t
-for its whole grid. Sweeps run their values in input order in the
-calling thread.
+Sweeps. The network is a Cartesian product, A(tau) =
+A_site(g tau) A_chan(tau) with both factors at most 1 in modulus
+(Christandl et al., PRL 92, 187902, 2004): g = gamma in scaled units,
+or at L = 0 g = J, tau = t and A_chan = delta_{alpha beta}. _windows
+samples a factor at its own certified step h and flags the samples with
+sqrt(p) >= sqrt(thr) - W2 h^2 / 8 - 4 r, r a generous bound on the
+rounding of an amplitude (eps per radian of phase and per term). By the
+chord bound, the flagged runs widened by h hold every point where the
+factor's |A| reaches sqrt(thr) - 2 r, as both factors do wherever a
+computed p exceeds thr. So a sweep makes two g-free passes, the site
+one over [0, max|g| (horizon + coarse_step)], and scans each g only in
+W_chan intersected with W_site / |g|, at h_g = min(coarse_step,
+_step_for(W2(g))), W2(g) = g^2 W2_site sum|q| + W2_chan sum|w|. That
+W2(g) grows as g^2 is why a fixed step misses events at high gamma.
 """
 
 from __future__ import annotations
@@ -49,17 +45,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node
-from .spectral import SpectralDecomposition, channel_factor, decompose
-from .transfer import ROOT, grid_count, probability_at, probability_chunks, projector_overlaps
+from .spectral import SpectralDecomposition, pair_factors
+from .transfer import CHUNK, ROOT, grid_count, probability_at, probability_chunks, projector_overlaps
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_XTOL = 1e-6
 # golden-section steps per candidate; the cap must stay, since at large t
 # the spacing of floats exceeds REFINE_XTOL and b - a cannot shrink to it
 REFINE_ITERS = 64
-# M: how far below 1 - 2 epsilon p_chan may reach in a row gamma_sweep
-# skips; it covers grouping and rounding error (derived at gamma_sweep)
-WINDOW_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,10 +74,11 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep entry; tau_min is None when no PST event was found."""
+    """One sweep entry; tau_min is None without a PST event, step is its grid step."""
 
     parameter: float
     tau_min: float | None
+    step: float
 
 
 def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]:
@@ -107,80 +101,66 @@ def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]
     return best, p_of(best)
 
 
-def _scan(
-    decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
-    first_only: bool, tap=iter, rows=None,
-) -> list[float]:
-    """PST times in [0, horizon], ascending; with first_only, the scan
-    stops once its first element can no longer change.
-
-    The grid blocks of p pass through tap(blocks) before the peak pass
-    reads them. rows, ascending row numbers as probability_chunks takes
-    them, limits the scan to those rows; by default it reads them all.
-    Every point of a skipped row must have p <= 1 - 2 epsilon.
-    """
-    o = projector_overlaps(decomp, input, output)
-    lam = decomp.values
+def _scan(p_of, blocks, ranges, cfg: ScanConfig, first_only: bool) -> list[float]:
+    """PST times on the grid i * coarse_step, ascending, read in the index
+    ranges (lo, hi), inclusive, ascending and not adjacent, outside which
+    p <= 1 - 2 epsilon; blocks(lo, hi) yields p over lo..hi in order and
+    p_of(t) gives p at one time. With first_only, the scan stops once its
+    first element can no longer change."""
     h = cfg.coarse_step
-    count = grid_count(cfg.horizon, h)
-    picked = range(-(-count // ROOT)) if rows is None else rows
     thr = 1.0 - 2.0 * cfg.epsilon
     times: list[float] = []
     probs: list[float] = []
-
-    def p_of(t: float) -> float:
-        return probability_at(o, lam, t)
 
     def settled(a: float) -> bool:
         # a candidate whose bracket starts at a can neither merge with
         # times[0] nor precede it
         return first_only and bool(times) and (len(times) > 1 or a > times[0] + h)
 
-    # grid values before the first undecided index, -inf standing in for
-    # p(-h); last is the grid index of tail[-1]
-    tail = np.array([-np.inf])
-    last = -1
-    blocks = tap(probability_chunks(o, lam, h, count, rows))
-    for at, chunk in zip(range(0, len(picked), ROOT), blocks):
-        w = np.concatenate((tail, chunk))
-        if at + ROOT >= len(picked):
-            w = np.append(w, -np.inf)  # p past the horizon
-        # a flat run is examined at its first point only, hence p > left
-        mid, left, right = w[1:-1], w[:-2], w[2:]
-        if rows is not None:
-            # a skipped row holds no candidate and no p above thr, so -inf
-            # stands in for it as the neighbour of the rows around it
-            opens = len(tail) - 1 + ROOT * np.flatnonzero(
-                np.diff(rows[at:at + ROOT], prepend=last // ROOT) != 1)
-            left, right = left.copy(), right.copy()
-            left[opens] = -np.inf
-            right[opens[opens > 0] - 1] = -np.inf
-        # c is the index in chunk, -1 for tail[-1]
-        for c in np.flatnonzero((mid > thr) & (mid > left) & (mid >= right)) + (1 - len(tail)):
-            i = last if c < 0 else ROOT * picked[at + c // ROOT] + c % ROOT
-            a = max(i * h - h, 0.0)
-            if settled(a):
+    for lo, hi in ranges:
+        # grid values before the first undecided index, -inf standing in
+        # for p(lo - 1); last is the grid index of tail[-1]
+        tail, last = np.array([-np.inf]), lo - 1
+        for chunk in blocks(lo, hi):
+            w = np.concatenate((tail, chunk))
+            if last + len(chunk) == hi:
+                w = np.append(w, -np.inf)  # p past the range
+            # a flat run is examined at its first point only, hence p > left
+            mid, left, right = w[1:-1], w[:-2], w[2:]
+            # c is the index in chunk, -1 for tail[-1]
+            for c in np.flatnonzero((mid > thr) & (mid > left) & (mid >= right)) + (1 - len(tail)):
+                i = last + 1 + c
+                a = max(i * h - h, 0.0)
+                if settled(a):
+                    return times
+                b = min(i * h + h, cfg.horizon)
+                t_star, p_star = _golden_max(p_of, a, b, REFINE_ITERS)
+                if p_star >= 1.0 - cfg.epsilon:
+                    if times and abs(t_star - times[-1]) < h:
+                        if p_star > probs[-1]:
+                            times[-1], probs[-1] = t_star, p_star
+                    else:
+                        times.append(t_star)
+                        probs.append(p_star)
+            tail = w[-2:]
+            last += len(chunk)
+            if settled(last * h - h):
                 return times
-            b = min(i * h + h, cfg.horizon)
-            t_star, p_star = _golden_max(p_of, a, b, REFINE_ITERS)
-            if p_star >= 1.0 - cfg.epsilon:
-                if times and abs(t_star - times[-1]) < h:
-                    if p_star > probs[-1]:
-                        times[-1], probs[-1] = t_star, p_star
-                else:
-                    times.append(t_star)
-                    probs.append(p_star)
-        tail = w[-2:]
-        last = ROOT * picked[at + (len(chunk) - 1) // ROOT] + (len(chunk) - 1) % ROOT
-        if settled(last * h - h):
-            break
     return times
 
 
-def find_pst_times(
-    decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
-    *, tap=iter,
-) -> list[float]:
+def _grid_scan(decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
+               first_only: bool, tap=iter) -> list[float]:
+    """_scan over the whole grid, its blocks passed through tap."""
+    o = projector_overlaps(decomp, input, output)
+    count = grid_count(cfg.horizon, cfg.coarse_step)
+    return _scan(lambda t: probability_at(o, decomp.values, t),
+                 lambda lo, hi: tap(probability_chunks(o, decomp.values, cfg.coarse_step, count)),
+                 [(0, count - 1)], cfg, first_only)
+
+
+def find_pst_times(decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
+                   *, tap=iter) -> list[float]:
     """All PST times in [0, horizon], ascending, refined to 1e-6.
 
     Candidates are coarse-grid local maxima above 1 - 2 epsilon
@@ -195,108 +175,124 @@ def find_pst_times(
     wants the sampled trace too (the CLI's scan) passes a generator that
     records each block as it passes, so no grid point is evaluated twice.
     """
-    return _scan(decomp, input, output, cfg, first_only=False, tap=tap)
+    return _grid_scan(decomp, input, output, cfg, first_only=False, tap=tap)
 
 
-def tau_min(
-    decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig
-) -> float | None:
+def tau_min(decomp: SpectralDecomposition, input: Node, output: Node,
+            cfg: ScanConfig) -> float | None:
     """Earliest PST time within the horizon, or None when there is none.
 
     Equal to the first element of find_pst_times, but the scan stops
     once a later candidate can no longer replace the first event.
     """
-    times = _scan(decomp, input, output, cfg, first_only=True)
+    times = _grid_scan(decomp, input, output, cfg, first_only=True)
     return times[0] if times else None
 
 
-def _channel_rows(template: NetworkSpec, pair: tuple[Node, Node], cfg: ScanConfig) -> np.ndarray:
-    """Numbers of the grid rows with a point where p_chan > 1 - 2 epsilon
-    - WINDOW_MARGIN, in scaled units; O(count / ROOT) memory."""
-    values, weights = channel_factor(template, *pair)
-    h = cfg.coarse_step
-    count = grid_count(cfg.horizon, h)
-    floor = 1.0 - 2.0 * cfg.epsilon - WINDOW_MARGIN
-    keep = np.empty(-(-count // ROOT), dtype=bool)
-    for at, chunk in zip(range(0, len(keep), ROOT), probability_chunks(weights, values, h, count)):
-        keep[at:at + ROOT] = np.maximum.reduceat(chunk, np.arange(0, len(chunk), ROOT)) > floor
-    return np.flatnonzero(keep)
+def _step_for(w2: float, epsilon: float, extent: float = math.inf) -> float:
+    """The certified step at curvature bound W2, at most max(extent, 1), so a
+    pass over [0, extent] of a constant |A| (W2 = 0) takes one or two samples."""
+    gap = math.sqrt(1.0 - epsilon) - math.sqrt(max(1.0 - 2.0 * epsilon, 0.0))
+    return min(math.sqrt(8.0 * gap / w2) if w2 > 0.0 else math.inf, max(extent, 1.0))
 
 
-def gamma_sweep(
-    template: NetworkSpec,
-    pair: tuple[Node, Node],
-    gamma_grid,
-    cfg: ScanConfig,
-) -> list[SweepRow]:
-    """tau_min as a function of gamma = J/L, in scaled units.
-
-    Each row equals tau_min on the decomposition of its gamma (up to
-    comparisons decided by last-bit rounding), but the scan reads only
-    the grid rows where the gamma-free channel factor has
-    p_chan > 1 - 2 epsilon - M, M = WINDOW_MARGIN (see the module
-    docstring). M must cover what the computed p can exceed p_chan by.
-    The grouped amplitude replaces each label's value by its group's
-    mean, within (m_k - 1) grouping_tol of it, and the label weights
-    s_i q_a sum to at most 1 in magnitude, so it differs from the exact
-    one by at most E = t_end max_k(m_k - 1) grouping_tol, t_end the
-    last grid time. With e = E + r, r a generous bound on the rounding
-    of either kernel (eps per radian of phase and per summed group), the
-    computed p is at most the computed p_chan + 2e + e^2 + r. A skipped
-    row thus holds p <= 1 - 2 epsilon whenever 2e + e^2 + r <= M; a
-    gamma where that fails, through a long horizon or large groups,
-    scans every row.
-    """
-    input, output = pair
-    rows = _channel_rows(template, pair, cfg)
-    t_end = (grid_count(cfg.horizon, cfg.coarse_step) - 1) * cfg.coarse_step
-
-    def eval_one(gamma: float) -> SweepRow:
-        spec = replace(template, couplings=CouplingParams.from_gamma(gamma))
-        decomp = decompose(spec)
-        radius = float(np.max(np.abs(decomp.values)))
-        r = 8 * np.finfo(float).eps * (radius * t_end + len(decomp) + ROOT)
-        e = t_end * (int(np.max(decomp.multiplicities)) - 1) * decomp.grouping_tol + r
-        fits = 2 * e + e * e + r <= WINDOW_MARGIN
-        times = _scan(decomp, input, output, cfg, first_only=True, rows=rows if fits else None)
-        return SweepRow(float(gamma), times[0] if times else None)
-
-    return [eval_one(g) for g in gamma_grid]
+def _spread(factor) -> tuple[float, float]:
+    """W2 about the |w|-weighted mean, and sum |w|, of a factor (values, weights)."""
+    values, weights = factor
+    a = np.abs(weights)
+    total = float(a.sum())
+    c = a @ values / total if total else 0.0
+    return float(a @ (values - c) ** 2), total
 
 
-def coupling_sweep_L0(
-    N: int,
-    bc: BoundaryConditions,
-    pair: tuple[Node, Node],
-    J_grid,
-    cfg: ScanConfig,
-) -> list[SweepRow]:
-    """t_min versus J in the decoupled-channel limit L = 0 (raw units).
+def _merge(lo: np.ndarray, hi: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs [lo_k, hi_k], both ascending, joined across gaps of at most gap."""
+    new = np.ones(len(lo), dtype=bool)
+    new[1:] = lo[1:] - hi[:-1] > gap
+    return lo[new], hi[np.concatenate((new[1:], new[:1]))]
 
-    At L = 0, p depends on J t only, and on the sign of J not at all (H
-    is real, so flipping it conjugates the amplitude). One tau_min at
-    J = 1 over the natural horizon max|J| * horizon, with the coarse
-    step read in natural time J t, therefore answers every J != 0:
-    t_min(J) = tau_1 / |J| when tau_1 <= |J| * horizon, else None. This
-    keeps the fixed natural resolution a per-J scan at step
-    coarse_step / |J| would have. J = 0 has no dynamics and is scanned
-    on its own.
-    """
-    input, output = pair
-    J_grid = [float(J) for J in J_grid]
 
-    def scan_at(J: float, local: ScanConfig) -> float | None:
-        spec = NetworkSpec(N, bc, CouplingParams(J=J, L=0.0))
-        return tau_min(decompose(spec), input, output, local)
+def _windows(factor, extent: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint windows (starts, ends) of a factor (module docstring)."""
+    values, weights = factor
+    w2 = _spread(factor)[0]
+    h = _step_for(w2, epsilon, extent)
+    count = math.ceil(extent / h) + 1
+    r = 8 * np.finfo(float).eps * (np.abs(values).max(initial=0) * count * h + len(values) + ROOT)
+    floor = math.sqrt(max(1.0 - 2.0 * epsilon, 0.0)) - w2 * h * h / 8 - 4 * r
+    runs = [(np.empty(0, dtype=int),) * 2]
+    for at, chunk in zip(range(0, count, CHUNK), probability_chunks(weights, values, h, count)):
+        # sqrt(p) >= floor, true of every sample when floor <= 0
+        flagged = np.flatnonzero(chunk >= floor * abs(floor)) + at
+        # runs under two samples apart overlap once widened
+        runs.append(_merge(flagged, flagged, 2))
+    lo, hi = _merge(*map(np.concatenate, zip(*runs)), 2)
+    return h * (lo - 1), h * (hi + 1)
 
-    natural = max(map(abs, J_grid), default=0.0) * cfg.horizon
-    tau_1 = scan_at(1.0, replace(cfg, horizon=natural)) if natural > 0.0 else None
 
-    def t_min(J: float) -> float | None:
-        if J == 0.0:
-            return scan_at(J, cfg)
-        if tau_1 is not None and tau_1 <= abs(J) * cfg.horizon:
-            return tau_1 / abs(J)
-        return None
+def _intersect(a0, a1, b0, b1) -> tuple[np.ndarray, np.ndarray]:
+    """Intersections, sorted, of two lists of sorted, disjoint intervals."""
+    first = np.searchsorted(b1, a0)  # the first b ending at or after a starts
+    stop = np.searchsorted(b0, a1, side="right")  # past the last b starting by a's end
+    n = np.maximum(stop - first, 0)
+    ia = np.repeat(np.arange(len(a0)), n)
+    ib = np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())
+    return np.maximum(a0[ia], b0[ib]), np.minimum(a1[ia], b1[ib])
 
-    return [SweepRow(J, t_min(J)) for J in J_grid]
+
+def _sweep(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
+    """tau_min of p_site(g tau) p_chan(tau), factors (values, weights), per g."""
+    h0, epsilon = cfg.coarse_step, cfg.epsilon
+    end = cfg.horizon + h0  # a row's grid ends less than h0 / 2 past the horizon
+    grid = [float(g) for g in grid]
+    c0, c1 = _windows(chan, end, epsilon)
+    top = max(map(abs, grid), default=0.0)
+    s0, s1 = _windows(site, top * end, epsilon) if len(c0) else (c0, c1)
+    (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
+
+    def row(g: float) -> SweepRow:
+        h = min(h0, _step_for(g * g * w2_site * sum_q + w2_chan * sum_w, epsilon))
+        count = grid_count(cfg.horizon, h)
+        if g == 0.0:  # p_site stays at its value at x = 0
+            a0, a1 = (c0, c1) if np.any((s0 <= 0.0) & (0.0 <= s1)) else (c0[:0], c1[:0])
+        else:
+            a0, a1 = _intersect(s0 / abs(g), s1 / abs(g), c0, c1)
+        # clipping adds points to the ranges, which is always safe
+        lo = np.clip(np.floor(a0 / h), 0, count - 1).astype(int)
+        lo, hi = _merge(lo, np.clip(np.ceil(a1 / h), 0, count - 1).astype(int), 1)
+        # the product's terms: values |g| sigma_i + c_a, weights w_i q_a
+        values = np.add.outer(abs(g) * site[0], chan[0]).ravel()
+        weights = np.outer(site[1], chan[1]).ravel()
+
+        def blocks(lo: int, hi: int):
+            # ROOT points at a time: most ranges are a few points long
+            return (probability_at(weights, values, h * np.arange(at, min(at + ROOT, hi + 1)))
+                    for at in range(lo, hi + 1, ROOT))
+
+        times = _scan(lambda t: probability_at(weights, values, t), blocks,
+                      zip(lo.tolist(), hi.tolist()), replace(cfg, coarse_step=h), first_only=True)
+        return SweepRow(g, times[0] if times else None, h)
+
+    return [row(g) for g in grid]
+
+
+def sweep_pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:
+    """Points of a sweep's site pass, a float (inf on overflow), to bound first."""
+    w2 = _spread(pair_factors(spec, *pair)[0])[0]
+    extent = max(map(abs, grid), default=0.0) * (cfg.horizon + cfg.coarse_step)
+    return extent / _step_for(w2, cfg.epsilon, extent) + 1.0
+
+
+def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], gamma_grid,
+                cfg: ScanConfig) -> list[SweepRow]:
+    """tau_min versus gamma = J/L in scaled units, from the pair's two factors."""
+    return _sweep(*pair_factors(template, *pair), gamma_grid, cfg)
+
+
+def coupling_sweep_L0(N: int, bc: BoundaryConditions, pair: tuple[Node, Node], J_grid,
+                      cfg: ScanConfig) -> list[SweepRow]:
+    """t_min versus J at L = 0 (raw units), where the channel factor is
+    delta_{alpha beta}: gamma_sweep with J for gamma and t for tau."""
+    site, _ = pair_factors(NetworkSpec(N, bc, CouplingParams(J=1.0, L=0.0)), *pair)
+    chan = (np.zeros(1), np.array([float(pair[0].alpha == pair[1].alpha)]))
+    return _sweep(site, chan, J_grid, cfg)

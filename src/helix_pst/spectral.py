@@ -132,14 +132,27 @@ def _channel_weights(N: int, closed: bool, input: Node, output: Node) -> np.ndar
     return _chain_weights(CHANNELS, closed, input.alpha - 1, output.alpha - 1)
 
 
-def channel_factor(
+def _folded(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal values merged with their weights summed, zero sums dropped."""
+    values, inverse = np.unique(values, return_inverse=True)
+    weights = np.bincount(inverse, weights)
+    keep = weights != 0.0
+    return values[keep], weights[keep]
+
+
+def pair_factors(
     spec: NetworkSpec, input: Node, output: Node
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values c_a, in units of L, and pair weights q_a = v_a[alpha] v_a[beta]
-    of the channel factor: the pair's amplitude is the site factor's times
-    sum_a q_a exp(-i L c_a t)."""
-    closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
-    return _chain_values(CHANNELS, closed), _channel_weights(spec.N, closed, input, output)
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(values, weights) of the pair's site factor, in units of J, and of
+    its channel factor, in units of L, each folded: the amplitude is
+    sum_i w_i exp(-i J sigma_i t) times sum_a q_a exp(-i L c_a t), with
+    at most N and 3 terms."""
+    site_closed = spec.bc.site_bc is BoundaryCondition.CLOSED
+    channel_closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
+    q = _channel_weights(spec.N, channel_closed, input, output)
+    s = _chain_weights(spec.N, site_closed, input.n, output.n)
+    return (_folded(_chain_values(spec.N, site_closed), s),
+            _folded(_chain_values(CHANNELS, channel_closed), q))
 
 
 def pair_weights(

@@ -14,11 +14,10 @@ drop out of the phase-alignment analysis.
 probability_chunks is the one evaluator of p(t) on a time grid: the
 scan, the CLI traces and the figures all stream its blocks of CHUNK
 points over t = i * step, i < grid_count(horizon, step), each block one
-64 x 64 complex matrix product of exactly seeded row phases. A caller
-that needs only some rows of 64 points passes their numbers, and the
-other rows are never evaluated. probability_at is the one evaluator of
-p at a single time, for transition_probability and the scan's
-refinement.
+64 x 64 complex matrix product of exactly seeded row phases.
+probability_at is the one evaluator of p at given times, for
+transition_probability, the scan's refinement and the sweeps' few
+points per parameter.
 """
 
 from __future__ import annotations
@@ -49,16 +48,17 @@ class TransferReport:
     dark_groups: frozenset[int]
 
 
-def probability_at(overlaps: np.ndarray, values: np.ndarray, t: float) -> float:
-    """p(t) = |sum_k o_k exp(-i lambda_k t)|^2 at one time t."""
-    return float(np.abs(np.dot(overlaps, np.exp(-1j * values * t))) ** 2)
+def probability_at(overlaps: np.ndarray, values: np.ndarray, t):
+    """p(t) = |sum_k o_k exp(-i lambda_k t)|^2 at a time t, or at each time
+    of an array t."""
+    return np.abs(np.exp(-1j * np.multiply.outer(t, values)) @ overlaps) ** 2
 
 
 def transition_probability(
     decomp: SpectralDecomposition, input: Node, output: Node, t: float
 ) -> float:
     """p(t) = |<out| exp(-iHt) |in>|^2 via the grouped decomposition."""
-    return probability_at(projector_overlaps(decomp, input, output), decomp.values, t)
+    return float(probability_at(projector_overlaps(decomp, input, output), decomp.values, t))
 
 
 def grid_count(horizon: float, step: float) -> int:
@@ -68,32 +68,25 @@ def grid_count(horizon: float, step: float) -> int:
 
 
 def probability_chunks(
-    overlaps: np.ndarray, values: np.ndarray, step: float, count: int, rows=None
+    overlaps: np.ndarray, values: np.ndarray, step: float, count: int
 ) -> Iterator[np.ndarray]:
-    """Yield p(i * step) for i < count, CHUNK points at a time.
+    """Yield p(i * step) for i < count, CHUNK points at a time, in order.
 
-    The grid splits into rows of ROOT points: row r holds the indices
-    ROOT * r + c, c < ROOT, below count. rows, ascending row numbers,
-    picks the rows to evaluate; by default every row, so the blocks run
-    through the whole grid in order. Each block holds ROOT of the picked
-    rows (fewer in the last block), raveled row by row, CHUNK = ROOT**2
-    points unless it holds the grid's last, partial row.
-
-    One inner table exp(-i lambda c step) serves every block; the block
-    seeds each of its rows with o exp(-i lambda ROOT r step), computed
-    from the row's own number, and is then one (rows x groups) @
-    (groups x ROOT) product. Each point's phase is thus the product of
-    two directly evaluated phases, never of a chain of earlier ones, so
-    rounding does not accumulate along the grid. A row's values do not
-    depend on which other rows share its block, except that BLAS may
-    round a block of few rows differently in the last bit (a one-row
-    block always takes another route). The evaluation holds
+    The grid splits into rows of ROOT points, row r holding the indices
+    ROOT * r + c, c < ROOT, below count, and each block into ROOT rows
+    (fewer in the last block), raveled row by row. One inner table
+    exp(-i lambda c step) serves every block; the block seeds each of
+    its rows with o exp(-i lambda ROOT r step), computed from the row's
+    own number, and is then one (rows x groups) @ (groups x ROOT)
+    product. Each point's phase is thus the product of two directly
+    evaluated phases, never of a chain of earlier ones, so rounding does
+    not accumulate along the grid. The evaluation holds
     O(CHUNK + ROOT * groups) numbers besides the row numbers, one per
-    ROOT points (an array even by default: slicing it costs less per
-    block than converting a range).
+    ROOT points (an array: slicing it costs less per block than
+    converting a range).
     """
     inner = np.exp(-1j * np.outer(values, step * np.arange(ROOT)))
-    picked = np.arange(-(-count // ROOT)) if rows is None else rows
+    picked = np.arange(-(-count // ROOT))
     for b in range(0, len(picked), ROOT):
         starts = ROOT * picked[b:b + ROOT]
         seeds = overlaps * np.exp(-1j * np.outer(step * starts, values))
@@ -132,18 +125,3 @@ def transfer_report(
     bound = float(np.sum(np.abs(overlaps)) ** 2)
     return TransferReport(input, output, overlaps, bound, signs, dark)
 
-
-def dark_predicate_closed_closed(N: int, i: int, j: int, n: int) -> bool:
-    """Closed-form darkness test for the doubly closed network.
-
-    For the paired site modes (n, N-n) the grouped overlap between sites
-    i and j is proportional to cos(2 pi n (j - i) / N); it vanishes
-    exactly when 4 n (j - i) / N is an odd integer. Valid for the paired
-    range 1 <= n <= ceil((N - 3) / 2); the unpaired modes are never dark.
-    """
-    if not 0 <= i < N or not 0 <= j < N:
-        raise ValueError(f"sites must lie in [0, {N - 1}]")
-    if not 1 <= n <= -((3 - N) // 2):  # ceil((N - 3) / 2)
-        raise ValueError(f"mode {n} outside the paired range for N={N}")
-    q, r = divmod(4 * n * (j - i), N)
-    return r == 0 and q % 2 == 1

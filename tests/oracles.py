@@ -13,7 +13,9 @@ third, complex-valued route to the same groups, and
 `distinct_count_closed_closed` is their labelled group count.
 `reference_pst_times` keeps the earlier peak search (a dense complex
 exp grid and a per-point candidate loop) as the reference that the
-chunked scan must reproduce exactly.
+chunked scan must reproduce exactly. `same_class_step`,
+`closed_closed_example_constraints` and `dark_predicate_closed_closed`
+are closed forms of the doubly closed network that only tests read.
 """
 
 from __future__ import annotations
@@ -344,3 +346,56 @@ def reference_pst_times(decomp, input: Node, output: Node, cfg) -> list[float]:
                 i += 1
         i += 1
     return times
+
+
+def same_class_step(N: int, gamma: float, n: int) -> float:
+    """Eigenvalue step between consecutive site modes of one channel class.
+
+    2 gamma (cos(2 pi n / N) - cos(2 pi (n+1) / N))
+        = 4 gamma sin(pi (2n + 1) / N) sin(pi / N),
+    in units of L.
+    """
+    return 4.0 * gamma * math.sin(math.pi * (2 * n + 1) / N) * math.sin(math.pi / N)
+
+
+def closed_closed_example_constraints(N: int, gamma: float) -> list[tuple[str, float]]:
+    """Deduplicated constraint-coefficient table for the doubly closed ring.
+
+    Covers the three families of consecutive congruences in scaled units:
+    same-class steps 4 gamma sin(pi (2n+1)/N) sin(pi/N), cross-class
+    steps shifted by the channel splitting 3, and the splitting itself.
+    For N=8 the table is {(2 - sqrt 2) gamma, sqrt 2 gamma,
+    (2 - sqrt 2) gamma + 3, sqrt 2 gamma + 3, 3}.
+    """
+    if N < 3:
+        raise ValueError(f"need N >= 3, got {N}")
+    table: list[tuple[str, float]] = []
+
+    def add(desc: str, coeff: float) -> None:
+        if not any(abs(coeff - c) < 1e-9 for _, c in table):
+            table.append((desc, coeff))
+
+    for n in range(N // 2):
+        step = same_class_step(N, gamma, n)
+        add(f"same-class step n={n}->{n + 1}", step)
+    for n in range(N // 2):
+        step = same_class_step(N, gamma, n)
+        add(f"cross-class step n={n}->{n + 1}", step + 3.0)
+    add("channel splitting", 3.0)
+    return table
+
+
+def dark_predicate_closed_closed(N: int, i: int, j: int, n: int) -> bool:
+    """Closed-form darkness test for the doubly closed network.
+
+    For the paired site modes (n, N-n) the grouped overlap between sites
+    i and j is proportional to cos(2 pi n (j - i) / N); it vanishes
+    exactly when 4 n (j - i) / N is an odd integer. Valid for the paired
+    range 1 <= n <= ceil((N - 3) / 2); the unpaired modes are never dark.
+    """
+    if not 0 <= i < N or not 0 <= j < N:
+        raise ValueError(f"sites must lie in [0, {N - 1}]")
+    if not 1 <= n <= -((3 - N) // 2):  # ceil((N - 3) / 2)
+        raise ValueError(f"mode {n} outside the paired range for N={N}")
+    q, r = divmod(4 * n * (j - i), N)
+    return r == 0 and q % 2 == 1

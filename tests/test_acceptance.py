@@ -43,7 +43,6 @@ from helix_pst import (
     build_hamiltonian,
     check_attainability,
     coupling_sweep_L0,
-    dark_predicate_closed_closed,
     find_pst_times,
     flat_index,
     gamma_sweep,
@@ -55,6 +54,7 @@ from helix_pst import (
     transition_probability,
 )
 from oracles import (
+    dark_predicate_closed_closed,
     distinct_count_closed_closed,
     eigenpairs_closed_closed_analytic,
     product_rule_probability,

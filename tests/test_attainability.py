@@ -9,12 +9,11 @@ from helix_pst import (
     Constraint,
     Node,
     check_attainability,
-    closed_closed_example_constraints,
     independent_constraints,
-    same_class_step,
     transfer_report,
     transition_probability,
 )
+from oracles import closed_closed_example_constraints, same_class_step
 
 SQRT2 = math.sqrt(2.0)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import count_grid_points, make_decomp
-from helix_pst import cli
+from helix_pst import cli, scan
 from helix_pst.cli import parse_grid, parse_node, run_command
 from helix_pst import Node, grid_count
 from helix_pst.transfer import probability_chunks, projector_overlaps
@@ -586,3 +586,21 @@ def test_grid_point_limit_is_inclusive():
     args.horizon += 1.0
     with pytest.raises(ValueError, match="--horizon 1e\\+07 at --step 1 gives more than"):
         cli._scan_config(args)
+
+
+@pytest.mark.parametrize("grid", [["--J-grid", "1e5:1e5:1"], ["--gamma-grid", "0.5:2e5:1e5"]])
+def test_sweep_site_pass_beyond_the_point_limit_names_the_grid_and_horizon(
+        grid, tmp_path, capsys, monkeypatch):
+    # the fig5 pair at J = 1e5: its site pass over 1e5 times the horizon
+    # would take ~4e8 points; the check comes before any grid is evaluated
+    def refuse(*args):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(scan, "probability_chunks", refuse)
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(["sweep", "--n", "6", "--site-bc", "closed", "--channel-bc", "open",
+                             "--in", "0,1", "--out", "3,1", *grid, "--output", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: {grid[0]} up to ")
+    assert "at --horizon 200 needs" in err and f"more than {cli.MAX_GRID_POINTS}" in err

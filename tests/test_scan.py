@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_grid_points, make_decomp, make_spec
-from helix_pst import scan
+from helix_pst import scan, transfer
 from helix_pst import (
     Node,
     ScanConfig,
@@ -15,13 +15,15 @@ from helix_pst import (
     flat_index,
     gamma_sweep,
     grid_count,
+    projector_overlaps,
     tau_min,
     transition_probability,
 )
 from helix_pst.cli import parse_grid
 from helix_pst.scan import REFINE_XTOL
-from helix_pst.transfer import CHUNK, ROOT
-from oracles import reference_pst_times, ring_hamiltonian, series_expm
+from helix_pst.spectral import pair_factors
+from helix_pst.transfer import CHUNK
+from oracles import channel_hamiltonian, reference_pst_times, ring_hamiltonian, series_expm
 
 PAIR8 = (Node(0, 1), Node(4, 1))
 # the paper's figure networks fig2..fig5 and their node pairs
@@ -180,24 +182,131 @@ def test_gamma_sweep_rows_and_determinism():
     assert by_gamma[4.0] is None
 
 
+def _certified_bound(decomp, pair, epsilon):
+    """The certified step of the grouped amplitude at this decomposition,
+    from its own W2; the sweep's labelled factor terms can only need a
+    finer one."""
+    o = np.abs(projector_overlaps(decomp, *pair))
+    c = o @ decomp.values / o.sum()
+    w2 = o @ (decomp.values - c) ** 2
+    return math.sqrt(8 * (math.sqrt(1 - epsilon) - math.sqrt(1 - 2 * epsilon)) / w2)
+
+
+def _check_rows_against_full_scans(rows, grid, decomp_at, cfg):
+    """Every row equals tau_min over the whole grid at the row's own step,
+    a step no coarser than coarse_step or the certified one."""
+    assert [r.parameter for r in rows] == grid
+    for row in rows:
+        decomp, pair = decomp_at(row.parameter)
+        assert row.step <= min(cfg.coarse_step, _certified_bound(decomp, pair, cfg.epsilon)) * (
+            1 + 1e-12), row
+        want = tau_min(decomp, *pair, replace(cfg, coarse_step=row.step))
+        assert (row.tau_min is None) == (want is None), row
+        if want is not None:
+            assert abs(row.tau_min - want) <= REFINE_XTOL, row
+
+
+def count_range_points(monkeypatch) -> list[int]:
+    """Sizes of the blocks _scan reads through its blocks callable, after
+    checking that its ranges are ascending and neither overlap nor touch."""
+    sizes: list[int] = []
+    real = scan._scan
+
+    def spy(p_of, blocks, ranges, cfg, first_only):
+        ranges = list(ranges)
+        assert all(lo <= hi for lo, hi in ranges)
+        assert all(b[0] > a[1] + 1 for a, b in zip(ranges, ranges[1:])), ranges
+
+        def counted(lo, hi):
+            for block in blocks(lo, hi):
+                sizes.append(len(block))
+                yield block
+
+        return real(p_of, counted, ranges, cfg, first_only)
+
+    monkeypatch.setattr(scan, "_scan", spy)
+    return sizes
+
+
+def count_kernel_calls(monkeypatch) -> list[tuple[float, int]]:
+    """(step, count) of every probability_chunks call the sweeps make."""
+    calls: list[tuple[float, int]] = []
+    real = transfer.probability_chunks
+
+    def spy(overlaps, values, step, count):
+        calls.append((step, count))
+        return real(overlaps, values, step, count)
+
+    monkeypatch.setattr(scan, "probability_chunks", spy)
+    return calls
+
+
 @pytest.mark.parametrize("fig", list(FIGURES))
 def test_gamma_sweep_matches_per_gamma_scans(fig, monkeypatch):
-    # the windowed sweep against a full-grid tau_min per gamma, on the
-    # figure's gamma grid (reproduce's 0.5:20:0.05). A row in a block of
-    # another shape may round differently in the last bit, so equality
-    # holds where no candidate comparison is that close, as on these grids
+    # the windowed sweep against a full-grid tau_min per gamma at the row's
+    # certified step, on the figure's gamma grid (reproduce's 0.5:20:0.05)
     N, site, channel, pair = FIGURES[fig]
     grid = parse_grid("0.5:20:0.05")
     cfg = ScanConfig()
-    sizes = count_grid_points(monkeypatch)
+    passes = count_grid_points(monkeypatch)
+    points = count_range_points(monkeypatch)
     rows = gamma_sweep(make_spec(N, site, channel, gamma=1.0), pair, grid, cfg)
-    # the channel pass and every gamma's rows: under a quarter of the
-    # points of one full scan per gamma
-    assert sum(sizes) <= len(grid) * grid_count(cfg.horizon, cfg.coarse_step) / 4
-    assert [r.parameter for r in rows] == grid
-    for row, gamma in zip(rows, grid):
-        _, decomp = make_decomp(N, site, channel, gamma=gamma)
-        assert row.tau_min == tau_min(decomp, *pair, cfg), gamma
+    # the two window passes and every gamma's ranges: under 1% of the
+    # points of one full coarse scan per gamma
+    assert sum(passes) + sum(points) <= len(grid) * grid_count(cfg.horizon, cfg.coarse_step) / 100
+    _check_rows_against_full_scans(
+        rows, grid, lambda g: (make_decomp(N, site, channel, gamma=g)[1], pair), cfg)
+
+
+@pytest.mark.parametrize("fig", list(FIGURES))
+def test_sweep_rows_equal_the_reference_scan_at_their_step(fig):
+    # the earlier dense peak search, at each row's own step, on a few
+    # gammas and Js of the figure grids (a dense scan of the whole horizon
+    # takes about 0.1 s, too long for every row)
+    N, site, channel, pair = FIGURES[fig]
+    cfg = ScanConfig()
+    gammas = [0.5, 3.0, 5.5, 8.25, 11.0, 14.5, 17.0, 18.75, 19.5, 20.0]
+    Js = [0.5, 7.3, 14.5, 20.0]
+    template = make_spec(N, site, channel, gamma=1.0)
+    cases = [(row, make_decomp(N, site, channel, gamma=row.parameter)[1])
+             for row in gamma_sweep(template, pair, gammas, cfg)]
+    cases += [(row, make_decomp(N, site, channel, J=row.parameter, L=0.0)[1])
+              for row in coupling_sweep_L0(N, template.bc, pair, Js, cfg)]
+    for row, decomp in cases:
+        want = reference_pst_times(decomp, *pair, replace(cfg, coarse_step=row.step))
+        assert (row.tau_min is None) == (not want), row
+        if want:
+            assert abs(row.tau_min - want[0]) <= REFINE_XTOL, row
+
+
+@pytest.mark.parametrize("fig, gamma, first", [
+    ("fig2", 14.5, 6.28226), ("fig2", 19.5, 27.2270), ("fig4", 18.75, 171.7427)])
+def test_gamma_sweep_finds_the_events_the_fixed_grid_misses(fig, gamma, first):
+    N, site, channel, pair = FIGURES[fig]
+    cfg = ScanConfig()
+    [row] = gamma_sweep(make_spec(N, site, channel, gamma=1.0), pair, [gamma], cfg)
+    assert row.tau_min == pytest.approx(first, abs=5e-5)
+    # at 0.005 the first event is missed (14.5, 18.75) or seen a revival late
+    _, decomp = make_decomp(N, site, channel, gamma=gamma)
+    assert tau_min(decomp, *pair, cfg) != pytest.approx(first, abs=1e-3)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "J"])
+def test_fig5_sweeps_evaluate_no_point_per_row(kind, monkeypatch):
+    # the C6 antipodal site factor stays below its unattained 3/4, so its
+    # window pass flags nothing and no row reads a point or refines one
+    N, site, channel, pair = FIGURES["fig5"]
+    template = make_spec(N, site, channel, gamma=1.0)
+    calls = count_kernel_calls(monkeypatch)
+    points = count_range_points(monkeypatch)
+    monkeypatch.setattr(scan, "_golden_max", lambda *args: pytest.fail("a candidate was refined"))
+    grid = parse_grid("0.5:20:0.05")
+    if kind == "gamma":
+        rows = gamma_sweep(template, pair, grid, ScanConfig())
+    else:
+        rows = coupling_sweep_L0(N, template.bc, pair, grid, ScanConfig())
+    assert [r.tau_min for r in rows] == [None] * len(grid)
+    assert len(calls) == 2 and points == []  # the channel and site window passes
 
 
 def test_gamma_sweep_reads_no_row_where_the_channel_factor_stays_low(monkeypatch):
@@ -205,11 +314,14 @@ def test_gamma_sweep_reads_no_row_where_the_channel_factor_stays_low(monkeypatch
     template = make_spec(8, "closed", "closed", gamma=1.0)
     pair = (Node(0, 1), Node(4, 2))
     cfg = ScanConfig()
-    sizes = count_grid_points(monkeypatch)
+    calls = count_kernel_calls(monkeypatch)
+    points = count_range_points(monkeypatch)
     rows = gamma_sweep(template, pair, [0.5, 3.0, 14.5], cfg)
     assert [r.tau_min for r in rows] == [None, None, None]
-    # one pass over the grid, the channel factor's; no network row at all
-    assert sum(sizes) == grid_count(cfg.horizon, cfg.coarse_step)
+    # one pass, the channel factor's, at its own step; no site pass, no row
+    [(step, count)] = calls
+    assert step > cfg.coarse_step and count < grid_count(cfg.horizon, cfg.coarse_step) / 5
+    assert points == []
 
 
 def test_gamma_sweep_rejects_a_node_off_the_network_before_any_grid_pass(monkeypatch):
@@ -220,62 +332,87 @@ def test_gamma_sweep_rejects_a_node_off_the_network_before_any_grid_pass(monkeyp
     assert sizes == []
 
 
-def test_gamma_sweep_scans_every_row_where_grouping_error_exceeds_the_margin(monkeypatch):
-    # fig2's groups join four labels (ring modes k, N - k times the two
-    # tied triangle modes), so E = horizon * 3 * 1e-8 * radius: over 1000
-    # time units 2E fits under WINDOW_MARGIN at gamma = 3 (radius 8) but
-    # not at 14.5 or 19.5 (radius 31 and 41)
-    N, site, channel, pair = FIGURES["fig2"]
-    cfg = ScanConfig(horizon=1000.0)
-    picked = []
-    real = scan._scan
-
-    def spy(*args, rows=None, **kwargs):
-        picked.append(rows)
-        return real(*args, rows=rows, **kwargs)
-
-    monkeypatch.setattr(scan, "_scan", spy)
-    grid = [3.0, 14.5, 19.5]
-    rows = gamma_sweep(make_spec(N, site, channel, gamma=1.0), pair, grid, cfg)
-    assert [p is None for p in picked] == [False, True, True]
-    for row, gamma in zip(rows, grid):
-        _, decomp = make_decomp(N, site, channel, gamma=gamma)
-        assert row.tau_min == tau_min(decomp, *pair, cfg), gamma
+def test_gamma_sweep_at_zero_and_negative_gamma():
+    # at gamma = 0 the site factor stays at delta_{n m}, so a row is the
+    # channel factor's own scan; p_site is even in gamma
+    template = make_spec(8, "closed", "closed", gamma=1.0)
+    cfg = ScanConfig(horizon=20.0, epsilon=5e-3)
+    _, frozen = make_decomp(8, "closed", "closed", gamma=0.0)
+    for pair in ((Node(0, 1), Node(0, 1)), (Node(3, 2), Node(3, 3)), PAIR8):
+        rows = gamma_sweep(template, pair, [0.0, -3.0, 3.0], cfg)
+        assert rows[0].tau_min == tau_min(frozen, *pair, replace(cfg, coarse_step=rows[0].step))
+        assert rows[1].tau_min == rows[2].tau_min
+    assert rows[0].tau_min is None and rows[2].tau_min == pytest.approx(12.576181, abs=5e-4)
 
 
-@pytest.mark.parametrize("channel, p_chan", [
-    ("closed", lambda tau: (5.0 + 4.0 * np.cos(3.0 * tau)) / 9.0),  # triangle, 1 -> 1
-    ("open", lambda tau: np.cos(tau / math.sqrt(2.0)) ** 4),  # 3-path, 1 -> 1
-])
-def test_channel_rows_are_the_rows_where_p_chan_can_reach_the_threshold(channel, p_chan):
-    cfg = ScanConfig()
-    count = grid_count(cfg.horizon, cfg.coarse_step)
-    tau = cfg.coarse_step * np.arange(-(-count // ROOT) * ROOT)
-    peak = np.where(np.arange(len(tau)) < count, p_chan(tau), 0.0).reshape(-1, ROOT).max(axis=1)
-    floor = 1.0 - 2.0 * cfg.epsilon - scan.WINDOW_MARGIN
-    rows = scan._channel_rows(make_spec(8, "closed", channel, gamma=1.0), PAIR8, cfg)
-    clear = np.abs(peak - floor) > 1e-12
-    assert np.array_equal(np.isin(np.arange(len(peak)), rows)[clear], (peak > floor)[clear])
+def test_windows_hold_a_peak_between_two_samples():
+    # A = a cos x: W2 = a and |A''| = a at each peak, so the chord bound is
+    # tight there. With a = sqrt(thr) + gap / 2 every peak clears thr but a
+    # sample half a pass step away does not; the many peaks k pi fall at
+    # every offset from the pass grid, some near the middle of a step
+    epsilon = 1e-3
+    thr = 1 - 2 * epsilon
+    a = math.sqrt(thr) + (math.sqrt(1 - epsilon) - math.sqrt(thr)) / 2
+    starts, ends = scan._windows((np.array([-1.0, 1.0]), np.array([a / 2, a / 2])), 2000.0, epsilon)
+    x = np.linspace(0.0, 2000.0, 400_001)
+    hot = x[(a * np.cos(x)) ** 2 >= thr]
+    k = np.searchsorted(starts, hot, side="right") - 1
+    assert len(hot) > 1000 and np.all((k >= 0) & (hot <= ends[k]))
 
 
-def test_row_scan_decides_edge_candidates_as_the_full_scan(monkeypatch):
-    # synthetic p through tap: below thr inside the rows and in skipped
-    # rows, above it at both ends of every picked row. Each picked row
-    # ends on a rise, and the next one opens above or below that end, so
-    # the candidates on either side of a skipped row, of adjacent rows, of
-    # a block edge and of the horizon all turn on their neighbours
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
-    cfg = ScanConfig(horizon=400 * ROOT * 0.005 - 0.05)
+def _dense_factor_p(H: np.ndarray, a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """|<b| exp(-i H x) |a>|^2 of a small chain from its dense eigensystem."""
+    values, vectors = np.linalg.eigh(H)
+    return np.abs(np.exp(-1j * np.outer(x, values)) @ (vectors[a] * vectors[b])) ** 2
+
+
+@pytest.mark.parametrize("site_bc", ["closed", "open"])
+@pytest.mark.parametrize("channel_bc", ["closed", "open"])
+def test_windows_hold_every_point_where_the_factor_reaches_the_threshold(site_bc, channel_bc):
+    # seeded pairs at N <= 12; each factor on a grid far finer than its
+    # window pass (a pass step is 0.02-0.08 here), from the dense
+    # eigensystem of its own chain rather than the folded closed forms
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 40.0, 20_001)
+    hot_points = 0
+    for _ in range(6):
+        N = int(rng.integers(3, 13))
+        a, b = (Node(int(rng.integers(N)), int(rng.integers(1, 4))) for _ in range(2))
+        site, chan = pair_factors(make_spec(N, site_bc, channel_bc, gamma=1.0), a, b)
+        for factor, H, i, j in (
+            (site, ring_hamiltonian(N, 1.0, closed=site_bc == "closed"), a.n, b.n),
+            (chan, channel_hamiltonian(1.0, closed=channel_bc == "closed"), a.alpha - 1,
+             b.alpha - 1),
+        ):
+            p = _dense_factor_p(H, i, j, x)
+            for epsilon in (1e-3, 0.02, 0.1):
+                starts, ends = scan._windows(factor, x[-1], epsilon)
+                assert np.all(starts <= ends) and np.all(starts[1:] > ends[:-1])
+                hot = x[p >= 1 - 2 * epsilon]
+                k = np.searchsorted(starts, hot, side="right") - 1
+                assert np.all((k >= 0) & (hot <= ends[k])), (N, a, b, epsilon)
+                hot_points += len(hot)
+    assert hot_points > 1000
+
+
+def test_range_scan_decides_edge_candidates_as_the_full_scan(monkeypatch):
+    # synthetic p: at most thr outside the ranges, around thr inside them
+    # with flat pairs, read in blocks of 1-7 points. A range may start or
+    # end at a candidate, next to the block edges, the grid's ends and the
+    # gaps; with -inf around each range it must find the brackets the full
+    # scan finds
+    cfg = ScanConfig(horizon=20.0)
     count = grid_count(cfg.horizon, cfg.coarse_step)
     thr = 1.0 - 2.0 * cfg.epsilon
-    picked = np.flatnonzero(np.arange(-(-count // ROOT)) % 3 != 1)
-    assert len(picked) > 4 * ROOT and picked[-1] == (count - 1) // ROOT
-    p = np.random.default_rng(8).uniform(0.0, thr, size=-(-count // ROOT) * ROOT)
-    d = (1.0 - thr) / 4
-    for r in picked:
-        p[ROOT * r:ROOT * r + 2] = thr + (3 * d if r // 3 % 2 else 1.5 * d), thr + d
-        p[ROOT * r + ROOT - 2:ROOT * r + ROOT] = thr + d, thr + 2 * d
-    p = p[:count]
+    rng = np.random.default_rng(8)
+    p = rng.uniform(0.0, thr, size=count)
+    lo = np.arange(0, count, 23)
+    hi = np.minimum(lo + rng.integers(0, 16, size=len(lo)), count - 1)
+    hi[-1] = count - 1
+    for a, b in zip(lo, hi):
+        p[a:b + 1] = rng.uniform(thr - 1e-3, 1.0, size=b - a + 1)
+        if b > a + 2:
+            p[a + 2] = p[a + 1]
     brackets = []
 
     def stub_golden(p_of, a, b, max_iters):
@@ -284,33 +421,36 @@ def test_row_scan_decides_edge_candidates_as_the_full_scan(monkeypatch):
 
     monkeypatch.setattr(scan, "_golden_max", stub_golden)
 
-    def candidates(rows):
-        values = p if rows is None else np.concatenate([p[ROOT * r:ROOT * r + ROOT] for r in rows])
-        tap = lambda blocks: iter(np.split(values, range(CHUNK, len(values), CHUNK)))
-        brackets.clear()
-        scan._scan(decomp, *PAIR8, cfg, first_only=False, tap=tap, rows=rows)
-        return list(brackets)
+    def whole(lo, hi):
+        return iter(np.split(p, range(CHUNK, count, CHUNK)))
 
-    full = candidates(None)
-    assert len(full) > len(picked)
-    assert candidates(picked) == full
+    def ragged(lo, hi):
+        at = lo
+        while at <= hi:
+            size = int(rng.integers(1, 8))
+            yield p[at:min(at + size, hi + 1)]
+            at += size
+
+    scan._scan(None, whole, [(0, count - 1)], cfg, first_only=False)
+    full = list(brackets)
+    assert len(full) > len(lo)
+    brackets.clear()
+    scan._scan(None, ragged, list(zip(lo.tolist(), hi.tolist())), cfg, first_only=False)
+    assert brackets == full
 
 
-def test_channel_rows_memory_is_linear_in_the_row_count():
-    template = make_spec(8, "closed", "closed", gamma=1.0)
-    cfg = ScanConfig(horizon=50_000.0)
-    count = grid_count(cfg.horizon, cfg.coarse_step)
-    assert count == 10_000_001
+def test_window_pass_memory_does_not_grow_with_the_pass():
+    site, _ = pair_factors(make_spec(8, "closed", "closed", gamma=1.0), *PAIR8)
     tracemalloc.start()
     try:
-        rows = scan._channel_rows(template, PAIR8, cfg)
+        starts, ends = scan._windows(site, 100_000.0, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0 < len(rows) < count / ROOT / 4
-    # a flag per row, the kept row numbers and one block's arrays; p_chan
-    # over the whole grid would take 80 MB
-    assert peak < 16 * count / ROOT
+    assert len(starts) > 100
+    # over two million samples: their values alone would take 17 MB; the
+    # blocks and the windows need well under 2 MB
+    assert peak < 2 << 20
 
 
 def test_coupling_sweep_L0_decoupled_channels():
@@ -328,20 +468,15 @@ def test_coupling_sweep_L0_decoupled_channels():
 
 @pytest.mark.parametrize("fig", list(FIGURES))
 def test_coupling_sweep_L0_matches_per_J_scans(fig):
-    # the one natural-time scan against a tau_min per J at step
-    # coarse_step / |J|, on the figure's J grid (reproduce's 0.5:20:0.05)
+    # the windowed sweep against a full-grid tau_min per J at the row's
+    # certified step, on the figure's J grid (reproduce's 0.5:20:0.05)
     N, site, channel, pair = FIGURES[fig]
     bc = make_spec(N, site, channel, J=1.0, L=0.0).bc
     grid = parse_grid("0.5:20:0.05")
     cfg = ScanConfig()
     rows = coupling_sweep_L0(N, bc, pair, grid, cfg)
-    assert [r.parameter for r in rows] == grid
-    for row, J in zip(rows, grid):
-        _, decomp = make_decomp(N, site, channel, J=J, L=0.0)
-        want = tau_min(decomp, *pair, replace(cfg, coarse_step=cfg.coarse_step / J))
-        assert (row.tau_min is None) == (want is None), J
-        if want is not None:
-            assert abs(row.tau_min - want) <= REFINE_XTOL, J
+    _check_rows_against_full_scans(
+        rows, grid, lambda J: (make_decomp(N, site, channel, J=J, L=0.0)[1], pair), cfg)
 
 
 def test_coupling_sweep_L0_sign_of_J_and_zero():

@@ -7,7 +7,6 @@ from conftest import make_decomp, make_spec
 from helix_pst import (
     Node,
     build_hamiltonian,
-    dark_predicate_closed_closed,
     flat_index,
     grid_count,
     probability_chunks,
@@ -19,6 +18,7 @@ from helix_pst import (
 from helix_pst.transfer import CHUNK, ROOT
 from oracles import (
     block_overlaps,
+    dark_predicate_closed_closed,
     eigenpairs_closed_closed_analytic,
     group_eigenpairs,
     p_max_rank1,
@@ -196,8 +196,7 @@ def test_ring_translation_invariance(ring8, rng):
 
 def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     """Block sizes of a count-point kernel run, after checking its points
-    against transition_probability and, at block edges, series_expm, and
-    a run over every other row against them."""
+    against transition_probability and, at block edges, series_expm."""
     spec, decomp = make_decomp(5, site_bc, channel_bc, gamma=1.7)
     pair = (Node(0, 1), Node(3, 2))
     step = 0.0021
@@ -214,17 +213,6 @@ def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     for i in sorted(rows | edges | set(range(0, count, 37)) | {count - 1}):
         assert p[i] == pytest.approx(
             transition_probability(decomp, *pair, i * step), abs=1e-12)
-    # every other row and the last: each picked row holds the values the
-    # full run gives it (up to the last bit, which BLAS may round another
-    # way for a block of one row), ROOT rows to a block
-    nrows = -(-count // ROOT)
-    picked = np.union1d(np.arange(0, nrows, 2), [nrows - 1])
-    sub = list(probability_chunks(
-        projector_overlaps(decomp, *pair), decomp.values, step, count, picked))
-    want = [p[ROOT * r:ROOT * r + ROOT] for r in picked]
-    assert [len(c) for c in sub] == [
-        sum(map(len, want[b:b + ROOT])) for b in range(0, len(want), ROOT)]
-    assert np.max(np.abs(np.concatenate(sub) - np.concatenate(want))) <= 1e-15
     H = build_hamiltonian(spec)
     a, b = (flat_index(n, spec.N) for n in pair)
     for i in sorted(edges | {ROOT - 1, ROOT, count - 1} & set(range(count))):
@@ -253,7 +241,6 @@ def test_grid_count_matches_arange():
                           (2000.0, 0.005), (0.3, 0.1)):
         assert grid_count(horizon, step) == len(np.arange(0.0, horizon + 0.5 * step, step))
     assert list(probability_chunks(np.ones(1), np.zeros(1), 0.1, 0)) == []
-    assert list(probability_chunks(np.ones(1), np.zeros(1), 0.1, 100, np.arange(0))) == []
 
 
 def test_overlap_guard_fires_for_ungrouped_complex_degenerate_pair():
