@@ -9,8 +9,8 @@ yields them, through the vectorised writer csvtext.rows_g12, byte for
 byte what %.12g gives. JSON output carries a top-level "schema": 1
 field. Plot scripts are plain gnuplot. reproduce runs evolve and sweep
 commands. A --horizon/--step grid may hold at most MAX_GRID_POINTS
-points, and so may a sweep's site-factor pass over the largest
-|--gamma-grid| or |--J-grid| value times the horizon.
+points, and so may a --gamma-grid or --J-grid and the two factor passes
+of a scan's or sweep's PST search.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independen
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, flat_index, validate_spec
 from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
-from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep, sweep_pass_points
+from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep, pass_points
 from .spectral import decompose
 from .transfer import grid_count, probability_chunks, projector_overlaps, transfer_report
 
@@ -72,11 +72,11 @@ def parse_grid(text: str, name: str = "grid") -> list[float]:
         raise ValueError(f"{name} step must be positive")
     if stop < start:
         raise ValueError(f"{name} stop must not precede start")
+    # the point count is floor(span + 0.5) + 1, bounded before any is built
     span = (stop - start) / step
-    if not math.isfinite(span):
-        raise ValueError(f"{name} has too many points, got {text!r}")
-    count = int(math.floor(span + 0.5)) + 1
-    return [start + i * step for i in range(count)]
+    if not span + 0.5 < MAX_GRID_POINTS:
+        raise ValueError(f"{name} has too many points, more than {MAX_GRID_POINTS}, got {text!r}")
+    return [start + i * step for i in range(int(math.floor(span + 0.5)) + 1)]
 
 
 def _add_network_args(sp: argparse.ArgumentParser) -> None:
@@ -181,30 +181,30 @@ def _write_table(args, header: list[str], rows, doc: dict | None = None) -> None
             _write_csv(out, header, rows)
 
 
-class _Trace:
-    """p(i * step) written as its blocks pass through tap: CSV rows block
-    by block, JSON points kept until close."""
+def _write_trace(stream, fmt: str, label: str, step: float, blocks, extra: dict) -> None:
+    """p(i * step) from its blocks: CSV rows block by block, or one JSON
+    document of the points and extra."""
+    points: list[list[float]] = []
+    if fmt != "json":
+        stream.write(f"{label},p\n")
+    start = 0
+    for chunk in blocks:
+        times = step * np.arange(start, start + len(chunk))
+        if fmt == "json":
+            points += np.column_stack((times, chunk)).tolist()
+        else:  # the rows _write_csv would give, _fmt being %.12g on floats
+            stream.write(rows_g12(times, chunk))
+        start += len(chunk)
+    if fmt == "json":
+        _write_json(stream, {"profile": points, **extra})
 
-    def __init__(self, stream, fmt: str, label: str, step: float) -> None:
-        self.stream, self.json, self.step = stream, fmt == "json", step
-        self.points: list[list[float]] = []
-        if not self.json:
-            stream.write(f"{label},p\n")
 
-    def tap(self, chunks):
-        start = 0
-        for chunk in chunks:
-            times = self.step * np.arange(start, start + len(chunk))
-            if self.json:
-                self.points += np.column_stack((times, chunk)).tolist()
-            else:  # the rows _write_csv would give, _fmt being %.12g on floats
-                self.stream.write(rows_g12(times, chunk))
-            start += len(chunk)
-            yield chunk
-
-    def close(self, **extra) -> None:
-        if self.json:
-            _write_json(self.stream, {"profile": self.points, **extra})
+def _check_passes(spec: NetworkSpec, pair, grid, cfg: ScanConfig, flags: str) -> None:
+    """Refuse a PST search whose factor passes exceed MAX_GRID_POINTS."""
+    points = pass_points(spec, pair, grid, cfg)
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"{flags} at --horizon {cfg.horizon:g} needs {points:.3g} factor-pass "
+                         f"grid points, more than {MAX_GRID_POINTS}")
 
 
 def _gnuplot(title: str, panels: list[tuple[str, str, str]]) -> str:
@@ -251,36 +251,32 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """evolve and scan: p(i * step) written block by block; scan reads the
-    same blocks for its PST times and reports them on stderr."""
+    """evolve and scan: p(i * step) written block by block; scan also
+    searches for PST times and reports them on stderr."""
     _check_plot_script(args)
     spec = _network(args)
-    if spec.couplings.J == 0.0 and spec.couplings.L == 0.0:
+    c = spec.couplings
+    if c.J == 0.0 and c.L == 0.0:
         raise ValueError("J and L cannot both be zero when dynamics are requested")
     input, output = parse_node(args.node_in), parse_node(args.node_out)
     for node in (input, output):  # checked before the output is opened
         flat_index(node, spec.N)
     cfg = _scan_config(args)
-    scan = args.command == "scan"
+    extra = {}
+    if args.command == "scan":
+        flags = f"--gamma {c.J:g}" if c.scaled else f"--J {c.J:g} and --L {c.L:g}"
+        _check_passes(spec, (input, output), [c.effective()[0]], cfg, flags)
+        extra["pst_times"] = find_pst_times(spec, input, output, cfg)
     decomp = decompose(spec)
-    if not scan:
-        o = projector_overlaps(decomp, input, output)
-        blocks = probability_chunks(o, decomp.values, cfg.coarse_step,
-                                    grid_count(cfg.horizon, cfg.coarse_step))
-    label = "tau" if spec.couplings.scaled else "t"
+    o = projector_overlaps(decomp, input, output)
+    blocks = probability_chunks(o, decomp.values, cfg.coarse_step,
+                                grid_count(cfg.horizon, cfg.coarse_step))
+    label = "tau" if c.scaled else "t"
     with _open_out(args.output) as out:
-        trace = _Trace(out, args.format, label, cfg.coarse_step)
-        if scan:
-            # every grid block is written, then read by the peak pass
-            times = find_pst_times(decomp, input, output, cfg, tap=trace.tap)
-            trace.close(pst_times=times)
-        else:
-            for _ in trace.tap(blocks):
-                pass
-            trace.close()
-    if scan and times:
-        print("PST times: " + ", ".join(_fmt(t) for t in times), file=sys.stderr)
-    elif scan:
+        _write_trace(out, args.format, label, cfg.coarse_step, blocks, extra)
+    if extra.get("pst_times"):
+        print("PST times: " + ", ".join(_fmt(t) for t in extra["pst_times"]), file=sys.stderr)
+    elif extra:
         print("no PST event within the horizon", file=sys.stderr)
     _maybe_plot_script(args, label, "p")
     return 0
@@ -361,11 +357,7 @@ def _cmd_sweep(args) -> int:
         flag, grid = "--J-grid", parse_grid(args.J_grid, "--J-grid")
         spec = validate_spec(NetworkSpec(args.n, bc, CouplingParams(J=grid[0], L=0.0)))
         header = ["J", "t_min"]
-    points = sweep_pass_points(spec, pair, grid, cfg)
-    if not points <= MAX_GRID_POINTS:
-        raise ValueError(f"{flag} up to {max(map(abs, grid)):g} at --horizon {args.horizon:g} "
-                         f"needs {points:.3g} site-factor grid points, more than "
-                         f"{MAX_GRID_POINTS}")
+    _check_passes(spec, pair, grid, cfg, f"{flag} up to {max(map(abs, grid)):g}")
     if header[0] == "gamma":
         rows = gamma_sweep(spec, pair, grid, cfg)
     else:

@@ -1,14 +1,19 @@
 """Time-domain searches for perfect-transfer events and parameter sweeps.
 
-Every search reads p on a grid t = i * h through _scan. Candidates are
-grid local maxima above thr = 1 - 2 epsilon, p > thr, p > left and
-p >= right (boundary points included, a flat run counted once at its
-first point); golden-section refinement pins each down to 1e-6 in
-time, and a refined peak with p >= 1 - epsilon is a perfect-transfer
-(PST) event. tau_min stops once no later candidate can replace its
-first event. find_pst_times and tau_min read the whole grid at
-coarse_step from transfer.probability_chunks in O(CHUNK * groups)
-memory (the CLI's scan taps its blocks for the trace). _scan may read
+One search serves find_pst_times, tau_min, gamma_sweep and
+coupling_sweep_L0. The network is a Cartesian product, so a pair's
+amplitude is A(t) = A_site(g t) A_chan(t), both factors at most 1 in
+modulus (Christandl et al., PRL 92, 187902, 2004). _factors gives the
+site factor in units of g = J_eff and the channel factor scaled by
+L_eff, at L = 0 the constant delta_{alpha beta}; in scaled units t is
+tau and g is gamma. A search at one network is _sweep at its own J_eff.
+
+_scan reads p on a grid t = i * h. Candidates are grid local maxima
+above thr = 1 - 2 epsilon, p > thr, p > left and p >= right (boundary
+points included, a flat run counted once at its first point);
+golden-section refinement pins each down to 1e-6 in time, and a refined
+peak with p >= 1 - epsilon is a perfect-transfer (PST) event. tau_min
+stops once no later candidate can replace its first event. _scan reads
 only index ranges outside which p <= thr: a point there is no candidate
 and, next to one above thr, compares like the -inf put around a range.
 
@@ -21,32 +26,30 @@ At h <= _step_for(W2) = sqrt(8 (sqrt(1 - epsilon) - sqrt(thr)) / W2)
 each peak with p >= 1 - epsilon thus has a grid neighbour with p >= thr
 (pretty good state transfer: Godsil et al., PRL 109, 050502, 2012).
 
-Sweeps. The network is a Cartesian product, A(tau) =
-A_site(g tau) A_chan(tau) with both factors at most 1 in modulus
-(Christandl et al., PRL 92, 187902, 2004): g = gamma in scaled units,
-or at L = 0 g = J, tau = t and A_chan = delta_{alpha beta}. _windows
-samples a factor at its own certified step h and flags the samples with
-sqrt(p) >= sqrt(thr) - W2 h^2 / 8 - 4 r, r a generous bound on the
-rounding of an amplitude (eps per radian of phase and per term). By the
-chord bound, the flagged runs widened by h hold every point where the
-factor's |A| reaches sqrt(thr) - 2 r, as both factors do wherever a
-computed p exceeds thr. So a sweep makes two g-free passes, the site
-one over [0, max|g| (horizon + coarse_step)], and scans each g only in
-W_chan intersected with W_site / |g|, at h_g = min(coarse_step,
-_step_for(W2(g))), W2(g) = g^2 W2_site sum|q| + W2_chan sum|w|. That
-W2(g) grows as g^2 is why a fixed step misses events at high gamma.
+Windows. _windows samples a factor at its own certified step h and
+flags the samples with sqrt(p) >= sqrt(thr) - W2 h^2 / 8 - 4 r, r a
+generous bound on the rounding of an amplitude (eps per radian of phase
+and per term). By the chord bound, the flagged runs widened by h hold
+every point where the factor's |A| reaches sqrt(thr) - 2 r, as both
+factors do wherever a computed p exceeds thr. So a search makes two
+g-free passes, the site one over [0, max|g| (horizon + coarse_step)],
+and scans each g only in W_chan intersected with W_site / |g|, at
+h_g = min(coarse_step, _step_for(W2(g))),
+W2(g) = g^2 W2_site sum|q| + W2_chan sum|w|, the W2 of the product's
+terms. That W2(g) grows as g^2 is why a fixed step misses events at
+high gamma.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node
-from .spectral import SpectralDecomposition, pair_factors
-from .transfer import CHUNK, ROOT, grid_count, probability_at, probability_chunks, projector_overlaps
+from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
+from .spectral import pair_factors
+from .transfer import CHUNK, ROOT, grid_count, probability_at, probability_chunks
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_XTOL = 1e-6
@@ -101,13 +104,12 @@ def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]
     return best, p_of(best)
 
 
-def _scan(p_of, blocks, ranges, cfg: ScanConfig, first_only: bool) -> list[float]:
-    """PST times on the grid i * coarse_step, ascending, read in the index
-    ranges (lo, hi), inclusive, ascending and not adjacent, outside which
-    p <= 1 - 2 epsilon; blocks(lo, hi) yields p over lo..hi in order and
-    p_of(t) gives p at one time. With first_only, the scan stops once its
-    first element can no longer change."""
-    h = cfg.coarse_step
+def _scan(p_of, ranges, h: float, cfg: ScanConfig, first_only: bool) -> list[float]:
+    """PST times on the grid i * h, ascending, read in the index ranges
+    (lo, hi), inclusive, ascending and not adjacent, outside which
+    p <= 1 - 2 epsilon; p_of gives p at one time or at each time of an
+    array, here ROOT grid points at a time. With first_only, the scan
+    stops once its first element can no longer change."""
     thr = 1.0 - 2.0 * cfg.epsilon
     times: list[float] = []
     probs: list[float] = []
@@ -121,7 +123,8 @@ def _scan(p_of, blocks, ranges, cfg: ScanConfig, first_only: bool) -> list[float
         # grid values before the first undecided index, -inf standing in
         # for p(lo - 1); last is the grid index of tail[-1]
         tail, last = np.array([-np.inf]), lo - 1
-        for chunk in blocks(lo, hi):
+        for at in range(lo, hi + 1, ROOT):
+            chunk = p_of(h * np.arange(at, min(at + ROOT, hi + 1)))
             w = np.concatenate((tail, chunk))
             if last + len(chunk) == hi:
                 w = np.append(w, -np.inf)  # p past the range
@@ -149,44 +152,35 @@ def _scan(p_of, blocks, ranges, cfg: ScanConfig, first_only: bool) -> list[float
     return times
 
 
-def _grid_scan(decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
-               first_only: bool, tap=iter) -> list[float]:
-    """_scan over the whole grid, its blocks passed through tap."""
-    o = projector_overlaps(decomp, input, output)
-    count = grid_count(cfg.horizon, cfg.coarse_step)
-    return _scan(lambda t: probability_at(o, decomp.values, t),
-                 lambda lo, hi: tap(probability_chunks(o, decomp.values, cfg.coarse_step, count)),
-                 [(0, count - 1)], cfg, first_only)
-
-
-def find_pst_times(decomp: SpectralDecomposition, input: Node, output: Node, cfg: ScanConfig,
-                   *, tap=iter) -> list[float]:
+def find_pst_times(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig) -> list[float]:
     """All PST times in [0, horizon], ascending, refined to 1e-6.
 
-    Candidates are coarse-grid local maxima above 1 - 2 epsilon
-    (boundary points included, a flat run refined once); a refined
-    candidate is kept when its probability reaches 1 - epsilon, and
-    one closer than a coarse step to the previous kept time replaces
-    it only when higher.
-
-    tap(blocks) receives the iterator of grid blocks, the arrays of
-    p(i * coarse_step) that probability_chunks yields, and returns the
-    iterator of those same blocks that the scan reads. A caller that
-    wants the sampled trace too (the CLI's scan) passes a generator that
-    records each block as it passes, so no grid point is evaluated twice.
+    Candidates are grid local maxima above 1 - 2 epsilon (boundary
+    points included, a flat run refined once) on a grid no coarser than
+    coarse_step or the step that certifies every event (module
+    docstring); a refined candidate is kept when its probability reaches
+    1 - epsilon, and one closer than a grid step to the previous kept
+    time replaces it only when higher.
     """
-    return _grid_scan(decomp, input, output, cfg, first_only=False, tap=tap)
+    return _search(spec, input, output, cfg, first_only=False)
 
 
-def tau_min(decomp: SpectralDecomposition, input: Node, output: Node,
-            cfg: ScanConfig) -> float | None:
+def tau_min(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig) -> float | None:
     """Earliest PST time within the horizon, or None when there is none.
 
     Equal to the first element of find_pst_times, but the scan stops
     once a later candidate can no longer replace the first event.
     """
-    times = _grid_scan(decomp, input, output, cfg, first_only=True)
+    times = _search(spec, input, output, cfg, first_only=True)
     return times[0] if times else None
+
+
+def _search(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig,
+            first_only: bool) -> list[float]:
+    """The PST times of one network: _sweep at g = J_eff."""
+    [(_, _, times)] = _sweep(*_factors(spec, input, output), [spec.couplings.effective()[0]],
+                             cfg, first_only)
+    return times
 
 
 def _step_for(w2: float, epsilon: float, extent: float = math.inf) -> float:
@@ -240,8 +234,9 @@ def _intersect(a0, a1, b0, b1) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(a0[ia], b0[ib]), np.minimum(a1[ia], b1[ib])
 
 
-def _sweep(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
-    """tau_min of p_site(g tau) p_chan(tau), factors (values, weights), per g."""
+def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[float, float, list]]:
+    """(g, step, PST times) of p_site(g tau) p_chan(tau), factors (values,
+    weights), per g of grid; with first_only, only the first time is final."""
     h0, epsilon = cfg.coarse_step, cfg.epsilon
     end = cfg.horizon + h0  # a row's grid ends less than h0 / 2 past the horizon
     grid = [float(g) for g in grid]
@@ -250,7 +245,7 @@ def _sweep(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
     s0, s1 = _windows(site, top * end, epsilon) if len(c0) else (c0, c1)
     (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
 
-    def row(g: float) -> SweepRow:
+    def row(g: float) -> tuple[float, float, list]:
         h = min(h0, _step_for(g * g * w2_site * sum_q + w2_chan * sum_w, epsilon))
         count = grid_count(cfg.horizon, h)
         if g == 0.0:  # p_site stays at its value at x = 0
@@ -263,36 +258,46 @@ def _sweep(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
         # the product's terms: values |g| sigma_i + c_a, weights w_i q_a
         values = np.add.outer(abs(g) * site[0], chan[0]).ravel()
         weights = np.outer(site[1], chan[1]).ravel()
-
-        def blocks(lo: int, hi: int):
-            # ROOT points at a time: most ranges are a few points long
-            return (probability_at(weights, values, h * np.arange(at, min(at + ROOT, hi + 1)))
-                    for at in range(lo, hi + 1, ROOT))
-
-        times = _scan(lambda t: probability_at(weights, values, t), blocks,
-                      zip(lo.tolist(), hi.tolist()), replace(cfg, coarse_step=h), first_only=True)
-        return SweepRow(g, times[0] if times else None, h)
+        return g, h, _scan(lambda t: probability_at(weights, values, t),
+                           zip(lo.tolist(), hi.tolist()), h, cfg, first_only)
 
     return [row(g) for g in grid]
 
 
-def sweep_pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:
-    """Points of a sweep's site pass, a float (inf on overflow), to bound first."""
-    w2 = _spread(pair_factors(spec, *pair)[0])[0]
-    extent = max(map(abs, grid), default=0.0) * (cfg.horizon + cfg.coarse_step)
-    return extent / _step_for(w2, cfg.epsilon, extent) + 1.0
+def _factors(spec: NetworkSpec, input: Node, output: Node):
+    """The pair's site factor, in units of J_eff, and its channel factor,
+    scaled by L_eff: p(t) = p_site(J_eff t) p_chan(t). At L = 0 the
+    channel factor is the constant delta_{alpha beta}."""
+    site, (values, weights) = pair_factors(validate_spec(spec), input, output)
+    l_eff = spec.couplings.effective()[1]
+    if l_eff == 0.0:
+        return site, (np.zeros(1), np.array([float(input.alpha == output.alpha)]))
+    return site, (l_eff * values, weights)
+
+
+def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:
+    """Points of the two factor passes of a search over the g of grid, a
+    float (inf on overflow), to bound before any work. A row's grid
+    within the windows holds at most about as many."""
+    end = cfg.horizon + cfg.coarse_step
+    extents = (max(map(abs, grid), default=0.0) * end, end)
+    return sum(x / _step_for(_spread(f)[0], cfg.epsilon, x) + 1.0
+               for f, x in zip(_factors(spec, *pair), extents))
+
+
+def _rows(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
+    return [SweepRow(g, times[0] if times else None, h)
+            for g, h, times in _sweep(site, chan, grid, cfg, first_only=True)]
 
 
 def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], gamma_grid,
                 cfg: ScanConfig) -> list[SweepRow]:
     """tau_min versus gamma = J/L in scaled units, from the pair's two factors."""
-    return _sweep(*pair_factors(template, *pair), gamma_grid, cfg)
+    return _rows(*_factors(template, *pair), gamma_grid, cfg)
 
 
 def coupling_sweep_L0(N: int, bc: BoundaryConditions, pair: tuple[Node, Node], J_grid,
                       cfg: ScanConfig) -> list[SweepRow]:
     """t_min versus J at L = 0 (raw units), where the channel factor is
     delta_{alpha beta}: gamma_sweep with J for gamma and t for tau."""
-    site, _ = pair_factors(NetworkSpec(N, bc, CouplingParams(J=1.0, L=0.0)), *pair)
-    chan = (np.zeros(1), np.array([float(pair[0].alpha == pair[1].alpha)]))
-    return _sweep(site, chan, J_grid, cfg)
+    return _rows(*_factors(NetworkSpec(N, bc, CouplingParams(J=1.0, L=0.0)), *pair), J_grid, cfg)

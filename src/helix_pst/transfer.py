@@ -12,12 +12,12 @@ o_k = 0 are "dark": the excitation never passes through them and they
 drop out of the phase-alignment analysis.
 
 probability_chunks is the one evaluator of p(t) on a time grid: the
-scan, the CLI traces and the figures all stream its blocks of CHUNK
-points over t = i * step, i < grid_count(horizon, step), each block one
-64 x 64 complex matrix product of exactly seeded row phases.
-probability_at is the one evaluator of p at given times, for
-transition_probability, the scan's refinement and the sweeps' few
-points per parameter.
+CLI traces, the figures and the PST search's two factor passes all
+stream its blocks of CHUNK points over t = i * step,
+i < grid_count(horizon, step), each block one 64 x 64 complex matrix
+product of exactly seeded row phases. probability_at is the one
+evaluator of p at given times, for transition_probability and for the
+search's points inside its windows and its refinement.
 """
 
 from __future__ import annotations

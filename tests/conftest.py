@@ -35,9 +35,9 @@ def make_dense(N, site_bc, channel_bc, **kw):
     return spec, eigendecompose_numeric(build_hamiltonian(spec))
 
 
-def count_grid_points(monkeypatch) -> list[int]:
+def count_grid_points(monkeypatch, modules=(transfer, scan, cli)) -> list[int]:
     """Sizes of the blocks the p(t) grid kernel yields from now on, under
-    every name the package imported it as."""
+    the name each of modules (by default every importer) imported it as."""
     sizes: list[int] = []
     real = transfer.probability_chunks
 
@@ -46,7 +46,7 @@ def count_grid_points(monkeypatch) -> list[int]:
             sizes.append(len(chunk))
             yield chunk
 
-    for module in (transfer, scan, cli):
+    for module in modules:
         monkeypatch.setattr(module, "probability_chunks", counted)
     return sizes
 

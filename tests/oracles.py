@@ -11,9 +11,12 @@ library's factorised `decompose`; the labelled plane waves of the
 doubly closed network (`eigenpairs_closed_closed_analytic`) are a
 third, complex-valued route to the same groups, and
 `distinct_count_closed_closed` is their labelled group count.
-`reference_pst_times` keeps the earlier peak search (a dense complex
-exp grid and a per-point candidate loop) as the reference that the
-chunked scan must reproduce exactly. `same_class_step`,
+`reference_pst_times` keeps an early peak search (a dense complex exp
+grid and a per-point candidate loop), and `grid_pst_times` the scan of
+the whole grid that the windowed search replaced, fast enough to check
+every sweep row. Both read the grouped decomposition rather than the
+factors the search reads, and both are references of the search at the
+step it uses. `same_class_step`,
 `closed_closed_example_constraints` and `dark_predicate_closed_closed`
 are closed forms of the doubly closed network that only tests read.
 """
@@ -30,7 +33,7 @@ from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index,
 from helix_pst.core import CHANNELS, BoundaryCondition
 from helix_pst.hamiltonian import CouplingKind
 from helix_pst.spectral import default_grouping_tol
-from helix_pst.transfer import projector_overlaps
+from helix_pst.transfer import grid_count, probability_chunks, projector_overlaps
 
 OVERLAP_IMAG_TOL = 1e-9
 
@@ -345,6 +348,39 @@ def reference_pst_times(decomp, input: Node, output: Node, cfg) -> list[float]:
             while i < last and p[i + 1] == p[i]:
                 i += 1
         i += 1
+    return times
+
+
+def grid_pst_times(decomp, input: Node, output: Node, cfg, first_only: bool = False) -> list[float]:
+    """The earlier full-grid scan: p of the grouped decomposition at every
+    point of the grid i * coarse_step from the trace kernel, candidates p >
+    1 - 2 epsilon, p > left and p >= right with -inf past both ends, each
+    refined by golden section and merged within a step; with first_only
+    it stops once the first time can no longer change."""
+    o = projector_overlaps(decomp, input, output)
+    lam = decomp.values
+    h = cfg.coarse_step
+    p = np.concatenate(list(probability_chunks(o, lam, h, grid_count(cfg.horizon, h))))
+    w = np.concatenate(([-np.inf], p, [-np.inf]))
+    candidates = np.flatnonzero((p > 1.0 - 2.0 * cfg.epsilon) & (p > w[:-2]) & (p >= w[2:]))
+
+    def p_of(t: float) -> float:
+        return float(np.abs(np.dot(o, np.exp(-1j * lam * t))) ** 2)
+
+    times: list[float] = []
+    probs: list[float] = []
+    for i in candidates.tolist():
+        a = max(i * h - h, 0.0)
+        if first_only and times and (len(times) > 1 or a > times[0] + h):
+            break
+        t_star, p_star = _reference_golden_max(p_of, a, min(i * h + h, cfg.horizon), 64)
+        if p_star >= 1.0 - cfg.epsilon:
+            if times and abs(t_star - times[-1]) < h:
+                if p_star > probs[-1]:
+                    times[-1], probs[-1] = t_star, p_star
+            else:
+                times.append(t_star)
+                probs.append(p_star)
     return times
 
 

@@ -116,7 +116,7 @@ def found():
     out = {}
     for key, (N, s, c, gamma, pair, cfg) in jobs.items():
         spec, decomp = make_decomp(N, s, c, gamma=gamma)
-        out[key] = Found(find_pst_times(decomp, *pair, cfg), decomp, pair, spec, cfg.epsilon)
+        out[key] = Found(find_pst_times(spec, *pair, cfg), decomp, pair, spec, cfg.epsilon)
     return out
 
 
@@ -171,7 +171,7 @@ def test_criterion_03_open_open(found):
     targets = (26.6, 84.4)
     pos_ok = len(times) == len(targets) and all(
         abs(t - x) <= 0.2 for t, x in zip(times, targets))
-    _, weak = make_decomp(5, "open", "open", gamma=4.0)
+    weak = make_spec(5, "open", "open", gamma=4.0)
     absent = find_pst_times(weak, Node(0, 1), Node(4, 1),
                             ScanConfig(horizon=200.0, epsilon=5e-3))
     neg_ok = absent == []
@@ -187,7 +187,7 @@ def test_criterion_04_open_sites_closed_channels(found):
     targets = (8.35, 39.75, 56.5)
     pos_ok = len(times) == len(targets) and all(
         abs(t - x) <= 0.2 for t, x in zip(times, targets))
-    _, weak = make_decomp(4, "open", "closed", gamma=4.0)
+    weak = make_spec(4, "open", "closed", gamma=4.0)
     absent = find_pst_times(weak, Node(0, 1), Node(3, 1),
                             ScanConfig(horizon=200.0, epsilon=1.1e-2))
     neg_ok = absent == []

@@ -41,6 +41,20 @@ def test_parse_grid():
         parse_grid("0:1e308:1e-308")  # the point count overflows, nothing is allocated
 
 
+def test_parse_grid_bounds_its_point_count_before_building_it(monkeypatch):
+    # 1e12 points would be built one float at a time; the count is refused
+    # first, and the bound is inclusive
+    with pytest.raises(ValueError, match=f"--gamma-grid has too many points, more than "
+                                         f"{cli.MAX_GRID_POINTS}, got '0:1e12:1'"):
+        parse_grid("0:1e12:1", "--gamma-grid")
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+    assert parse_grid("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert len(parse_grid("0:4.49:1")) == 5
+    for text in ("0:5:1", "0:4.5:1"):
+        with pytest.raises(ValueError, match="too many points"):
+            parse_grid(text)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2
@@ -472,8 +486,10 @@ def test_evolve_csv_memory_does_not_grow_with_the_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_scan_evaluates_each_grid_point_once(fmt, tmp_path, capsys, monkeypatch):
-    sizes = count_grid_points(monkeypatch)
+def test_scan_evaluates_the_trace_grid_once_and_bounds_its_passes(fmt, tmp_path, capsys,
+                                                                 monkeypatch):
+    trace = count_grid_points(monkeypatch, (cli,))
+    passes = count_grid_points(monkeypatch, (scan,))
     out = tmp_path / f"scan.{fmt}"
     code, _, err = run(
         ["scan", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
@@ -484,7 +500,11 @@ def test_scan_evaluates_each_grid_point_once(fmt, tmp_path, capsys, monkeypatch)
     assert code == 0
     assert err == "PST times: 73.3055114357\n"
     count = grid_count(80.0, 0.005)
-    assert sum(sizes) == count == 16_001
+    assert sum(trace) == count == 16_001
+    # the search's two factor passes, within the bound checked beforehand
+    spec = make_decomp(8, "closed", "closed", gamma=3.0)[0]
+    cfg = scan.ScanConfig(horizon=80.0)
+    assert 0 < sum(passes) <= scan.pass_points(spec, (Node(0, 1), Node(4, 1)), [3.0], cfg) + 2
     if fmt == "json":
         doc = json.loads(out.read_text())
         assert len(doc["profile"]) == count and doc["pst_times"]
@@ -586,6 +606,49 @@ def test_grid_point_limit_is_inclusive():
     args.horizon += 1.0
     with pytest.raises(ValueError, match="--horizon 1e\\+07 at --step 1 gives more than"):
         cli._scan_config(args)
+
+
+@pytest.mark.parametrize("gamma, first", [("14.5", "6.28225568159"), ("19.5", "27.2270176341")])
+def test_scan_finds_the_events_a_fixed_grid_misses(gamma, first, capsys):
+    # at gamma = 14.5 a full grid at --step 0.005 finds no event, and at
+    # 19.5 its first one is a revival late (81.68)
+    code, _, err = run(["scan", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
+                        "--gamma", gamma, "--in", "0,1", "--out", "4,1", "--output", "-"],
+                       capsys)
+    assert code == 0
+    assert err.startswith(f"PST times: {first}")
+
+
+@pytest.mark.parametrize("coupling, named", [
+    (["--gamma", "1e6"], "--gamma 1e+06"),
+    (["--J", "3", "--L", "1e6"], "--J 3 and --L 1e+06"),
+])
+def test_scan_passes_beyond_the_point_limit_name_the_couplings_and_horizon(
+        coupling, named, tmp_path, capsys, monkeypatch):
+    # the fig2 pair: at gamma = 1e6 the site pass, at L = 1e6 the channel
+    # pass, would take ~4.5e9 points; the check comes before any grid
+    def refuse(*args):
+        raise AssertionError("a grid was evaluated")
+
+    for module in (scan, cli):
+        monkeypatch.setattr(module, "probability_chunks", refuse)
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(["scan", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
+                             *coupling, "--in", "0,1", "--out", "4,1", "--output", str(out)],
+                            capsys)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: {named} at --horizon 200 needs 4.")
+    assert f"factor-pass grid points, more than {cli.MAX_GRID_POINTS}" in err
+
+
+def test_sweep_grid_beyond_the_point_limit_exits_before_building_it(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(["sweep", *PAIR_ARGS, "--gamma-grid", "0:1e12:1",
+                             "--output", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: --gamma-grid has too many points")
 
 
 @pytest.mark.parametrize("grid", [["--J-grid", "1e5:1e5:1"], ["--gamma-grid", "0.5:2e5:1e5"]])

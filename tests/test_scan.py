@@ -12,7 +12,6 @@ from helix_pst import (
     ScanConfig,
     coupling_sweep_L0,
     find_pst_times,
-    flat_index,
     gamma_sweep,
     grid_count,
     projector_overlaps,
@@ -22,8 +21,9 @@ from helix_pst import (
 from helix_pst.cli import parse_grid
 from helix_pst.scan import REFINE_XTOL
 from helix_pst.spectral import pair_factors
-from helix_pst.transfer import CHUNK
-from oracles import channel_hamiltonian, reference_pst_times, ring_hamiltonian, series_expm
+from helix_pst.transfer import CHUNK, ROOT
+from oracles import (channel_hamiltonian, grid_pst_times, reference_pst_times, ring_hamiltonian,
+                     series_expm)
 
 PAIR8 = (Node(0, 1), Node(4, 1))
 # the paper's figure networks fig2..fig5 and their node pairs
@@ -42,34 +42,39 @@ def _figure_case(fig, gamma=None, J=None):
     N, site, channel, pair = FIGURES[fig]
     cfg = ScanConfig()
     if gamma is not None:
-        _, decomp = make_decomp(N, site, channel, gamma=gamma)
+        spec, decomp = make_decomp(N, site, channel, gamma=gamma)
     else:
         # the coupling sweep's rescaled step
-        _, decomp = make_decomp(N, site, channel, J=J, L=0.0)
+        spec, decomp = make_decomp(N, site, channel, J=J, L=0.0)
         cfg = replace(cfg, coarse_step=cfg.coarse_step / J)
-    return decomp, pair, cfg
+    return spec, decomp, pair, cfg
 
 
 def _one_group_case():
     # no coupling: a single group at eigenvalue 0 with unit overlap, so
-    # p(t) == 1.0 exactly, a plateau over all 10 001 grid points, about
-    # 2.4 chunks
-    _, decomp = make_decomp(3, "closed", "closed", J=0.0, L=0.0)
-    return decomp, (Node(0, 1), Node(0, 1)), ScanConfig(horizon=50.0)
+    # p(t) == 1.0 exactly, a plateau over all 10 001 grid points
+    return (*make_decomp(3, "closed", "closed", J=0.0, L=0.0), (Node(0, 1), Node(0, 1)),
+            ScanConfig(horizon=50.0))
 
 
 def _chunk_edge_case(index):
     # fig2 at gamma = 3 peaks near 12.576181; this step puts the grid point
     # nearest the peak at `index`
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
-    return decomp, PAIR8, ScanConfig(horizon=30.0, coarse_step=12.576181 / index, epsilon=5e-3)
+    return (*make_decomp(8, "closed", "closed", gamma=3.0), PAIR8,
+            ScanConfig(horizon=30.0, coarse_step=12.576181 / index, epsilon=5e-3))
 
 
 def _horizon_edge_case():
     # the horizon stops 1.2e-3 before fig2's gamma = 3 peak: p still rises
     # at the last grid point, which counts as a boundary maximum
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
-    return decomp, PAIR8, ScanConfig(horizon=12.575, epsilon=5e-3)
+    return (*make_decomp(8, "closed", "closed", gamma=3.0), PAIR8,
+            ScanConfig(horizon=12.575, epsilon=5e-3))
+
+
+def _raw_case(J, L, channel="closed", pair=PAIR8):
+    # raw couplings: times in t, the channel factor scaled by L
+    return (*make_decomp(8, "closed", channel, J=J, L=L), pair,
+            ScanConfig(horizon=100.0, epsilon=5e-3))
 
 
 EQUIVALENCE_CASES = {
@@ -81,6 +86,10 @@ EQUIVALENCE_CASES = {
     "peak-at-CHUNK-1": lambda: _chunk_edge_case(CHUNK - 1),
     "peak-at-CHUNK": lambda: _chunk_edge_case(CHUNK),
     "peak-at-horizon": _horizon_edge_case,
+    **{f"raw-J{J}-L{L}": (lambda J=J, L=L: _raw_case(J, L))
+       for J, L in ((3.0, 1.0), (6.0, 2.0), (-3.0, 1.0), (3.0, -1.0), (2.0, 0.0))},
+    # J = 0: p = p_chan(L t), the open 3-path's end-to-end transfer
+    "raw-J0.0-L1.0": lambda: _raw_case(0.0, 1.0, "open", (Node(2, 1), Node(2, 3))),
 }
 
 
@@ -101,38 +110,35 @@ def test_scan_config_validation():
 
 
 def test_find_pst_times_frozen_gamma3():
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
-    times = find_pst_times(decomp, *PAIR8, ScanConfig(horizon=150.0, epsilon=5e-3))
+    spec = make_spec(8, "closed", "closed", gamma=3.0)
+    times = find_pst_times(spec, *PAIR8, ScanConfig(horizon=150.0, epsilon=5e-3))
     assert times == pytest.approx([12.576181, 73.305511, 134.034843], abs=5e-4)
 
 
 def test_find_pst_times_frozen_gamma5():
-    _, decomp = make_decomp(8, "closed", "closed", gamma=5.0)
-    times = find_pst_times(decomp, *PAIR8, ScanConfig(horizon=150.0, epsilon=1e-3))
+    spec = make_spec(8, "closed", "closed", gamma=5.0)
+    times = find_pst_times(spec, *PAIR8, ScanConfig(horizon=150.0, epsilon=1e-3))
     assert times == pytest.approx([43.983376, 131.950128], abs=5e-4)
 
 
-def test_find_pst_times_tap_sees_every_block_once():
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
+def test_find_pst_times_reads_a_fraction_of_the_grid(monkeypatch):
+    # the two factor passes and the product's windows, against the full
+    # grid a scan at the same step would read
+    spec, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
     cfg = ScanConfig(horizon=150.0, epsilon=5e-3)
-    seen = []
-
-    def tap(blocks):
-        for block in blocks:
-            seen.append(block)
-            yield block
-
-    assert find_pst_times(decomp, *PAIR8, cfg, tap=tap) == find_pst_times(decomp, *PAIR8, cfg)
-    p = np.concatenate(seen)
-    assert len(p) == grid_count(150.0, cfg.coarse_step)
-    for i in (0, 1, CHUNK, len(p) - 1):
-        assert p[i] == pytest.approx(
-            transition_probability(decomp, *PAIR8, i * cfg.coarse_step), abs=1e-12)
+    [(_, h, _)] = scan._sweep(*scan._factors(spec, *PAIR8), [3.0], cfg, first_only=False)
+    passes = count_grid_points(monkeypatch)
+    points = count_range_points(monkeypatch)
+    times = find_pst_times(spec, *PAIR8, cfg)
+    assert sum(passes) < grid_count(cfg.horizon, h) / 4
+    assert 0 < sum(points) < grid_count(cfg.horizon, h) / 100
+    want = grid_pst_times(decomp, *PAIR8, replace(cfg, coarse_step=h))
+    assert times == pytest.approx(want, abs=REFINE_XTOL) and len(times) == 3
 
 
 def test_returned_times_are_refined_local_maxima():
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
-    times = find_pst_times(decomp, *PAIR8, ScanConfig(horizon=150.0, epsilon=5e-3))
+    spec, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
+    times = find_pst_times(spec, *PAIR8, ScanConfig(horizon=150.0, epsilon=5e-3))
     for t in times:
         p_star = transition_probability(decomp, *PAIR8, t)
         assert p_star >= transition_probability(decomp, *PAIR8, t - 1e-4) - 1e-9
@@ -140,27 +146,27 @@ def test_returned_times_are_refined_local_maxima():
 
 
 def test_tau_min_matches_first_event_and_none_when_absent():
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
+    spec = make_spec(8, "closed", "closed", gamma=3.0)
     cfg = ScanConfig(horizon=150.0, epsilon=5e-3)
-    assert tau_min(decomp, *PAIR8, cfg) == pytest.approx(12.576181, abs=5e-4)
+    assert tau_min(spec, *PAIR8, cfg) == pytest.approx(12.576181, abs=5e-4)
     # open/open at gamma = 4 never exceeds 0.98 on this horizon
-    _, weak = make_decomp(5, "open", "open", gamma=4.0)
+    weak = make_spec(5, "open", "open", gamma=4.0)
     assert tau_min(weak, Node(0, 1), Node(4, 1), ScanConfig(horizon=200.0)) is None
 
 
 def test_epsilon_threshold_filters_peaks():
     # the recurrence near tau = 48.15 tops out around 0.992
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
-    loose = find_pst_times(decomp, *PAIR8, ScanConfig(horizon=60.0, epsilon=1e-2))
-    tight = find_pst_times(decomp, *PAIR8, ScanConfig(horizon=60.0, epsilon=5e-3))
+    spec = make_spec(8, "closed", "closed", gamma=3.0)
+    loose = find_pst_times(spec, *PAIR8, ScanConfig(horizon=60.0, epsilon=1e-2))
+    tight = find_pst_times(spec, *PAIR8, ScanConfig(horizon=60.0, epsilon=5e-3))
     assert any(abs(t - 48.15) < 0.1 for t in loose)
     assert not any(abs(t - 48.15) < 0.1 for t in tight)
 
 
 def test_time_scale_covariance():
     # doubling both couplings halves every transfer time
-    _, slow = make_decomp(8, "closed", "closed", J=3.0, L=1.0)
-    _, fast = make_decomp(8, "closed", "closed", J=6.0, L=2.0)
+    slow = make_spec(8, "closed", "closed", J=3.0, L=1.0)
+    fast = make_spec(8, "closed", "closed", J=6.0, L=2.0)
     cfg_slow = ScanConfig(horizon=80.0, coarse_step=0.005, epsilon=5e-3)
     cfg_fast = ScanConfig(horizon=40.0, coarse_step=0.0025, epsilon=5e-3)
     t_slow = find_pst_times(slow, *PAIR8, cfg_slow)
@@ -192,37 +198,39 @@ def _certified_bound(decomp, pair, epsilon):
     return math.sqrt(8 * (math.sqrt(1 - epsilon) - math.sqrt(1 - 2 * epsilon)) / w2)
 
 
-def _check_rows_against_full_scans(rows, grid, decomp_at, cfg):
-    """Every row equals tau_min over the whole grid at the row's own step,
-    a step no coarser than coarse_step or the certified one."""
+def _check_rows_against_full_scans(rows, grid, case_at, cfg):
+    """Every row equals the first time of the full-grid reference at the
+    row's own step, a step no coarser than coarse_step or the certified
+    one, and tau_min of the row's network equals the row."""
     assert [r.parameter for r in rows] == grid
     for row in rows:
-        decomp, pair = decomp_at(row.parameter)
+        spec, decomp, pair = case_at(row.parameter)
+        assert tau_min(spec, *pair, cfg) == row.tau_min, row
         assert row.step <= min(cfg.coarse_step, _certified_bound(decomp, pair, cfg.epsilon)) * (
             1 + 1e-12), row
-        want = tau_min(decomp, *pair, replace(cfg, coarse_step=row.step))
-        assert (row.tau_min is None) == (want is None), row
-        if want is not None:
-            assert abs(row.tau_min - want) <= REFINE_XTOL, row
+        want = grid_pst_times(decomp, *pair, replace(cfg, coarse_step=row.step), first_only=True)
+        assert (row.tau_min is None) == (not want), row
+        if want:
+            assert abs(row.tau_min - want[0]) <= REFINE_XTOL, row
 
 
 def count_range_points(monkeypatch) -> list[int]:
-    """Sizes of the blocks _scan reads through its blocks callable, after
-    checking that its ranges are ascending and neither overlap nor touch."""
+    """Sizes of the blocks of grid points _scan reads, after checking that
+    its ranges are ascending and neither overlap nor touch."""
     sizes: list[int] = []
     real = scan._scan
 
-    def spy(p_of, blocks, ranges, cfg, first_only):
+    def spy(p_of, ranges, h, cfg, first_only):
         ranges = list(ranges)
         assert all(lo <= hi for lo, hi in ranges)
         assert all(b[0] > a[1] + 1 for a, b in zip(ranges, ranges[1:])), ranges
 
-        def counted(lo, hi):
-            for block in blocks(lo, hi):
-                sizes.append(len(block))
-                yield block
+        def counted(t):
+            if np.ndim(t):  # a block; refinement asks for one time at a time
+                sizes.append(len(t))
+            return p_of(t)
 
-        return real(p_of, counted, ranges, cfg, first_only)
+        return real(counted, ranges, h, cfg, first_only)
 
     monkeypatch.setattr(scan, "_scan", spy)
     return sizes
@@ -243,8 +251,9 @@ def count_kernel_calls(monkeypatch) -> list[tuple[float, int]]:
 
 @pytest.mark.parametrize("fig", list(FIGURES))
 def test_gamma_sweep_matches_per_gamma_scans(fig, monkeypatch):
-    # the windowed sweep against a full-grid tau_min per gamma at the row's
-    # certified step, on the figure's gamma grid (reproduce's 0.5:20:0.05)
+    # the windowed sweep against the full-grid reference per gamma at the
+    # row's certified step, on the figure's gamma grid (reproduce's
+    # 0.5:20:0.05)
     N, site, channel, pair = FIGURES[fig]
     grid = parse_grid("0.5:20:0.05")
     cfg = ScanConfig()
@@ -255,7 +264,7 @@ def test_gamma_sweep_matches_per_gamma_scans(fig, monkeypatch):
     # points of one full coarse scan per gamma
     assert sum(passes) + sum(points) <= len(grid) * grid_count(cfg.horizon, cfg.coarse_step) / 100
     _check_rows_against_full_scans(
-        rows, grid, lambda g: (make_decomp(N, site, channel, gamma=g)[1], pair), cfg)
+        rows, grid, lambda g: (*make_decomp(N, site, channel, gamma=g), pair), cfg)
 
 
 @pytest.mark.parametrize("fig", list(FIGURES))
@@ -286,9 +295,13 @@ def test_gamma_sweep_finds_the_events_the_fixed_grid_misses(fig, gamma, first):
     cfg = ScanConfig()
     [row] = gamma_sweep(make_spec(N, site, channel, gamma=1.0), pair, [gamma], cfg)
     assert row.tau_min == pytest.approx(first, abs=5e-5)
-    # at 0.005 the first event is missed (14.5, 18.75) or seen a revival late
-    _, decomp = make_decomp(N, site, channel, gamma=gamma)
-    assert tau_min(decomp, *pair, cfg) != pytest.approx(first, abs=1e-3)
+    spec, decomp = make_decomp(N, site, channel, gamma=gamma)
+    assert tau_min(spec, *pair, cfg) == row.tau_min
+    assert find_pst_times(spec, *pair, cfg)[0] == row.tau_min
+    # a full grid at 0.005 misses the first event (14.5, 18.75) or sees it
+    # a revival late
+    fixed = grid_pst_times(decomp, *pair, cfg, first_only=True)
+    assert (fixed or [None])[0] != pytest.approx(first, abs=1e-3)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "J"])
@@ -340,7 +353,8 @@ def test_gamma_sweep_at_zero_and_negative_gamma():
     _, frozen = make_decomp(8, "closed", "closed", gamma=0.0)
     for pair in ((Node(0, 1), Node(0, 1)), (Node(3, 2), Node(3, 3)), PAIR8):
         rows = gamma_sweep(template, pair, [0.0, -3.0, 3.0], cfg)
-        assert rows[0].tau_min == tau_min(frozen, *pair, replace(cfg, coarse_step=rows[0].step))
+        want = grid_pst_times(frozen, *pair, replace(cfg, coarse_step=rows[0].step), True)
+        assert rows[0].tau_min == pytest.approx((want or [None])[0], abs=REFINE_XTOL)
         assert rows[1].tau_min == rows[2].tau_min
     assert rows[0].tau_min is None and rows[2].tau_min == pytest.approx(12.576181, abs=5e-4)
 
@@ -397,22 +411,24 @@ def test_windows_hold_every_point_where_the_factor_reaches_the_threshold(site_bc
 
 def test_range_scan_decides_edge_candidates_as_the_full_scan(monkeypatch):
     # synthetic p: at most thr outside the ranges, around thr inside them
-    # with flat pairs, read in blocks of 1-7 points. A range may start or
-    # end at a candidate, next to the block edges, the grid's ends and the
-    # gaps; with -inf around each range it must find the brackets the full
-    # scan finds
+    # with flat pairs, read ROOT points at a time from each range's start.
+    # A range may start or end at a candidate, next to a block edge, the
+    # grid's ends and the gaps; with -inf around each range it must find
+    # the brackets the full scan finds
     cfg = ScanConfig(horizon=20.0)
-    count = grid_count(cfg.horizon, cfg.coarse_step)
+    h = cfg.coarse_step
+    count = grid_count(cfg.horizon, h)
     thr = 1.0 - 2.0 * cfg.epsilon
     rng = np.random.default_rng(8)
     p = rng.uniform(0.0, thr, size=count)
-    lo = np.arange(0, count, 23)
-    hi = np.minimum(lo + rng.integers(0, 16, size=len(lo)), count - 1)
+    lo = np.arange(0, count, 173)
+    hi = np.minimum(lo + rng.integers(0, 2 * ROOT + 32, size=len(lo)), count - 1)
     hi[-1] = count - 1
     for a, b in zip(lo, hi):
         p[a:b + 1] = rng.uniform(thr - 1e-3, 1.0, size=b - a + 1)
-        if b > a + 2:
-            p[a + 2] = p[a + 1]
+        for at in (a + 2, a + ROOT):
+            if b > at:
+                p[at] = p[at - 1]
     brackets = []
 
     def stub_golden(p_of, a, b, max_iters):
@@ -421,21 +437,14 @@ def test_range_scan_decides_edge_candidates_as_the_full_scan(monkeypatch):
 
     monkeypatch.setattr(scan, "_golden_max", stub_golden)
 
-    def whole(lo, hi):
-        return iter(np.split(p, range(CHUNK, count, CHUNK)))
+    def p_of(t):
+        return p[np.rint(t / h).astype(int)]
 
-    def ragged(lo, hi):
-        at = lo
-        while at <= hi:
-            size = int(rng.integers(1, 8))
-            yield p[at:min(at + size, hi + 1)]
-            at += size
-
-    scan._scan(None, whole, [(0, count - 1)], cfg, first_only=False)
+    scan._scan(p_of, [(0, count - 1)], h, cfg, first_only=False)
     full = list(brackets)
     assert len(full) > len(lo)
     brackets.clear()
-    scan._scan(None, ragged, list(zip(lo.tolist(), hi.tolist())), cfg, first_only=False)
+    scan._scan(p_of, list(zip(lo.tolist(), hi.tolist())), h, cfg, first_only=False)
     assert brackets == full
 
 
@@ -468,15 +477,15 @@ def test_coupling_sweep_L0_decoupled_channels():
 
 @pytest.mark.parametrize("fig", list(FIGURES))
 def test_coupling_sweep_L0_matches_per_J_scans(fig):
-    # the windowed sweep against a full-grid tau_min per J at the row's
-    # certified step, on the figure's J grid (reproduce's 0.5:20:0.05)
+    # the windowed sweep against the full-grid reference per J at the
+    # row's certified step, on the figure's J grid (reproduce's 0.5:20:0.05)
     N, site, channel, pair = FIGURES[fig]
     bc = make_spec(N, site, channel, J=1.0, L=0.0).bc
     grid = parse_grid("0.5:20:0.05")
     cfg = ScanConfig()
     rows = coupling_sweep_L0(N, bc, pair, grid, cfg)
     _check_rows_against_full_scans(
-        rows, grid, lambda J: (make_decomp(N, site, channel, J=J, L=0.0)[1], pair), cfg)
+        rows, grid, lambda J: (*make_decomp(N, site, channel, J=J, L=0.0), pair), cfg)
 
 
 def test_coupling_sweep_L0_sign_of_J_and_zero():
@@ -508,17 +517,23 @@ def test_L0_no_cross_channel_leakage(rng):
 
 def test_find_pst_times_rejects_coincident_pair_threshold():
     # input equals output: tau = 0 is a trivial event and must be reported
-    _, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
-    times = find_pst_times(decomp, Node(0, 1), Node(0, 1), ScanConfig(horizon=5.0))
+    spec = make_spec(8, "closed", "closed", gamma=3.0)
+    times = find_pst_times(spec, Node(0, 1), Node(0, 1), ScanConfig(horizon=5.0))
     assert times and times[0] == pytest.approx(0.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
 def test_chunked_scan_matches_reference_scan(case):
-    decomp, pair, cfg = EQUIVALENCE_CASES[case]()
-    times = find_pst_times(decomp, *pair, cfg)
-    assert times == reference_pst_times(decomp, *pair, cfg)
-    assert tau_min(decomp, *pair, cfg) == (times or [None])[0]
+    # the windowed search against the dense reference over the whole grid
+    # at the step the search certified for this network
+    spec, decomp, pair, cfg = EQUIVALENCE_CASES[case]()
+    times = find_pst_times(spec, *pair, cfg)
+    [(_, h, same)] = scan._sweep(*scan._factors(spec, *pair), [spec.couplings.effective()[0]],
+                                 cfg, first_only=False)
+    assert same == times and h <= cfg.coarse_step
+    want = reference_pst_times(decomp, *pair, replace(cfg, coarse_step=h))
+    assert times == pytest.approx(want, abs=REFINE_XTOL) and len(times) == len(want)
+    assert tau_min(spec, *pair, cfg) == (times or [None])[0]
     if case == "one-group-plateau":
         # refined once, from its first point; golden section on a constant
         # closes in on the bracket's left end
@@ -528,31 +543,31 @@ def test_chunked_scan_matches_reference_scan(case):
     elif case.startswith("peak-at"):
         index = CHUNK - 1 if case == "peak-at-CHUNK-1" else CHUNK
         assert abs(times[0] - index * cfg.coarse_step) < cfg.coarse_step / 2
+    elif case.startswith("raw-J0.0"):
+        # the 3-path's end-to-end transfer times (2k + 1) pi / sqrt 2
+        assert times[:2] == pytest.approx([math.pi / math.sqrt(2), 3 * math.pi / math.sqrt(2)])
 
 
 def test_tau_min_stops_at_first_event(monkeypatch):
-    decomp, pair, cfg = _figure_case("fig2", J=20.0)
+    spec, _, pair, cfg = _figure_case("fig2", J=20.0)
     grid_points = len(np.arange(0.0, cfg.horizon + 0.5 * cfg.coarse_step, cfg.coarse_step))
     assert grid_points == 800_001
-    sizes = count_grid_points(monkeypatch)
-    first = tau_min(decomp, *pair, cfg)
+    points = count_range_points(monkeypatch)
+    first = tau_min(spec, *pair, cfg)
     assert first is not None and first < 5.0
-    assert sum(sizes) < grid_points / 10
-    sizes.clear()
-    times = find_pst_times(decomp, *pair, cfg)
-    assert sum(sizes) == grid_points
-    assert first == times[0]
+    read_first = sum(points)
+    points.clear()
+    times = find_pst_times(spec, *pair, cfg)
+    assert 0 < read_first < sum(points) / 10 and sum(points) < grid_points / 10
+    assert first == times[0] and len(times) > 10
 
 
 def test_tau_min_keeps_the_higher_of_two_merged_first_peaks(monkeypatch):
     # p = (1 + cos(pi t / h)) / 2 has grid candidates at every even index;
     # the stub refinement puts the first one at 0.8 h and every later one
     # 0.3 h into its bracket, so the second lands 0.5 h after the first,
-    # higher, and must replace it. Two sites at L = 0 have the two
-    # groups -J and J with overlaps 1/2 each, so J = pi / (2 h).
+    # higher, and must replace it, in the first-event scan too
     h = 0.1
-    _, decomp = make_decomp(2, "open", "open", J=math.pi / (2 * h), L=0.0)
-    pair = (Node(0, 1), Node(0, 1))
     cfg = ScanConfig(horizon=20 * h, coarse_step=h, epsilon=1e-3)
 
     def stub_golden(p_of, a, b, max_iters):
@@ -561,29 +576,39 @@ def test_tau_min_keeps_the_higher_of_two_merged_first_peaks(monkeypatch):
         return a + 0.3 * h, 1.0 - 1e-4
 
     monkeypatch.setattr(scan, "_golden_max", stub_golden)
-    times = find_pst_times(decomp, *pair, cfg)
+
+    def search(first_only):
+        return scan._scan(lambda t: (1 + np.cos(np.pi * t / h)) / 2, [(0, 20)], h, cfg,
+                          first_only)
+
+    times = search(False)
     assert times[:2] == [pytest.approx(1.3 * h), pytest.approx(3.3 * h)]
-    assert tau_min(decomp, *pair, cfg) == times[0]
+    assert search(True)[0] == times[0]
 
 
-def test_tau_min_without_event_scans_the_whole_grid(monkeypatch):
-    _, weak = make_decomp(5, "open", "open", gamma=4.0)
-    sizes = count_grid_points(monkeypatch)
-    assert tau_min(weak, Node(0, 1), Node(4, 1), ScanConfig(horizon=200.0)) is None
-    assert sum(sizes) == 40_001
-    assert max(sizes) == CHUNK
+def test_tau_min_without_event_reads_only_the_factor_passes(monkeypatch):
+    # open/open N=5 at gamma = 4 never comes near 1 - 2 epsilon: the search
+    # reads the two factor passes, within their bound, and at most a few
+    # points of the product
+    weak = make_spec(5, "open", "open", gamma=4.0)
+    pair, cfg = (Node(0, 1), Node(4, 1)), ScanConfig(horizon=200.0)
+    passes = count_grid_points(monkeypatch)
+    points = count_range_points(monkeypatch)
+    assert tau_min(weak, *pair, cfg) is None
+    assert 0 < sum(passes) <= scan.pass_points(weak, pair, [4.0], cfg) + 2
+    assert sum(points) < grid_count(cfg.horizon, cfg.coarse_step) / 100
 
 
 def test_scan_memory_does_not_grow_with_the_grid():
-    _, decomp = make_decomp(8, "open", "open", gamma=2.7)
+    spec, decomp = make_decomp(8, "open", "open", gamma=2.7)
     assert len(decomp) == 24
     cfg = ScanConfig(horizon=2000.0, epsilon=1e-3)
     tracemalloc.start()
     try:
-        find_pst_times(decomp, Node(0, 1), Node(7, 3), cfg)
+        find_pst_times(spec, Node(0, 1), Node(7, 3), cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # one (points x groups) complex array would take 400 001 * 24 * 16 B,
-    # 146 MiB; the blocks need a few MiB
+    # 146 MiB; the passes' blocks and the windows need a few MiB
     assert peak < 400_001 * len(decomp) * 16 // 20
