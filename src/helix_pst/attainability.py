@@ -69,17 +69,10 @@ def independent_constraints(
         raise ValueError("report and decomposition describe different systems")
     bright = [k for k in range(len(decomp)) if k not in report.dark_groups]
     bright.sort(key=lambda k: -decomp.values[k])
-    chain: list[Constraint] = []
-    for hi, lo in zip(bright, bright[1:]):
-        chain.append(
-            Constraint(
-                left_group=hi,
-                right_group=lo,
-                delta_lambda=float(decomp.values[hi] - decomp.values[lo]),
-                offset=_offset(int(report.signs[hi]), int(report.signs[lo])),
-            )
-        )
-    return chain
+    return [Constraint(left_group=hi, right_group=lo,
+                       delta_lambda=float(decomp.values[hi] - decomp.values[lo]),
+                       offset=_offset(int(report.signs[hi]), int(report.signs[lo])))
+            for hi, lo in zip(bright, bright[1:])]
 
 
 def check_attainability(

@@ -4,13 +4,14 @@ Subcommands: spectrum, evolve, pmax, dark, attain, scan, sweep,
 reproduce. Exit codes: 0 on success, 2 on usage or validation errors
 (an unwritable output path included), 1 on an internal numeric failure.
 CSV output uses %.12g formatting, LF line endings and always carries a
-header; p(t) traces are written block by block as the grid kernel
-yields them, through the vectorised writer csvtext.rows_g12, byte for
-byte what %.12g gives. JSON output carries a top-level "schema": 1
-field. Plot scripts are plain gnuplot. reproduce runs evolve and sweep
-commands. A --horizon/--step grid may hold at most MAX_GRID_POINTS
-points, and so may a --gamma-grid or --J-grid and the two factor passes
-of a scan's or sweep's PST search.
+header; p(t) traces are written block by block as transfer.factor_chunks
+yields them from the pair's two factors, through the vectorised writer
+csvtext.rows_g12, byte for byte what %.12g gives. Only spectrum, pmax,
+dark and attain build the grouped decomposition. JSON output carries a
+top-level "schema": 1 field. Plot scripts are plain gnuplot. reproduce
+runs evolve and sweep commands. A --horizon/--step grid may hold at
+most MAX_GRID_POINTS points, and so may a --gamma-grid or --J-grid and
+the two factor passes of a scan's or sweep's PST search.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independent_constraints
-from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, flat_index, validate_spec
+from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
 from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
 from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep, pass_points
 from .spectral import decompose
-from .transfer import grid_count, probability_chunks, projector_overlaps, transfer_report
+from .transfer import factor_chunks, grid_count, transfer_report
 
 SCHEMA_VERSION = 1
 # Largest time grid --horizon/--step may ask for. The default grid has
@@ -259,18 +260,15 @@ def _cmd_trace(args) -> int:
     if c.J == 0.0 and c.L == 0.0:
         raise ValueError("J and L cannot both be zero when dynamics are requested")
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    for node in (input, output):  # checked before the output is opened
-        flat_index(node, spec.N)
     cfg = _scan_config(args)
     extra = {}
     if args.command == "scan":
         flags = f"--gamma {c.J:g}" if c.scaled else f"--J {c.J:g} and --L {c.L:g}"
         _check_passes(spec, (input, output), [c.effective()[0]], cfg, flags)
         extra["pst_times"] = find_pst_times(spec, input, output, cfg)
-    decomp = decompose(spec)
-    o = projector_overlaps(decomp, input, output)
-    blocks = probability_chunks(o, decomp.values, cfg.coarse_step,
-                                grid_count(cfg.horizon, cfg.coarse_step))
+    # reads the pair's factors, so both nodes are checked before the output opens
+    blocks = factor_chunks(spec, input, output, cfg.coarse_step,
+                           grid_count(cfg.horizon, cfg.coarse_step))
     label = "tau" if c.scaled else "t"
     with _open_out(args.output) as out:
         _write_trace(out, args.format, label, cfg.coarse_step, blocks, extra)

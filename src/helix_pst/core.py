@@ -23,6 +23,8 @@ CHANNELS = 3
 # a site ring of fewer than 3 sites would duplicate or self-loop edges
 MIN_SITES_CLOSED = 3
 MIN_SITES_OPEN = 2
+# largest N served; scan and evolve, the heaviest commands, peak near 430 MiB there
+MAX_SITES = 10 ** 5
 
 
 class BoundaryCondition(Enum):
@@ -124,4 +126,6 @@ def validate_spec(spec: NetworkSpec) -> NetworkSpec:
             f"N={spec.N} too small for {spec.bc.site_bc.value} site "
             f"boundary (need N >= {min_n})"
         )
+    if spec.N > MAX_SITES:
+        raise ValueError(f"N={spec.N} too large (need N <= {MAX_SITES})")
     return spec

@@ -3,10 +3,11 @@
 One search serves find_pst_times, tau_min, gamma_sweep and
 coupling_sweep_L0. The network is a Cartesian product, so a pair's
 amplitude is A(t) = A_site(g t) A_chan(t), both factors at most 1 in
-modulus (Christandl et al., PRL 92, 187902, 2004). _factors gives the
-site factor in units of g = J_eff and the channel factor scaled by
-L_eff, at L = 0 the constant delta_{alpha beta}; in scaled units t is
-tau and g is gamma. A search at one network is _sweep at its own J_eff.
+modulus (Christandl et al., PRL 92, 187902, 2004). The search reads
+the factors of spectral.pair_factors, as the CLI traces do: the site
+factor in units of g = J_eff, the channel factor scaled by L_eff; in
+scaled units t is tau and g is gamma. A search at one network is
+_sweep at its own J_eff.
 
 _scan reads p on a grid t = i * h. Candidates are grid local maxima
 above thr = 1 - 2 epsilon, p > thr, p > left and p >= right (boundary
@@ -32,9 +33,9 @@ generous bound on the rounding of an amplitude (eps per radian of phase
 and per term). By the chord bound, the flagged runs widened by h hold
 every point where the factor's |A| reaches sqrt(thr) - 2 r, as both
 factors do wherever a computed p exceeds thr. So a search makes two
-g-free passes, the site one over [0, max|g| (horizon + coarse_step)],
-and scans each g only in W_chan intersected with W_site / |g|, at
-h_g = min(coarse_step, _step_for(W2(g))),
+g-free passes (_passes, which pass_points bounds), the site one over
+[0, max|g| (horizon + coarse_step)], and scans each g only in W_chan
+intersected with W_site / |g|, at h_g = min(coarse_step, _step_for(W2(g))),
 W2(g) = g^2 W2_site sum|q| + W2_chan sum|w|, the W2 of the product's
 terms. That W2(g) grows as g^2 is why a fixed step misses events at
 high gamma.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
+from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node
 from .spectral import pair_factors
 from .transfer import CHUNK, ROOT, grid_count, probability_at, probability_chunks
 
@@ -178,7 +179,7 @@ def tau_min(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig) -> fl
 def _search(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig,
             first_only: bool) -> list[float]:
     """The PST times of one network: _sweep at g = J_eff."""
-    [(_, _, times)] = _sweep(*_factors(spec, input, output), [spec.couplings.effective()[0]],
+    [(_, _, times)] = _sweep(*pair_factors(spec, input, output), [spec.couplings.effective()[0]],
                              cfg, first_only)
     return times
 
@@ -206,11 +207,20 @@ def _merge(lo: np.ndarray, hi: np.ndarray, gap: int) -> tuple[np.ndarray, np.nda
     return lo[new], hi[np.concatenate((new[1:], new[:1]))]
 
 
-def _windows(factor, extent: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, disjoint windows (starts, ends) of a factor (module docstring)."""
+def _passes(site, chan, grid, cfg: ScanConfig) -> list[tuple]:
+    """(factor, extent, step) of the site and channel passes of a search
+    over the g of grid: [0, max|g| end] and [0, end] at their certified
+    steps, end = horizon + coarse_step, past a row grid's last point."""
+    end = cfg.horizon + cfg.coarse_step
+    top = max(map(abs, grid), default=0.0)
+    return [(f, x, _step_for(_spread(f)[0], cfg.epsilon, x))
+            for f, x in ((site, top * end), (chan, end))]
+
+
+def _windows(factor, extent: float, h: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint windows (starts, ends) of a factor's pass over [0, extent] at step h."""
     values, weights = factor
     w2 = _spread(factor)[0]
-    h = _step_for(w2, epsilon, extent)
     count = math.ceil(extent / h) + 1
     r = 8 * np.finfo(float).eps * (np.abs(values).max(initial=0) * count * h + len(values) + ROOT)
     floor = math.sqrt(max(1.0 - 2.0 * epsilon, 0.0)) - w2 * h * h / 8 - 4 * r
@@ -238,11 +248,10 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
     """(g, step, PST times) of p_site(g tau) p_chan(tau), factors (values,
     weights), per g of grid; with first_only, only the first time is final."""
     h0, epsilon = cfg.coarse_step, cfg.epsilon
-    end = cfg.horizon + h0  # a row's grid ends less than h0 / 2 past the horizon
     grid = [float(g) for g in grid]
-    c0, c1 = _windows(chan, end, epsilon)
-    top = max(map(abs, grid), default=0.0)
-    s0, s1 = _windows(site, top * end, epsilon) if len(c0) else (c0, c1)
+    site_pass, chan_pass = _passes(site, chan, grid, cfg)
+    c0, c1 = _windows(*chan_pass, epsilon)
+    s0, s1 = _windows(*site_pass, epsilon) if len(c0) else (c0, c1)
     (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
 
     def row(g: float) -> tuple[float, float, list]:
@@ -264,25 +273,11 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
     return [row(g) for g in grid]
 
 
-def _factors(spec: NetworkSpec, input: Node, output: Node):
-    """The pair's site factor, in units of J_eff, and its channel factor,
-    scaled by L_eff: p(t) = p_site(J_eff t) p_chan(t). At L = 0 the
-    channel factor is the constant delta_{alpha beta}."""
-    site, (values, weights) = pair_factors(validate_spec(spec), input, output)
-    l_eff = spec.couplings.effective()[1]
-    if l_eff == 0.0:
-        return site, (np.zeros(1), np.array([float(input.alpha == output.alpha)]))
-    return site, (l_eff * values, weights)
-
-
 def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:
     """Points of the two factor passes of a search over the g of grid, a
     float (inf on overflow), to bound before any work. A row's grid
     within the windows holds at most about as many."""
-    end = cfg.horizon + cfg.coarse_step
-    extents = (max(map(abs, grid), default=0.0) * end, end)
-    return sum(x / _step_for(_spread(f)[0], cfg.epsilon, x) + 1.0
-               for f, x in zip(_factors(spec, *pair), extents))
+    return sum(x / h + 1.0 for _, x, h in _passes(*pair_factors(spec, *pair), grid, cfg))
 
 
 def _rows(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
@@ -293,11 +288,12 @@ def _rows(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
 def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], gamma_grid,
                 cfg: ScanConfig) -> list[SweepRow]:
     """tau_min versus gamma = J/L in scaled units, from the pair's two factors."""
-    return _rows(*_factors(template, *pair), gamma_grid, cfg)
+    return _rows(*pair_factors(template, *pair), gamma_grid, cfg)
 
 
 def coupling_sweep_L0(N: int, bc: BoundaryConditions, pair: tuple[Node, Node], J_grid,
                       cfg: ScanConfig) -> list[SweepRow]:
     """t_min versus J at L = 0 (raw units), where the channel factor is
     delta_{alpha beta}: gamma_sweep with J for gamma and t for tau."""
-    return _rows(*_factors(NetworkSpec(N, bc, CouplingParams(J=1.0, L=0.0)), *pair), J_grid, cfg)
+    return _rows(*pair_factors(NetworkSpec(N, bc, CouplingParams(J=1.0, L=0.0)), *pair), J_grid,
+                 cfg)

@@ -30,7 +30,9 @@ A group is then its value, its multiplicity and its labels, the flat
 mode indices CHANNELS * i + a in eigenvalue order. The overlap of a
 node pair with group k, <in| P_k |out>, is the sum over its labels of
 s_i q_a, with s_i = u_i[n] u_i[m] and q_a = v_a[alpha] v_a[beta]: O(N)
-time and memory per pair, with no Hamiltonian and no eigensolver.
+time and memory per pair, with no Hamiltonian and no eigensolver. Only
+the spectral reports (spectrum, p_max, dark sets, congruence chains)
+need the groups; the time domain reads pair_factors.
 """
 
 from __future__ import annotations
@@ -143,16 +145,20 @@ def _folded(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nda
 def pair_factors(
     spec: NetworkSpec, input: Node, output: Node
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(values, weights) of the pair's site factor, in units of J, and of
-    its channel factor, in units of L, each folded: the amplitude is
-    sum_i w_i exp(-i J sigma_i t) times sum_a q_a exp(-i L c_a t), with
-    at most N and 3 terms."""
+    """(values, weights) of the pair's site factor, in units of J_eff, and
+    of its channel factor, folded, then scaled by L_eff: the amplitude is
+    sum_i w_i exp(-i J_eff sigma_i t) times sum_a q_a exp(-i L_eff c_a t),
+    at most N and 3 terms; at L = 0 the channel factor is delta_{alpha beta}."""
+    validate_spec(spec)
     site_closed = spec.bc.site_bc is BoundaryCondition.CLOSED
     channel_closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
     q = _channel_weights(spec.N, channel_closed, input, output)
     s = _chain_weights(spec.N, site_closed, input.n, output.n)
-    return (_folded(_chain_values(spec.N, site_closed), s),
-            _folded(_chain_values(CHANNELS, channel_closed), q))
+    values, weights = _folded(_chain_values(CHANNELS, channel_closed), q)
+    l_eff = spec.couplings.effective()[1]
+    chan = ((l_eff * values, weights) if l_eff != 0.0
+            else (np.zeros(1), np.array([float(input.alpha == output.alpha)])))
+    return _folded(_chain_values(spec.N, site_closed), s), chan
 
 
 def pair_weights(

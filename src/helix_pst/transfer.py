@@ -1,7 +1,7 @@
 """Transition probabilities and transfer bounds between two lattice nodes.
 
-Everything is driven by the per-group overlaps o_k = <in| P_k |out>
-taken from a grouped spectral decomposition:
+The spectral reports and transition_probability, the reference of the
+tests, read the overlaps o_k = <in| P_k |out> of a grouped decomposition:
 
     p(t)  = | sum_k o_k exp(-i lambda_k t) |^2
     p_max = ( sum_k |o_k| )^2
@@ -11,13 +11,13 @@ when all surviving phases align up to the overlap signs. Groups with
 o_k = 0 are "dark": the excitation never passes through them and they
 drop out of the phase-alignment analysis.
 
-probability_chunks is the one evaluator of p(t) on a time grid: the
-CLI traces, the figures and the PST search's two factor passes all
-stream its blocks of CHUNK points over t = i * step,
-i < grid_count(horizon, step), each block one 64 x 64 complex matrix
-product of exactly seeded row phases. probability_at is the one
-evaluator of p at given times, for transition_probability and for the
-search's points inside its windows and its refinement.
+probability_chunks is the one evaluator of p(t) on a time grid, in
+blocks of CHUNK points over t = i * step, i < grid_count(horizon, step),
+each one 64 x 64 complex matrix product of exactly seeded row phases.
+The PST search's factor passes stream it, and the CLI traces stream
+factor_chunks, the product of two of its streams. probability_at is
+the one evaluator of p at given times, for transition_probability and
+for the search's points inside its windows and its refinement.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Node
-from .spectral import SpectralDecomposition, pair_weights, projector_overlaps
+from .core import NetworkSpec, Node
+from .spectral import SpectralDecomposition, pair_factors, pair_weights, projector_overlaps
 
 DARK_TOL = 1e-10
 ROOT = 64
@@ -93,34 +93,37 @@ def probability_chunks(
         yield (np.abs(seeds @ inner) ** 2).ravel()[:ROOT * (len(starts) - 1) + count - starts[-1]]
 
 
+def factor_chunks(spec: NetworkSpec, input: Node, output: Node, step: float,
+                  count: int) -> Iterator[np.ndarray]:
+    """p(i * step) for i < count in the blocks of probability_chunks, each
+    p_site(J_eff t) p_chan(t) from streams over the pair's at most N site
+    and 3 channel terms (spectral.pair_factors), read at the call."""
+    (sigma, s), (c, q) = pair_factors(spec, input, output)
+    return map(np.multiply,
+               probability_chunks(s, spec.couplings.effective()[0] * sigma, step, count),
+               probability_chunks(q, c, step, count))
+
+
 def sign_factors(overlaps: np.ndarray, dark_tol: float = DARK_TOL) -> np.ndarray:
     """Signs of the overlaps; entries below dark_tol in magnitude get 0."""
     o = np.asarray(overlaps, dtype=float)
-    signs = np.sign(o).astype(int)
-    signs[np.abs(o) < dark_tol] = 0
-    return signs
+    return np.where(np.abs(o) < dark_tol, 0, np.sign(o)).astype(int)
 
 
-def transfer_report(
-    decomp: SpectralDecomposition,
-    input: Node,
-    output: Node,
-    dark_tol: float = DARK_TOL,
-) -> TransferReport:
+def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) -> TransferReport:
     """Overlaps, bound, signs and dark groups of one node pair.
 
     Every overlap is a sum of label weights s_i q_a. A dark group's sum
     cancels down to the rounding of those terms; a bright group's can be
     as small as one of them, and the terms shrink like 1/N. So a group
-    is dark when its overlap lies below dark_tol times the pair's largest
+    is dark when its overlap lies below DARK_TOL times the pair's largest
     label weight, max|s| max|q|, which holds at any N and also when every
-    group is dark. dark_tol is thus relative to that weight, whereas
-    sign_factors takes an absolute cut on |o_k|.
+    group is dark.
     """
     overlaps = projector_overlaps(decomp, input, output)
     s, q = pair_weights(decomp, input, output)
     weight_scale = np.max(np.abs(s)) * np.max(np.abs(q))
-    signs = sign_factors(overlaps, dark_tol * weight_scale)
+    signs = sign_factors(overlaps, DARK_TOL * weight_scale)
     dark = frozenset(int(k) for k in np.flatnonzero(signs == 0))
     bound = float(np.sum(np.abs(overlaps)) ** 2)
     return TransferReport(input, output, overlaps, bound, signs, dark)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helix_pst import cli, scan, transfer
+from helix_pst import scan, transfer
 from helix_pst import (
     BoundaryConditions,
     CouplingParams,
@@ -35,7 +35,7 @@ def make_dense(N, site_bc, channel_bc, **kw):
     return spec, eigendecompose_numeric(build_hamiltonian(spec))
 
 
-def count_grid_points(monkeypatch, modules=(transfer, scan, cli)) -> list[int]:
+def count_grid_points(monkeypatch, modules=(transfer, scan)) -> list[int]:
     """Sizes of the blocks the p(t) grid kernel yields from now on, under
     the name each of modules (by default every importer) imported it as."""
     sizes: list[int] = []

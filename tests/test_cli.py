@@ -4,17 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_grid_points, make_decomp
-from helix_pst import cli, scan
+from conftest import count_grid_points, make_decomp, make_spec
+from helix_pst import cli, core, scan, spectral, transfer
 from helix_pst.cli import parse_grid, parse_node, run_command
 from helix_pst import Node, grid_count
-from helix_pst.transfer import probability_chunks, projector_overlaps
+from helix_pst.transfer import factor_chunks
 
 
 def run(argv, capsys):
     code = run_command(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse(*args):
+    raise AssertionError("must not be called")
 
 
 def test_parse_node():
@@ -488,8 +492,8 @@ def test_evolve_csv_memory_does_not_grow_with_the_grid(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_evaluates_the_trace_grid_once_and_bounds_its_passes(fmt, tmp_path, capsys,
                                                                  monkeypatch):
-    trace = count_grid_points(monkeypatch, (cli,))
     passes = count_grid_points(monkeypatch, (scan,))
+    trace = count_grid_points(monkeypatch, (transfer,))
     out = tmp_path / f"scan.{fmt}"
     code, _, err = run(
         ["scan", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
@@ -500,7 +504,8 @@ def test_scan_evaluates_the_trace_grid_once_and_bounds_its_passes(fmt, tmp_path,
     assert code == 0
     assert err == "PST times: 73.3055114357\n"
     count = grid_count(80.0, 0.005)
-    assert sum(trace) == count == 16_001
+    # the site and channel streams, block by block, each over the grid once
+    assert trace[::2] == trace[1::2] and sum(trace[::2]) == count == 16_001
     # the search's two factor passes, within the bound checked beforehand
     spec = make_decomp(8, "closed", "closed", gamma=3.0)[0]
     cfg = scan.ScanConfig(horizon=80.0)
@@ -561,11 +566,10 @@ def test_evolve_csv_equals_percent_formatting_of_the_blocks(network, pair, flags
     code, _, err = run(argv, capsys)
     assert code == 0 and err == ""
     args = cli.build_parser().parse_args(argv)
-    _, decomp = make_decomp(int(N), site, channel, gamma=2.0)
-    o = projector_overlaps(decomp, parse_node(pair[0]), parse_node(pair[1]))
+    spec = make_spec(int(N), site, channel, gamma=2.0)
     text, start = ["tau,p\n"], 0
-    for chunk in probability_chunks(o, decomp.values, args.step,
-                                    grid_count(args.horizon, args.step)):
+    for chunk in factor_chunks(spec, parse_node(pair[0]), parse_node(pair[1]), args.step,
+                               grid_count(args.horizon, args.step)):
         rows = np.column_stack((args.step * np.arange(start, start + len(chunk)), chunk))
         text.append("%.12g,%.12g\n" * len(chunk) % tuple(rows.ravel().tolist()))
         start += len(chunk)
@@ -627,10 +631,7 @@ def test_scan_passes_beyond_the_point_limit_name_the_couplings_and_horizon(
         coupling, named, tmp_path, capsys, monkeypatch):
     # the fig2 pair: at gamma = 1e6 the site pass, at L = 1e6 the channel
     # pass, would take ~4.5e9 points; the check comes before any grid
-    def refuse(*args):
-        raise AssertionError("a grid was evaluated")
-
-    for module in (scan, cli):
+    for module in (scan, transfer):
         monkeypatch.setattr(module, "probability_chunks", refuse)
     out = tmp_path / "never.csv"
     code, stdout, err = run(["scan", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
@@ -656,9 +657,6 @@ def test_sweep_site_pass_beyond_the_point_limit_names_the_grid_and_horizon(
         grid, tmp_path, capsys, monkeypatch):
     # the fig5 pair at J = 1e5: its site pass over 1e5 times the horizon
     # would take ~4e8 points; the check comes before any grid is evaluated
-    def refuse(*args):
-        raise AssertionError("a grid was evaluated")
-
     monkeypatch.setattr(scan, "probability_chunks", refuse)
     out = tmp_path / "never.csv"
     code, stdout, err = run(["sweep", "--n", "6", "--site-bc", "closed", "--channel-bc", "open",
@@ -667,3 +665,42 @@ def test_sweep_site_pass_beyond_the_point_limit_names_the_grid_and_horizon(
     assert stdout == "" and not out.exists()
     assert err.startswith(f"error: {grid[0]} up to ")
     assert "at --horizon 200 needs" in err and f"more than {cli.MAX_GRID_POINTS}" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_and_scan_read_only_the_two_factors(fmt, tmp_path, capsys, monkeypatch):
+    argv = ["--n", "8", "--site-bc", "closed", "--channel-bc", "closed", "--gamma", "3",
+            "--in", "0,1", "--out", "4,1", "--horizon", "80", "--format", fmt, "--output"]
+    before = run(["scan", *argv, str(tmp_path / "before")], capsys)
+    assert before[0] == 0 and before[2] == "PST times: 73.3055114357\n"
+    for module in (spectral, cli):
+        monkeypatch.setattr(module, "decompose", refuse)
+    assert run(["evolve", *argv, str(tmp_path / "evolve")], capsys) == (0, "", "")
+    assert run(["scan", *argv, str(tmp_path / "scan")], capsys) == before
+    assert (tmp_path / "scan").read_bytes() == (tmp_path / "before").read_bytes()
+    if fmt == "csv":
+        assert (tmp_path / "evolve").read_bytes() == (tmp_path / "scan").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--gamma", "2"],
+    ["evolve", "--gamma", "2", "--in", "0,1", "--out", "3,1"],
+    ["pmax", "--gamma", "2", "--in", "0,1", "--out", "3,1"],
+    ["dark", "--gamma", "2", "--in", "0,1", "--out", "3,1"],
+    ["attain", "--gamma", "2", "--in", "0,1", "--out", "3,1", "--tau", "1"],
+    ["scan", "--gamma", "2", "--in", "0,1", "--out", "3,1"],
+    ["sweep", "--gamma-grid", "1:2:1", "--in", "0,1", "--out", "3,1"],
+    ["sweep", "--J-grid", "1:2:1", "--in", "0,1", "--out", "3,1"],
+])
+def test_network_beyond_the_site_limit_exits_before_any_work(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    for module, name in ((cli, "decompose"), (spectral, "decompose"), (spectral, "pair_factors"),
+                         (scan, "pair_factors"), (transfer, "pair_factors")):
+        monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "never.txt"
+    code, stdout, err = run(argv[:1] + ["--n", "100000000", "--site-bc", "open",
+                                        "--channel-bc", "open", *argv[1:], "--output", str(out)],
+                            capsys)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err == f"error: N=100000000 too large (need N <= {core.MAX_SITES})\n"

@@ -2,6 +2,9 @@ import math
 
 import pytest
 
+from helix_pst import hamiltonian, scan, spectral
+from helix_pst.core import MAX_SITES
+from helix_pst.transfer import factor_chunks
 from helix_pst import (
     BoundaryCondition,
     BoundaryConditions,
@@ -96,3 +99,42 @@ def test_validate_spec_rejects_non_finite_couplings():
         validate_spec(NetworkSpec(4, bc, CouplingParams(J=math.nan, L=1.0)))
     with pytest.raises(ValueError):
         validate_spec(NetworkSpec(4, bc, CouplingParams(J=1.0, L=math.inf)))
+
+
+def test_validate_spec_bounds_the_site_count():
+    bc = BoundaryConditions.from_names("open", "open")
+    cp = CouplingParams.from_gamma(2.0)
+    assert validate_spec(NetworkSpec(MAX_SITES, bc, cp)).N == MAX_SITES
+    with pytest.raises(ValueError) as err:
+        validate_spec(NetworkSpec(MAX_SITES + 1, bc, cp))
+    assert str(err.value) == f"N={MAX_SITES + 1} too large (need N <= {MAX_SITES})"
+
+
+def test_library_entries_refuse_a_network_beyond_the_site_limit(monkeypatch):
+    # each entry must raise before it builds any array of the network
+    def refuse(*args):
+        raise AssertionError("an array of the network was built")
+
+    for module, name in ((spectral, "_chain_values"), (spectral, "_chain_weights"),
+                         (hamiltonian, "_site_adjacency")):
+        monkeypatch.setattr(module, name, refuse)
+    N = 10 ** 8
+    bc = BoundaryConditions.from_names("closed", "open")
+    spec = NetworkSpec(N, bc, CouplingParams.from_gamma(2.0))
+    pair = (Node(0, 1), Node(N - 1, 1))
+    cfg = scan.ScanConfig(horizon=10.0)
+    calls = [
+        lambda: spectral.decompose(spec),
+        lambda: spectral.pair_factors(spec, *pair),
+        lambda: hamiltonian.build_hamiltonian(spec),
+        lambda: hamiltonian.neighbors(pair[0], spec),
+        lambda: factor_chunks(spec, *pair, 0.1, 10),
+        lambda: scan.find_pst_times(spec, *pair, cfg),
+        lambda: scan.tau_min(spec, *pair, cfg),
+        lambda: scan.pass_points(spec, pair, [2.0], cfg),
+        lambda: scan.gamma_sweep(spec, pair, [1.0, 2.0], cfg),
+        lambda: scan.coupling_sweep_L0(N, bc, pair, [1.0, 2.0], cfg),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"N={N} too large"):
+            call()

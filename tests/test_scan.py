@@ -126,7 +126,7 @@ def test_find_pst_times_reads_a_fraction_of_the_grid(monkeypatch):
     # grid a scan at the same step would read
     spec, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
     cfg = ScanConfig(horizon=150.0, epsilon=5e-3)
-    [(_, h, _)] = scan._sweep(*scan._factors(spec, *PAIR8), [3.0], cfg, first_only=False)
+    [(_, h, _)] = scan._sweep(*pair_factors(spec, *PAIR8), [3.0], cfg, first_only=False)
     passes = count_grid_points(monkeypatch)
     points = count_range_points(monkeypatch)
     times = find_pst_times(spec, *PAIR8, cfg)
@@ -359,6 +359,12 @@ def test_gamma_sweep_at_zero_and_negative_gamma():
     assert rows[0].tau_min is None and rows[2].tau_min == pytest.approx(12.576181, abs=5e-4)
 
 
+def certified_windows(factor, extent: float, epsilon: float):
+    """scan._windows of a factor's pass over [0, extent] at its certified step."""
+    h = scan._step_for(scan._spread(factor)[0], epsilon, extent)
+    return scan._windows(factor, extent, h, epsilon)
+
+
 def test_windows_hold_a_peak_between_two_samples():
     # A = a cos x: W2 = a and |A''| = a at each peak, so the chord bound is
     # tight there. With a = sqrt(thr) + gap / 2 every peak clears thr but a
@@ -367,7 +373,8 @@ def test_windows_hold_a_peak_between_two_samples():
     epsilon = 1e-3
     thr = 1 - 2 * epsilon
     a = math.sqrt(thr) + (math.sqrt(1 - epsilon) - math.sqrt(thr)) / 2
-    starts, ends = scan._windows((np.array([-1.0, 1.0]), np.array([a / 2, a / 2])), 2000.0, epsilon)
+    starts, ends = certified_windows((np.array([-1.0, 1.0]), np.array([a / 2, a / 2])), 2000.0,
+                                     epsilon)
     x = np.linspace(0.0, 2000.0, 400_001)
     hot = x[(a * np.cos(x)) ** 2 >= thr]
     k = np.searchsorted(starts, hot, side="right") - 1
@@ -400,7 +407,7 @@ def test_windows_hold_every_point_where_the_factor_reaches_the_threshold(site_bc
         ):
             p = _dense_factor_p(H, i, j, x)
             for epsilon in (1e-3, 0.02, 0.1):
-                starts, ends = scan._windows(factor, x[-1], epsilon)
+                starts, ends = certified_windows(factor, x[-1], epsilon)
                 assert np.all(starts <= ends) and np.all(starts[1:] > ends[:-1])
                 hot = x[p >= 1 - 2 * epsilon]
                 k = np.searchsorted(starts, hot, side="right") - 1
@@ -452,7 +459,7 @@ def test_window_pass_memory_does_not_grow_with_the_pass():
     site, _ = pair_factors(make_spec(8, "closed", "closed", gamma=1.0), *PAIR8)
     tracemalloc.start()
     try:
-        starts, ends = scan._windows(site, 100_000.0, 1e-3)
+        starts, ends = certified_windows(site, 100_000.0, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -528,7 +535,7 @@ def test_chunked_scan_matches_reference_scan(case):
     # at the step the search certified for this network
     spec, decomp, pair, cfg = EQUIVALENCE_CASES[case]()
     times = find_pst_times(spec, *pair, cfg)
-    [(_, h, same)] = scan._sweep(*scan._factors(spec, *pair), [spec.couplings.effective()[0]],
+    [(_, h, same)] = scan._sweep(*pair_factors(spec, *pair), [spec.couplings.effective()[0]],
                                  cfg, first_only=False)
     assert same == times and h <= cfg.coarse_step
     want = reference_pst_times(decomp, *pair, replace(cfg, coarse_step=h))

@@ -15,7 +15,7 @@ from helix_pst import (
     transfer_report,
     transition_probability,
 )
-from helix_pst.transfer import CHUNK, ROOT
+from helix_pst.transfer import CHUNK, ROOT, factor_chunks
 from oracles import (
     block_overlaps,
     dark_predicate_closed_closed,
@@ -196,13 +196,18 @@ def test_ring_translation_invariance(ring8, rng):
 
 def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     """Block sizes of a count-point kernel run, after checking its points
-    against transition_probability and, at block edges, series_expm."""
+    against transition_probability and, at block edges, series_expm, and
+    the trace's factor-product blocks against them."""
     spec, decomp = make_decomp(5, site_bc, channel_bc, gamma=1.7)
     pair = (Node(0, 1), Node(3, 2))
     step = 0.0021
     chunks = list(probability_chunks(
         projector_overlaps(decomp, *pair), decomp.values, step, count))
     sizes = [len(c) for c in chunks]
+    factored = list(factor_chunks(spec, *pair, step, count))
+    assert [len(c) for c in factored] == sizes
+    q = np.concatenate(factored)
+    assert np.max(np.abs(q - np.concatenate(chunks))) <= 1e-12
     assert sizes[:-1] == [CHUNK] * (len(sizes) - 1)
     assert 0 < sizes[-1] <= CHUNK
     assert sum(sizes) == count
@@ -216,7 +221,9 @@ def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     H = build_hamiltonian(spec)
     a, b = (flat_index(n, spec.N) for n in pair)
     for i in sorted(edges | {ROOT - 1, ROOT, count - 1} & set(range(count))):
-        assert p[i] == pytest.approx(abs(series_expm(H, i * step)[b, a]) ** 2, abs=1e-12)
+        exact = abs(series_expm(H, i * step)[b, a]) ** 2
+        assert p[i] == pytest.approx(exact, abs=1e-12)
+        assert q[i] == pytest.approx(exact, abs=1e-12)
     return sizes
 
 
@@ -234,6 +241,20 @@ def test_probability_chunks_block_layout(site_bc, channel_bc, count):
     # a lone point, short and partial rows, a full block, and a last
     # block of one full row plus one point
     _check_chunks(site_bc, channel_bc, count)
+
+
+@pytest.mark.parametrize("J, L", [(1.3, 0.0), (-0.8, 2.1), (0.0, 1.0)])
+@pytest.mark.parametrize("site_bc, channel_bc", TOPOLOGIES)
+def test_factor_chunks_match_pointwise_in_raw_units(site_bc, channel_bc, J, L):
+    # L = 0 leaves the constant channel factor, J < 0 mirrors the site
+    # phases and J = 0 the constant site factor
+    spec, decomp = make_decomp(6, site_bc, channel_bc, J=J, L=L)
+    step, count = 0.013, CHUNK + ROOT + 3
+    for pair in ((Node(0, 1), Node(3, 1)), (Node(1, 2), Node(4, 3))):
+        p = np.concatenate(list(factor_chunks(spec, *pair, step, count)))
+        t = step * np.arange(count)
+        exact = [transition_probability(decomp, *pair, x) for x in t[::41]]
+        assert np.max(np.abs(p[::41] - exact)) <= 1e-12
 
 
 def test_grid_count_matches_arange():
