@@ -17,7 +17,7 @@ integer witness k and measuring the residual in radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +50,6 @@ class AttainabilityReport:
     all_satisfied: bool
 
 
-def _offset(sign_left: int, sign_right: int) -> float:
-    if sign_left == sign_right:
-        return 0.0
-    return math.pi if sign_left > sign_right else -math.pi
-
-
 def independent_constraints(
     report: TransferReport, decomp: SpectralDecomposition
 ) -> list[Constraint]:
@@ -67,12 +61,18 @@ def independent_constraints(
     """
     if len(report.overlaps) != len(decomp):
         raise ValueError("report and decomposition describe different systems")
-    bright = [k for k in range(len(decomp)) if k not in report.dark_groups]
-    bright.sort(key=lambda k: -decomp.values[k])
-    return [Constraint(left_group=hi, right_group=lo,
-                       delta_lambda=float(decomp.values[hi] - decomp.values[lo]),
-                       offset=_offset(int(report.signs[hi]), int(report.signs[lo])))
-            for hi, lo in zip(bright, bright[1:])]
+    keep = np.ones(len(decomp), dtype=bool)
+    keep[list(report.dark_groups)] = False
+    bright = np.flatnonzero(keep)
+    bright = bright[np.argsort(-decomp.values[bright], kind="stable")]
+    hi, lo = bright[:-1], bright[1:]
+    signs = np.asarray(report.signs)
+    # sign(s_left - s_right) indexes the offset: 0, +pi, and -pi at -1
+    offsets = (0.0, math.pi, -math.pi)
+    groups = bright.tolist()
+    return [Constraint(a, b, delta, offsets[turn]) for a, b, delta, turn in zip(
+        groups, groups[1:], (decomp.values[hi] - decomp.values[lo]).tolist(),
+        np.sign(signs[hi] - signs[lo]).tolist())]
 
 
 def check_attainability(
@@ -84,13 +84,12 @@ def check_attainability(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol:g}")
     two_pi = 2.0 * math.pi
-    filled: list[Constraint] = []
-    residuals = np.zeros(len(constraints))
-    for idx, c in enumerate(constraints):
-        r = c.delta_lambda * t - c.offset
-        k = round(r / two_pi)
-        residuals[idx] = abs(r - two_pi * k)
-        filled.append(replace(c, satisfied_k=k))
-    ok = bool(np.all(residuals < tol)) if len(constraints) else True
-    return AttainabilityReport(float(t), float(tol), tuple(filled), residuals, ok)
+    delta = np.array([c.delta_lambda for c in constraints], dtype=float)
+    r = delta * t - np.array([c.offset for c in constraints], dtype=float)
+    k = np.rint(r / two_pi)  # half to even, as round does
+    residuals = np.abs(r - two_pi * k)
+    filled = tuple(Constraint(c.left_group, c.right_group, c.delta_lambda, c.offset, w)
+                   for c, w in zip(constraints, map(int, k)))
+    ok = bool(np.all(residuals < tol))
+    return AttainabilityReport(float(t), float(tol), filled, residuals, ok)
 

@@ -9,7 +9,8 @@ yields them from the pair's two factors, through the vectorised writer
 csvtext.rows_g12, byte for byte what %.12g gives. Only spectrum, pmax,
 dark and attain build the grouped decomposition. JSON output carries a
 top-level "schema": 1 field. Plot scripts are plain gnuplot. reproduce
-runs evolve and sweep commands. A --horizon/--step grid may hold at
+runs evolve and sweep commands into --output-dir, which it makes first,
+parents included. A --horizon/--step grid may hold at
 most MAX_GRID_POINTS points, and so may a --gamma-grid or --J-grid and
 the two factor passes of a scan's or sweep's PST search.
 """
@@ -20,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -393,9 +395,14 @@ _TRACE_STEP = 0.005
 
 def _cmd_reproduce(args) -> int:
     """Each panel is an evolve or sweep command with the figure's network,
-    pair and defaults, written into the output directory."""
+    pair and defaults, written into the output directory, which is made
+    first, parents included."""
     job = _FIGURES[args.figure]
     outdir = args.output_dir.rstrip("/") or "."
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write {outdir}: {exc.strerror}") from None
     network = ["--n", str(job.N), "--site-bc", job.site_bc,
                "--channel-bc", job.channel_bc, "--in", job.pair[0], "--out", job.pair[1]]
     written: list[str] = []

@@ -7,16 +7,18 @@ modulus (Christandl et al., PRL 92, 187902, 2004). The search reads
 the factors of spectral.pair_factors, as the CLI traces do: the site
 factor in units of g = J_eff, the channel factor scaled by L_eff; in
 scaled units t is tau and g is gamma. A search at one network is
-_sweep at its own J_eff.
+_sweep at its own J_eff, a sweep of one row.
 
-_scan reads p on a grid t = i * h. Candidates are grid local maxima
+Each row reads p on a grid t = i * h. Candidates are grid local maxima
 above thr = 1 - 2 epsilon, p > thr, p > left and p >= right (boundary
 points included, a flat run counted once at its first point);
 golden-section refinement pins each down to 1e-6 in time, and a refined
-peak with p >= 1 - epsilon is a perfect-transfer (PST) event. tau_min
-stops once no later candidate can replace its first event. _scan reads
-only index ranges outside which p <= thr: a point there is no candidate
-and, next to one above thr, compares like the -inf put around a range.
+peak with p >= 1 - epsilon is a perfect-transfer (PST) event, one
+closer than a grid step to the previous event replacing it only when
+higher. tau_min stops once no later candidate can replace its first
+event. A row reads only index ranges outside which p <= thr: a point
+there is no candidate and, next to one above thr, compares like the
+-inf put around a range.
 
 Certified steps. Let A(t) = sum_k w_k exp(-i v_k t), c the |w|-weighted
 mean of v and W2 = sum_k |w_k| (v_k - c)^2. For any t*,
@@ -26,6 +28,20 @@ the grid points around t*; one of them has |A| >= |A(t*)| - W2 h^2 / 8.
 At h <= _step_for(W2) = sqrt(8 (sqrt(1 - epsilon) - sqrt(thr)) / W2)
 each peak with p >= 1 - epsilon thus has a grid neighbour with p >= thr
 (pretty good state transfer: Godsil et al., PRL 109, 050502, 2012).
+
+Brackets. A candidate i has p_(i-1) < p_i >= p_(i+1), so the largest p
+on its bracket [i h - h, i h + h] (clipped to [0, horizon]) is at least
+p_i > thr and is not at the bracket's lower end: it lies at a local
+maximum of p inside the bracket, or at a clipped end, 0 or the horizon.
+Let t* be a PST peak and k a grid point around it with p_k >= thr. If
+p has no other local maximum between the grid points just outside k's
+run of points above thr, the run's values rise up to the two grid
+points around t* and fall after them, so the run's first largest point
+is one of those two, a candidate within h of t*: its bracket holds t*,
+p is unimodal there, and golden section, which keeps the higher of two
+interior points, closes in on t*. A run over two maxima of p shows a
+dip between them or brackets only the higher; refinement then gives
+that one, and two events closer than h merge into the higher anyway.
 
 Windows. _windows samples a factor at its own certified step h and
 flags the samples with sqrt(p) >= sqrt(thr) - W2 h^2 / 8 - 4 r, r a
@@ -39,6 +55,24 @@ intersected with W_site / |g|, at h_g = min(coarse_step, _step_for(W2(g))),
 W2(g) = g^2 W2_site sum|q| + W2_chan sum|w|, the W2 of the product's
 terms. That W2(g) grows as g^2 is why a fixed step misses events at
 high gamma.
+
+Lockstep. The rows of a sweep are searched together, in groups whose
+site windows fit BLOCK_TERMS (all rows of a figure sweep). One
+_intersect call gives every row's windows, and the rows' index ranges
+merge on one integer axis, each row's grid offset past the one before.
+_lockstep then reads, in blocks, the next points of every unsettled row
+in index order, each row's points laid out as -inf, its first range,
+-inf, its next range, ..., -inf, and each row carrying its last two
+values into the next block; one mask over a block gives its
+candidates. A block takes at most BLOCK_TERMS points x terms, and up to
+ROOT points of each row at first, twice as many in each later block, so
+a first event found early ends its row early. The block's candidates
+are refined in rounds, each one vectorised _golden pass: without
+first_only every candidate is refined, so one round takes all of them;
+with first_only a round takes the next candidate of each unsettled row,
+as a row's earlier results decide whether its next candidate still
+counts. A row settles, and drops out of later rounds and blocks, once
+its first time can no longer change.
 """
 
 from __future__ import annotations
@@ -57,6 +91,8 @@ REFINE_XTOL = 1e-6
 # golden-section steps per candidate; the cap must stay, since at large t
 # the spacing of floats exceeds REFINE_XTOL and b - a cannot shrink to it
 REFINE_ITERS = 64
+# points x terms of one evaluation of p, about 1 MiB of complex phases
+BLOCK_TERMS = 16 * CHUNK
 
 
 @dataclass(frozen=True)
@@ -85,71 +121,129 @@ class SweepRow:
     step: float
 
 
-def _golden_max(p_of, a: float, b: float, max_iters: int) -> tuple[float, float]:
-    """Golden-section maximisation of p on [a, b] down to REFINE_XTOL."""
+def _golden(p_of, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximisation of p on the brackets [a_k, b_k] of the
+    rows rows_k at once, p_of(rows, t) giving p of each row at its time:
+    each bracket shrinks down to REFINE_XTOL or for REFINE_ITERS steps,
+    then the best of its midpoint and both ends, the first on a tie, is
+    its (t, p). a and b are overwritten."""
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
-    f1, f2 = p_of(x1), p_of(x2)
-    iters = 0
-    while (b - a) > REFINE_XTOL and iters < max_iters:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + INV_PHI * (b - a)
-            f2 = p_of(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - INV_PHI * (b - a)
-            f1 = p_of(x1)
-        iters += 1
-    best = max(((a + b) / 2.0, a, b), key=p_of)
-    return best, p_of(best)
+    f1, f2 = np.split(p_of(np.tile(rows, 2), np.concatenate((x1, x2))), 2)
+    live = np.flatnonzero(b - a > REFINE_XTOL)
+    for _ in range(REFINE_ITERS):
+        if not len(live):
+            break
+        rise = f1[live] < f2[live]
+        u, d = live[rise], live[~rise]
+        a[u], x1[u], f1[u] = x1[u], x2[u], f2[u]
+        x2[u] = a[u] + INV_PHI * (b[u] - a[u])
+        b[d], x2[d], f2[d] = x2[d], x1[d], f1[d]
+        x1[d] = b[d] - INV_PHI * (b[d] - a[d])
+        f = p_of(rows[np.concatenate((u, d))], np.concatenate((x2[u], x1[d])))
+        f2[u], f1[d] = f[:len(u)], f[len(u):]
+        live = live[b[live] - a[live] > REFINE_XTOL]
+    t = np.array([(a + b) / 2.0, a, b])
+    p = p_of(np.tile(rows, 3), t.ravel()).reshape(3, -1)
+    best = np.argmax(p, axis=0), np.arange(len(rows))
+    return t[best], p[best]
 
 
-def _scan(p_of, ranges, h: float, cfg: ScanConfig, first_only: bool) -> list[float]:
-    """PST times on the grid i * h, ascending, read in the index ranges
-    (lo, hi), inclusive, ascending and not adjacent, outside which
-    p <= 1 - 2 epsilon; p_of gives p at one time or at each time of an
-    array, here ROOT grid points at a time. With first_only, the scan
-    stops once its first element can no longer change."""
+def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: bool,
+              terms: int) -> list[list[float]]:
+    """PST times, ascending, of each row r < len(h) on its grid i * h_r,
+    read in the index ranges (lo, hi), inclusive, of row r, sorted by row
+    and then ascending and not adjacent, outside which p <= 1 - 2 epsilon;
+    p_of(rows, t) gives p of each row at its time over terms terms. With
+    first_only, only the first time of each row is final."""
     thr = 1.0 - 2.0 * cfg.epsilon
-    times: list[float] = []
-    probs: list[float] = []
+    steps = h.tolist()
+    times: list[list[float]] = [[] for _ in steps]
+    probs: list[list[float]] = [[] for _ in steps]
+    done = np.zeros(len(steps), dtype=bool)
+    width = max(1, BLOCK_TERMS // terms)
 
-    def settled(a: float) -> bool:
-        # a candidate whose bracket starts at a can neither merge with
-        # times[0] nor precede it
-        return first_only and bool(times) and (len(times) > 1 or a > times[0] + h)
+    def p_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # p_of over at most BLOCK_TERMS points x terms at a time
+        if len(t) <= width:
+            return p_of(rows, t)
+        return np.concatenate([p_of(rows[k:k + width], t[k:k + width])
+                               for k in range(0, len(t), width)])
 
-    for lo, hi in ranges:
-        # grid values before the first undecided index, -inf standing in
-        # for p(lo - 1); last is the grid index of tail[-1]
-        tail, last = np.array([-np.inf]), lo - 1
-        for at in range(lo, hi + 1, ROOT):
-            chunk = p_of(h * np.arange(at, min(at + ROOT, hi + 1)))
-            w = np.concatenate((tail, chunk))
-            if last + len(chunk) == hi:
-                w = np.append(w, -np.inf)  # p past the range
-            # a flat run is examined at its first point only, hence p > left
-            mid, left, right = w[1:-1], w[:-2], w[2:]
-            # c is the index in chunk, -1 for tail[-1]
-            for c in np.flatnonzero((mid > thr) & (mid > left) & (mid >= right)) + (1 - len(tail)):
-                i = last + 1 + c
-                a = max(i * h - h, 0.0)
-                if settled(a):
-                    return times
-                b = min(i * h + h, cfg.horizon)
-                t_star, p_star = _golden_max(p_of, a, b, REFINE_ITERS)
-                if p_star >= 1.0 - cfg.epsilon:
-                    if times and abs(t_star - times[-1]) < h:
-                        if p_star > probs[-1]:
-                            times[-1], probs[-1] = t_star, p_star
+    def settled(r: int, a: float) -> bool:
+        # a candidate of row r whose bracket starts at a can neither merge
+        # with its first time nor precede it
+        t = times[r]
+        return first_only and bool(t) and (len(t) > 1 or a > t[0] + steps[r])
+
+    def refine(rows: np.ndarray, index: np.ndarray) -> None:
+        # candidates in row and then index order, rank their place in the row
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        for k in range(rank.max() + 1 if first_only else 1) if len(rows) else ():
+            brackets = []
+            for r, i, place in zip(rows.tolist(), index.tolist(), rank.tolist()):
+                if first_only and (place != k or done[r]):
+                    continue
+                a = max(i * steps[r] - steps[r], 0.0)
+                if settled(r, a):
+                    done[r] = True
+                else:
+                    brackets.append((r, a, min(i * steps[r] + steps[r], cfg.horizon)))
+            if not brackets:
+                continue
+            rs, a, b = map(np.array, zip(*brackets))
+            for r, t, p in zip(rs.tolist(), *(x.tolist() for x in _golden(p_at, rs, a, b))):
+                if p >= 1.0 - cfg.epsilon:
+                    if times[r] and abs(t - times[r][-1]) < steps[r]:
+                        if p > probs[r][-1]:
+                            times[r][-1], probs[r][-1] = t, p
                     else:
-                        times.append(t_star)
-                        probs.append(p_star)
-            tail = w[-2:]
-            last += len(chunk)
-            if settled(last * h - h):
-                return times
+                        times[r].append(t)
+                        probs[r].append(p)
+
+    # slots: each range's points and a -inf after them, a -inf before each row
+    size = hi - lo + 1
+    opens = np.diff(row, prepend=-1) != 0  # a row's first range
+    ends = np.cumsum(size + 1 + opens)
+    first = ends - size - 1  # the slot of each range's first point
+    pos, stop = np.zeros((2, len(steps)), dtype=int)
+    pos[row[opens]] = first[opens] - 1  # a row starts before its first range
+    closes = np.roll(opens, -1)
+    stop[row[closes]] = ends[closes]  # and ends after its last
+    tails = np.full((2, len(steps)), -np.inf)  # each row's last two values
+    tail_at = np.full(len(steps), -1)  # and the grid index of the last, -1 off the grid
+    reach = ROOT
+    while len(act := np.flatnonzero(~done & (pos < stop))):
+        n = np.minimum(stop[act] - pos[act], max(1, min(reach, BLOCK_TERMS // (terms * len(act)))))
+        reach *= 2
+        # the block: per row its two carried values, then its next n slots
+        seg = np.cumsum(n + 2) - n - 2
+        fresh = np.ones(seg[-1] + n[-1] + 2, dtype=bool)
+        fresh[seg] = fresh[seg + 1] = False
+        slot = (np.repeat(pos[act] - seg - 2, n + 2) + np.arange(len(fresh)))[fresh]
+        j = np.maximum(np.searchsorted(first, slot, side="right") - 1, 0)
+        at = lo[j] + slot - first[j]
+        real = (slot >= first[j]) & (at <= hi[j])
+        place = np.flatnonzero(fresh)[real]
+        rows = np.repeat(act, n)[real]
+        w = np.full(len(fresh), -np.inf)
+        index = np.full(len(fresh), -1)
+        w[seg], w[seg + 1], index[seg + 1] = tails[0, act], tails[1, act], tail_at[act]
+        w[place], index[place] = p_at(rows, h[rows] * at[real]), at[real]
+        # a row's first slot in the block is no candidate, its last not yet
+        inner = np.ones(len(fresh), dtype=bool)
+        inner[seg] = inner[seg + n + 1] = False
+        mid = w[1:-1]
+        c = np.flatnonzero(inner[1:-1] & (mid > thr) & (mid > w[:-2]) & (mid >= w[2:])) + 1
+        refine(np.repeat(act, n + 2)[c], index[c])
+        end = seg + n + 2
+        tails[:, act] = w[end - 2], w[end - 1]
+        tail_at[act] = index[end - 1]
+        pos[act] += n
+        # no later candidate of a row comes before the last point it read
+        for r, i in zip(act.tolist(), np.maximum.reduceat(index, seg).tolist()):
+            if i >= 0 and settled(r, i * steps[r] - steps[r]):
+                done[r] = True
     return times
 
 
@@ -228,49 +322,78 @@ def _windows(factor, extent: float, h: float, epsilon: float) -> tuple[np.ndarra
     for at, chunk in zip(range(0, count, CHUNK), probability_chunks(weights, values, h, count)):
         # sqrt(p) >= floor, true of every sample when floor <= 0
         flagged = np.flatnonzero(chunk >= floor * abs(floor)) + at
-        # runs under two samples apart overlap once widened
-        runs.append(_merge(flagged, flagged, 2))
+        if len(flagged):  # most blocks of a pass flag nothing
+            # runs under two samples apart overlap once widened
+            runs.append(_merge(flagged, flagged, 2))
     lo, hi = _merge(*map(np.concatenate, zip(*runs)), 2)
     return h * (lo - 1), h * (hi + 1)
 
 
-def _intersect(a0, a1, b0, b1) -> tuple[np.ndarray, np.ndarray]:
-    """Intersections, sorted, of two lists of sorted, disjoint intervals."""
+def _intersect(a0, a1, b0, b1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, starts, ends): the intersections of each interval k of a with
+    the sorted, disjoint intervals b, grouped by k and sorted within it."""
     first = np.searchsorted(b1, a0)  # the first b ending at or after a starts
     stop = np.searchsorted(b0, a1, side="right")  # past the last b starting by a's end
     n = np.maximum(stop - first, 0)
     ia = np.repeat(np.arange(len(a0)), n)
     ib = np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())
-    return np.maximum(a0[ia], b0[ib]), np.minimum(a1[ia], b1[ib])
+    return ia, np.maximum(a0[ia], b0[ib]), np.minimum(a1[ia], b1[ib])
+
+
+def _row_ranges(s0, s1, c0, c1, scale, h, count) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, lo, hi): the index ranges on each row's grid of W_chan
+    intersected with W_site / scale_row, sorted by row, then ascending and
+    not adjacent; one _intersect call serves every row."""
+    if not len(s0):
+        return (np.empty(0, dtype=int),) * 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a0, a1 = s0 / scale[:, None], s1 / scale[:, None]
+    # at g = 0 p_site stays at its value at x = 0: a row holds all of tau
+    # or none of it
+    still = scale == 0.0
+    a0[still], a1[still] = np.inf, -np.inf
+    if np.any((s0 <= 0.0) & (0.0 <= s1)):
+        a0[still, 0], a1[still, 0] = -np.inf, np.inf
+    k, a0, a1 = _intersect(a0.ravel(), a1.ravel(), c0, c1)
+    row = k // len(s0)
+    # clipping adds points to the ranges, which is always safe; each row's
+    # grid lies one index past the previous row's on one axis
+    lo = np.clip(np.floor(a0 / h[row]), 0, count[row] - 1).astype(int)
+    hi = np.clip(np.ceil(a1 / h[row]), 0, count[row] - 1).astype(int)
+    base = np.cumsum(count + 1) - count - 1
+    lo, hi = _merge(lo + base[row], hi + base[row], 1)
+    row = np.searchsorted(base, lo, side="right") - 1
+    return row, lo - base[row], hi - base[row]
 
 
 def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[float, float, list]]:
     """(g, step, PST times) of p_site(g tau) p_chan(tau), factors (values,
     weights), per g of grid; with first_only, only the first time is final."""
     h0, epsilon = cfg.coarse_step, cfg.epsilon
-    grid = [float(g) for g in grid]
-    site_pass, chan_pass = _passes(site, chan, grid, cfg)
+    g = np.array([float(x) for x in grid])
+    site_pass, chan_pass = _passes(site, chan, g.tolist(), cfg)
     c0, c1 = _windows(*chan_pass, epsilon)
     s0, s1 = _windows(*site_pass, epsilon) if len(c0) else (c0, c1)
     (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
+    h = np.array([min(h0, _step_for(x * x * w2_site * sum_q + w2_chan * sum_w, epsilon))
+                  for x in g.tolist()])
+    count = np.array([grid_count(cfg.horizon, x) for x in h.tolist()], dtype=int)
+    scale = np.abs(g)
+    # the product's terms: values |g| sigma_i + c_a, weights w_i q_a
+    sigma, c = np.repeat(site[0], len(chan[0])), np.tile(chan[0], len(site[0]))
+    weights = np.outer(site[1], chan[1]).ravel()
+    # rows go together as far as their site windows fit BLOCK_TERMS
+    group = max(1, BLOCK_TERMS // max(len(s0), 1))
+    times: list[list[float]] = []
+    for at in range(0, len(g), group):
+        part = slice(at, at + group)
 
-    def row(g: float) -> tuple[float, float, list]:
-        h = min(h0, _step_for(g * g * w2_site * sum_q + w2_chan * sum_w, epsilon))
-        count = grid_count(cfg.horizon, h)
-        if g == 0.0:  # p_site stays at its value at x = 0
-            a0, a1 = (c0, c1) if np.any((s0 <= 0.0) & (0.0 <= s1)) else (c0[:0], c1[:0])
-        else:
-            a0, a1 = _intersect(s0 / abs(g), s1 / abs(g), c0, c1)
-        # clipping adds points to the ranges, which is always safe
-        lo = np.clip(np.floor(a0 / h), 0, count - 1).astype(int)
-        lo, hi = _merge(lo, np.clip(np.ceil(a1 / h), 0, count - 1).astype(int), 1)
-        # the product's terms: values |g| sigma_i + c_a, weights w_i q_a
-        values = np.add.outer(abs(g) * site[0], chan[0]).ravel()
-        weights = np.outer(site[1], chan[1]).ravel()
-        return g, h, _scan(lambda t: probability_at(weights, values, t),
-                           zip(lo.tolist(), hi.tolist()), h, cfg, first_only)
+        def p_of(rows: np.ndarray, t: np.ndarray, s=scale[part]) -> np.ndarray:
+            return probability_at(weights, s[rows, None] * sigma + c, t)
 
-    return [row(g) for g in grid]
+        times += _lockstep(p_of, *_row_ranges(s0, s1, c0, c1, scale[part], h[part], count[part]),
+                           h[part], cfg, first_only, len(weights))
+    return list(zip(g.tolist(), h.tolist(), times))
 
 
 def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:

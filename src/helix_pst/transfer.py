@@ -17,7 +17,8 @@ each one 64 x 64 complex matrix product of exactly seeded row phases.
 The PST search's factor passes stream it, and the CLI traces stream
 factor_chunks, the product of two of its streams. probability_at is
 the one evaluator of p at given times, for transition_probability and
-for the search's points inside its windows and its refinement.
+for the search's points inside its windows and its refinement, where
+each time may carry its own values (a sweep row's frequencies).
 """
 
 from __future__ import annotations
@@ -50,8 +51,13 @@ class TransferReport:
 
 def probability_at(overlaps: np.ndarray, values: np.ndarray, t):
     """p(t) = |sum_k o_k exp(-i lambda_k t)|^2 at a time t, or at each time
-    of an array t."""
-    return np.abs(np.exp(-1j * np.multiply.outer(t, values)) @ overlaps) ** 2
+    of an array t, with one row of values for all times or one per time.
+    Each sum runs in einsum's own loop, so a time's p does not depend on
+    the other times evaluated with it, and no BLAS product of many times
+    at few terms goes to threads that cost more than the sum."""
+    phases = -1j * (np.asarray(t)[..., None] * values)
+    np.exp(phases, out=phases)
+    return np.abs(np.einsum("...k,k->...", phases, overlaps)) ** 2
 
 
 def transition_probability(

@@ -152,3 +152,45 @@ def test_check_attainability_rejects_non_finite_time(ring8_report):
             check_attainability(chain, bad)
         with pytest.raises(ValueError, match="time must be finite"):
             check_attainability([], bad)  # also with nothing to evaluate
+
+
+def _loop_chain(report, decomp):
+    """The chain and its check one constraint at a time, the reference
+    of the array forms."""
+    bright = sorted((k for k in range(len(decomp)) if k not in report.dark_groups),
+                    key=lambda k: -decomp.values[k])
+    chain = []
+    for hi, lo in zip(bright, bright[1:]):
+        s_hi, s_lo = int(report.signs[hi]), int(report.signs[lo])
+        offset = 0.0 if s_hi == s_lo else (math.pi if s_hi > s_lo else -math.pi)
+        chain.append(Constraint(hi, lo, float(decomp.values[hi] - decomp.values[lo]), offset))
+    return chain
+
+
+@pytest.mark.parametrize("N, site, channel, pair", [
+    (8, "closed", "closed", (Node(0, 1), Node(4, 1))),
+    (8, "closed", "closed", (Node(0, 1), Node(2, 3))),
+    (9, "open", "closed", (Node(1, 2), Node(7, 1))),
+    (40, "open", "open", (Node(0, 1), Node(39, 3))),
+])
+def test_array_chain_and_check_equal_the_loop(N, site, channel, pair):
+    _, decomp = make_decomp(N, site, channel, gamma=2.7)
+    report = transfer_report(decomp, *pair)
+    chain = independent_constraints(report, decomp)
+    assert chain == _loop_chain(report, decomp)
+    # at t = 1e300 the witnesses are integers far beyond 64 bits
+    for t in (0.7, 12.576181, 1e4, 1e300):
+        result = check_attainability(chain, t)
+        for c, got, r in zip(chain, result.constraints, result.residuals):
+            x = c.delta_lambda * t - c.offset
+            k = round(x / (2.0 * math.pi))
+            assert got == Constraint(c.left_group, c.right_group, c.delta_lambda, c.offset, k)
+            assert type(got.satisfied_k) is int and r == abs(x - 2.0 * math.pi * k)
+
+
+def test_witness_rounds_half_to_even():
+    # (delta t - offset) / 2 pi is exactly 0.5, 1.5 and -2.5 here
+    chain = [Constraint(0, 1, 1.0, 0.0), Constraint(1, 2, 3.0, 0.0),
+             Constraint(2, 3, 1.0, 6.0 * math.pi)]
+    result = check_attainability(chain, math.pi)
+    assert [c.satisfied_k for c in result.constraints] == [0, 2, -2]

@@ -452,6 +452,18 @@ def test_reproduce_fig4_writes_expected_files(tmp_path, capsys):
         assert direct.read_bytes() == (tmp_path / name).read_bytes(), name
 
 
+def test_reproduce_makes_its_output_directory_with_parents(tmp_path, capsys):
+    outdir = tmp_path / "figures" / "fig4"
+    code, out, err = run(["reproduce", "fig4", "--output-dir", str(outdir)], capsys)
+    assert code == 0 and err == ""
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "fig4.gp", "fig4a_gamma4.csv", "fig4a_gamma9.4.csv", "fig4b_tau_min_vs_gamma.csv",
+        "fig4c_t_min_vs_J.csv"]
+    assert out.splitlines() == [str(outdir / name) for name in (
+        "fig4a_gamma4.csv", "fig4a_gamma9.4.csv", "fig4b_tau_min_vs_gamma.csv",
+        "fig4c_t_min_vs_J.csv", "fig4.gp")]
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--gamma", "2", "--output", "{missing}/a.csv"],
     ["spectrum", "--gamma", "2", "--output", "{tmp}/a.csv", "--dump-matrix", "{missing}/H.txt"],
@@ -460,6 +472,8 @@ def test_reproduce_fig4_writes_expected_files(tmp_path, capsys):
     ["reproduce", "fig4", "--output-dir", "{missing}"],
 ])
 def test_unwritable_path_is_a_usage_error(argv, tmp_path, capsys):
+    # a file where a directory of the path should be: no command can make it
+    (tmp_path / "no").write_text("")
     missing = tmp_path / "no" / "such"
     argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
     if argv[0] != "reproduce":

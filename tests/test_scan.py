@@ -22,8 +22,8 @@ from helix_pst.cli import parse_grid
 from helix_pst.scan import REFINE_XTOL
 from helix_pst.spectral import pair_factors
 from helix_pst.transfer import CHUNK, ROOT
-from oracles import (channel_hamiltonian, grid_pst_times, reference_pst_times, ring_hamiltonian,
-                     series_expm)
+from oracles import (_reference_golden_max, channel_hamiltonian, grid_pst_times,
+                     reference_pst_times, ring_hamiltonian, series_expm)
 
 PAIR8 = (Node(0, 1), Node(4, 1))
 # the paper's figure networks fig2..fig5 and their node pairs
@@ -215,24 +215,34 @@ def _check_rows_against_full_scans(rows, grid, case_at, cfg):
 
 
 def count_range_points(monkeypatch) -> list[int]:
-    """Sizes of the blocks of grid points _scan reads, after checking that
-    its ranges are ascending and neither overlap nor touch."""
+    """Sizes of the blocks of grid points _lockstep reads, refinement left
+    out, after checking that each row's ranges are ascending and neither
+    overlap nor touch."""
     sizes: list[int] = []
-    real = scan._scan
+    refining: list[bool] = []
+    real, real_golden = scan._lockstep, scan._golden
 
-    def spy(p_of, ranges, h, cfg, first_only):
-        ranges = list(ranges)
-        assert all(lo <= hi for lo, hi in ranges)
-        assert all(b[0] > a[1] + 1 for a, b in zip(ranges, ranges[1:])), ranges
+    def golden(*args):
+        refining.append(True)
+        try:
+            return real_golden(*args)
+        finally:
+            refining.pop()
 
-        def counted(t):
-            if np.ndim(t):  # a block; refinement asks for one time at a time
+    def spy(p_of, row, lo, hi, h, cfg, first_only, terms):
+        assert np.all(lo <= hi) and np.all(np.diff(row) >= 0)
+        same = row[1:] == row[:-1]
+        assert np.all(lo[1:][same] > hi[:-1][same] + 1), (row, lo, hi)
+
+        def counted(rows, t):
+            if not refining:
                 sizes.append(len(t))
-            return p_of(t)
+            return p_of(rows, t)
 
-        return real(counted, ranges, h, cfg, first_only)
+        return real(counted, row, lo, hi, h, cfg, first_only, terms)
 
-    monkeypatch.setattr(scan, "_scan", spy)
+    monkeypatch.setattr(scan, "_lockstep", spy)
+    monkeypatch.setattr(scan, "_golden", golden)
     return sizes
 
 
@@ -265,6 +275,57 @@ def test_gamma_sweep_matches_per_gamma_scans(fig, monkeypatch):
     assert sum(passes) + sum(points) <= len(grid) * grid_count(cfg.horizon, cfg.coarse_step) / 100
     _check_rows_against_full_scans(
         rows, grid, lambda g: (*make_decomp(N, site, channel, gamma=g), pair), cfg)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "J"])
+def test_fig2_sweep_makes_a_bounded_number_of_evaluator_calls(kind, monkeypatch):
+    # the 391 rows are read in a few row-parallel blocks and refined in
+    # at most a few rounds, each one golden-section pass over all of
+    # them; one golden section per candidate and one call per 64-point
+    # block of each row took 4568 probability_at calls for the gamma panel
+    N, site, channel, pair = FIGURES["fig2"]
+    grid = parse_grid("0.5:20:0.05")
+    calls, rounds = [], []
+    real_p, real_golden = scan.probability_at, scan._golden
+
+    def counted(*args):
+        calls.append(args)
+        return real_p(*args)
+
+    def golden(*args):
+        rounds.append(args)
+        return real_golden(*args)
+
+    monkeypatch.setattr(scan, "probability_at", counted)
+    monkeypatch.setattr(scan, "_golden", golden)
+    template = make_spec(N, site, channel, gamma=1.0)
+    if kind == "gamma":
+        rows = gamma_sweep(template, pair, grid, ScanConfig())
+    else:
+        rows = coupling_sweep_L0(N, template.bc, pair, grid, ScanConfig())
+    assert sum(r.tau_min is not None for r in rows) > 100
+    # a round at brackets of 2 h <= 0.01 takes 1 + 20 + 1 calls, a block one
+    assert 1 <= len(rounds) <= 3 and len(calls) <= 100
+
+
+@pytest.mark.parametrize("fig", ["fig2", "fig4"])
+def test_sweep_rows_do_not_depend_on_the_block_budget(fig, monkeypatch):
+    # a budget of 64 points x terms takes one row per group and a few
+    # points of it per block, so candidates meet block and group edges
+    N, site, channel, pair = FIGURES[fig]
+    template = make_spec(N, site, channel, gamma=1.0)
+    grid = parse_grid("0.5:20:0.25")
+
+    def sweeps():
+        return (gamma_sweep(template, pair, grid, ScanConfig()),
+                coupling_sweep_L0(N, template.bc, pair, grid, ScanConfig()))
+
+    want = sweeps()
+    points = count_range_points(monkeypatch)
+    monkeypatch.setattr(scan, "BLOCK_TERMS", 64)
+    assert sweeps() == want
+    assert max(points) <= 64
+    assert sum(r.tau_min is not None for rows in want for r in rows) > 50
 
 
 @pytest.mark.parametrize("fig", list(FIGURES))
@@ -312,7 +373,7 @@ def test_fig5_sweeps_evaluate_no_point_per_row(kind, monkeypatch):
     template = make_spec(N, site, channel, gamma=1.0)
     calls = count_kernel_calls(monkeypatch)
     points = count_range_points(monkeypatch)
-    monkeypatch.setattr(scan, "_golden_max", lambda *args: pytest.fail("a candidate was refined"))
+    monkeypatch.setattr(scan, "_golden", lambda *args: pytest.fail("a candidate was refined"))
     grid = parse_grid("0.5:20:0.05")
     if kind == "gamma":
         rows = gamma_sweep(template, pair, grid, ScanConfig())
@@ -417,42 +478,49 @@ def test_windows_hold_every_point_where_the_factor_reaches_the_threshold(site_bc
 
 
 def test_range_scan_decides_edge_candidates_as_the_full_scan(monkeypatch):
-    # synthetic p: at most thr outside the ranges, around thr inside them
-    # with flat pairs, read ROOT points at a time from each range's start.
-    # A range may start or end at a candidate, next to a block edge, the
-    # grid's ends and the gaps; with -inf around each range it must find
-    # the brackets the full scan finds
+    # synthetic p on three rows at their own steps: at most thr outside the
+    # ranges, around thr inside them with flat pairs. A range may start or
+    # end at a candidate, next to a block edge, the grid's ends and the
+    # gaps, and the rows' blocks end at other points; with -inf around
+    # each range, every row must find the brackets its full scan finds
     cfg = ScanConfig(horizon=20.0)
-    h = cfg.coarse_step
-    count = grid_count(cfg.horizon, h)
+    h = np.array([cfg.coarse_step, cfg.coarse_step / 2, cfg.coarse_step * 1.5])
+    counts = [grid_count(cfg.horizon, step) for step in h]
     thr = 1.0 - 2.0 * cfg.epsilon
     rng = np.random.default_rng(8)
-    p = rng.uniform(0.0, thr, size=count)
-    lo = np.arange(0, count, 173)
-    hi = np.minimum(lo + rng.integers(0, 2 * ROOT + 32, size=len(lo)), count - 1)
-    hi[-1] = count - 1
-    for a, b in zip(lo, hi):
-        p[a:b + 1] = rng.uniform(thr - 1e-3, 1.0, size=b - a + 1)
-        for at in (a + 2, a + ROOT):
-            if b > at:
-                p[at] = p[at - 1]
+    p, ranges = [], []
+    for count in counts:
+        q = rng.uniform(0.0, thr, size=count)
+        lo = np.arange(0, count, 173)
+        hi = np.minimum(lo + rng.integers(0, 2 * ROOT + 32, size=len(lo)), count - 1)
+        hi[-1] = count - 1
+        for a, b in zip(lo, hi):
+            q[a:b + 1] = rng.uniform(thr - 1e-3, 1.0, size=b - a + 1)
+            for at in (a + 2, a + ROOT):
+                if b > at:
+                    q[at] = q[at - 1]
+        p.append(q)
+        ranges.append((lo, hi))
     brackets = []
 
-    def stub_golden(p_of, a, b, max_iters):
-        brackets.append((a, b))
-        return (a + b) / 2, 1.0
+    def stub_golden(p_of, rows, a, b):
+        brackets.extend(zip(rows.tolist(), a.tolist(), b.tolist()))
+        return (a + b) / 2, np.ones(len(a))
 
-    monkeypatch.setattr(scan, "_golden_max", stub_golden)
+    monkeypatch.setattr(scan, "_golden", stub_golden)
 
-    def p_of(t):
-        return p[np.rint(t / h).astype(int)]
+    def p_of(rows, t):
+        return np.array([p[r][round(x / h[r])] for r, x in zip(rows.tolist(), t.tolist())])
 
-    scan._scan(p_of, [(0, count - 1)], h, cfg, first_only=False)
-    full = list(brackets)
-    assert len(full) > len(lo)
-    brackets.clear()
-    scan._scan(p_of, list(zip(lo.tolist(), hi.tolist())), h, cfg, first_only=False)
-    assert brackets == full
+    def per_row(lo, hi):
+        row = np.repeat(np.arange(len(h)), [len(x) for x in lo])
+        brackets.clear()
+        scan._lockstep(p_of, row, np.concatenate(lo), np.concatenate(hi), h, cfg, False, 1)
+        return [[(a, b) for r, a, b in brackets if r == k] for k in range(len(h))]
+
+    full = per_row([[0] for _ in counts], [[count - 1] for count in counts])
+    assert all(len(f) > len(lo) for f, (lo, _) in zip(full, ranges))
+    assert per_row(*zip(*ranges)) == full
 
 
 def test_window_pass_memory_does_not_grow_with_the_pass():
@@ -569,28 +637,79 @@ def test_tau_min_stops_at_first_event(monkeypatch):
     assert first == times[0] and len(times) > 10
 
 
+def test_golden_pass_equals_the_scalar_reference_per_bracket():
+    # each bracket of one vectorised pass against the scalar golden section
+    # on the same p: brackets of many widths on four sweep rows, a constant
+    # p (a tie, which picks the midpoint), and brackets near t = 1e11, where
+    # b - a cannot shrink to REFINE_XTOL and the step cap ends the search
+    site, chan = pair_factors(make_spec(8, "closed", "closed", gamma=1.0), *PAIR8)
+    scale = np.array([0.5, 3.0, 14.5, 0.0])
+    values = np.add.outer(np.multiply.outer(scale, site[0]), chan[0]).reshape(len(scale), -1)
+    values = np.vstack((values, np.zeros(values.shape[1])))
+    weights = np.outer(site[1], chan[1]).ravel()
+
+    def p_of(rows, t):
+        return transfer.probability_at(weights, values[rows], t)
+
+    rng = np.random.default_rng(5)
+    rows = np.concatenate((rng.integers(0, 4, 40), [4, 4, 0, 2]))
+    a = np.concatenate((rng.uniform(0.0, 200.0, 40), [0.0, 3.0, 1e11, 1e11 + 1.0]))
+    b = a + np.concatenate((rng.uniform(0.0, 0.02, 40), [0.01, 2e-6, 0.01, 0.005]))
+    t, p = scan._golden(p_of, rows, a.copy(), b.copy())
+    for k, r in enumerate(rows.tolist()):
+        want = _reference_golden_max(lambda x: float(p_of(np.array([r]), np.array([x]))[0]),
+                                     a[k], b[k], scan.REFINE_ITERS)
+        assert (t[k], p[k]) == want, k
+
+
 def test_tau_min_keeps_the_higher_of_two_merged_first_peaks(monkeypatch):
     # p = (1 + cos(pi t / h)) / 2 has grid candidates at every even index;
     # the stub refinement puts the first one at 0.8 h and every later one
     # 0.3 h into its bracket, so the second lands 0.5 h after the first,
-    # higher, and must replace it, in the first-event scan too
-    h = 0.1
-    cfg = ScanConfig(horizon=20 * h, coarse_step=h, epsilon=1e-3)
+    # higher, and must replace it, in the first-event scan too; three rows
+    # at their own steps are searched at once
+    h = np.array([0.1, 0.05, 0.2])
+    cfg = ScanConfig(horizon=20 * h.max(), coarse_step=h.max(), epsilon=1e-3)
 
-    def stub_golden(p_of, a, b, max_iters):
-        if a == 0.0:
-            return b - 0.2 * h, 1.0 - 5e-4
-        return a + 0.3 * h, 1.0 - 1e-4
+    def stub_golden(p_of, rows, a, b):
+        first = a == 0.0
+        return (np.where(first, b - 0.2 * h[rows], a + 0.3 * h[rows]),
+                np.where(first, 1.0 - 5e-4, 1.0 - 1e-4))
 
-    monkeypatch.setattr(scan, "_golden_max", stub_golden)
+    monkeypatch.setattr(scan, "_golden", stub_golden)
 
     def search(first_only):
-        return scan._scan(lambda t: (1 + np.cos(np.pi * t / h)) / 2, [(0, 20)], h, cfg,
-                          first_only)
+        return scan._lockstep(lambda rows, t: (1 + np.cos(np.pi * t / h[rows])) / 2,
+                              np.arange(3), np.zeros(3, dtype=int), np.full(3, 20), h, cfg,
+                              first_only, 1)
 
-    times = search(False)
-    assert times[:2] == [pytest.approx(1.3 * h), pytest.approx(3.3 * h)]
-    assert search(True)[0] == times[0]
+    times, firsts = search(False), search(True)
+    for step, row, first in zip(h, times, firsts):
+        assert row[:2] == [pytest.approx(1.3 * step), pytest.approx(3.3 * step)]
+        assert first[0] == row[0]
+
+
+def test_first_only_row_stops_reading_once_settled():
+    # one peak of p at t = 1, then p below thr over the rest of one long
+    # range: with first_only the row stops after the block that refined
+    # its event, although no later candidate comes to settle it
+    cfg = ScanConfig(horizon=100.0, coarse_step=0.01)
+    count = grid_count(cfg.horizon, cfg.coarse_step)
+    read = []
+
+    def p_of(rows, t):
+        read.append(len(t))
+        return np.exp(-((t - 1.0) ** 2))
+
+    def search(first_only):
+        read.clear()
+        [times] = scan._lockstep(p_of, np.array([0]), np.array([0]), np.array([count - 1]),
+                                 np.array([cfg.coarse_step]), cfg, first_only, 1)
+        return times, sum(read)
+
+    (times, full), (first, few) = search(False), search(True)
+    assert times == first == [pytest.approx(1.0, abs=REFINE_XTOL)]
+    assert full > count and few < count / 20
 
 
 def test_tau_min_without_event_reads_only_the_factor_passes(monkeypatch):
@@ -619,3 +738,23 @@ def test_scan_memory_does_not_grow_with_the_grid():
     # one (points x groups) complex array would take 400 001 * 24 * 16 B,
     # 146 MiB; the passes' blocks and the windows need a few MiB
     assert peak < 400_001 * len(decomp) * 16 // 20
+
+
+def test_large_gamma_sweep_memory_stays_within_the_block_budget():
+    # N=150 open/open: 450 product terms per row over 391 rows. The
+    # end-to-end pair has no event; onto itself, every row reads and
+    # refines its trivial event at 0, all rows in each block and round
+    template = make_spec(150, "open", "open", gamma=1.0)
+    grid = parse_grid("0.5:20:0.05")
+    for pair in ((Node(0, 1), Node(149, 1)), (Node(0, 1), Node(0, 1))):
+        tracemalloc.start()
+        try:
+            rows = gamma_sweep(template, pair, grid, ScanConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an evaluation holds at most BLOCK_TERMS points x terms: values,
+        # their products with t and the complex phases, 2 MiB in all; one
+        # point of every row at once would take 391 x 450 x 32 B, 5.4 MiB
+        assert peak < 4 << 20, pair
+    assert [r.tau_min for r in rows] == pytest.approx([0.0] * len(grid), abs=REFINE_XTOL)
