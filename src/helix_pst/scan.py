@@ -57,7 +57,7 @@ terms. That W2(g) grows as g^2 is why a fixed step misses events at
 high gamma.
 
 Lockstep. The rows of a sweep are searched together, in groups whose
-site windows fit BLOCK_TERMS (all rows of a figure sweep). One
+windows fit BLOCK_TERMS (all rows of a figure sweep). One
 _intersect call gives every row's windows, and the rows' index ranges
 merge on one integer axis, each row's grid offset past the one before.
 _lockstep then reads, in blocks, the next points of every unsettled row
@@ -382,8 +382,9 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
     # the product's terms: values |g| sigma_i + c_a, weights w_i q_a
     sigma, c = np.repeat(site[0], len(chan[0])), np.tile(chan[0], len(site[0]))
     weights = np.outer(site[1], chan[1]).ravel()
-    # rows go together as far as their site windows fit BLOCK_TERMS
-    group = max(1, BLOCK_TERMS // max(len(s0), 1))
+    # rows go together as far as their windows fit BLOCK_TERMS: a row's
+    # site windows, and its intersections, at most len(s0) + len(c0)
+    group = max(1, BLOCK_TERMS // max(len(s0) + len(c0), 1))
     times: list[list[float]] = []
     for at in range(0, len(g), group):
         part = slice(at, at + group)
