@@ -78,7 +78,9 @@ def independent_constraints(
 def check_attainability(
     constraints: list[Constraint], t: float, tol: float = DEFAULT_RESIDUAL_TOL
 ) -> AttainabilityReport:
-    """Evaluate every congruence at time t > 0 with the nearest witness k."""
+    """Evaluate every congruence at a finite time t, 0 and negative t
+    included, with the nearest witness k. With offsets of 0 or +-pi, as
+    in a chain of independent_constraints, -t has the residuals of t."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t:g}")
     if not (math.isfinite(tol) and tol > 0):

@@ -9,7 +9,8 @@ factor in units of g = J_eff, the channel factor scaled by L_eff; in
 scaled units t is tau and g is gamma. A search at one network is
 _sweep at its own J_eff, a sweep of one row.
 
-Each row reads p on a grid t = i * h. Candidates are grid local maxima
+Each row reads p(t) = p_site(|g| t) p_chan(t), each factor from its own
+terms, on a grid t = i * h. Candidates are grid local maxima
 above thr = 1 - 2 epsilon, p > thr, p > left and p >= right (boundary
 points included, a flat run counted once at its first point);
 golden-section refinement pins each down to 1e-6 in time, and a refined
@@ -57,22 +58,23 @@ terms. That W2(g) grows as g^2 is why a fixed step misses events at
 high gamma.
 
 Lockstep. The rows of a sweep are searched together, in groups whose
-windows fit BLOCK_TERMS (all rows of a figure sweep). One
-_intersect call gives every row's windows, and the rows' index ranges
-merge on one integer axis, each row's grid offset past the one before.
-_lockstep then reads, in blocks, the next points of every unsettled row
-in index order, each row's points laid out as -inf, its first range,
--inf, its next range, ..., -inf, and each row carrying its last two
-values into the next block; one mask over a block gives its
-candidates. A block takes at most BLOCK_TERMS points x terms, and up to
-ROOT points of each row at first, twice as many in each later block, so
-a first event found early ends its row early. The block's candidates
-are refined in rounds, each one vectorised _golden pass: without
-first_only every candidate is refined, so one round takes all of them;
-with first_only a round takes the next candidate of each unsettled row,
-as a row's earlier results decide whether its next candidate still
-counts. A row settles, and drops out of later rounds and blocks, once
-its first time can no longer change.
+windows fit BLOCK_TERMS (all rows of a figure sweep). One _intersect
+call gives every row's windows as index ranges on its own grid. On one
+slot axis each row then holds three -inf, its first range, -inf, its
+next range, ..., -inf, and _lockstep reads the slots of every unsettled
+row in blocks, each one rectangular (rows x (2 + n)) array: a row's last
+two values, carried from its previous block, then its next n slots,
+those past its end -inf. The slot of each entry gives its grid index,
+and one mask over the block gives its candidates. A block takes at most
+BLOCK_TERMS points x terms, terms = len(site) + len(chan), and n is at
+most ROOT at first, twice as many in each later block, so a first event
+found early ends its row early. The block's candidates are refined in
+rounds, each one vectorised _golden pass: without first_only every
+candidate is refined, so one round takes all of them; with first_only a
+round takes the next candidate of each unsettled row, as a row's earlier
+results decide whether its next candidate still counts. A row settles,
+and drops out of later rounds and blocks, once its first time can no
+longer change.
 """
 
 from __future__ import annotations
@@ -201,47 +203,40 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
                         times[r].append(t)
                         probs[r].append(p)
 
-    # slots: each range's points and a -inf after them, a -inf before each row
+    # slots: each range's points and a -inf, three -inf before each row so
+    # that the values a row's first block carries are its own -inf
     size = hi - lo + 1
     opens = np.diff(row, prepend=-1) != 0  # a row's first range
-    ends = np.cumsum(size + 1 + opens)
+    ends = np.cumsum(size + 1 + 3 * opens)
     first = ends - size - 1  # the slot of each range's first point
     pos, stop = np.zeros((2, len(steps)), dtype=int)
-    pos[row[opens]] = first[opens] - 1  # a row starts before its first range
+    pos[row[opens]] = first[opens] - 1  # a row starts on its last -inf
     closes = np.roll(opens, -1)
-    stop[row[closes]] = ends[closes]  # and ends after its last
-    tails = np.full((2, len(steps)), -np.inf)  # each row's last two values
-    tail_at = np.full(len(steps), -1)  # and the grid index of the last, -1 off the grid
+    stop[row[closes]] = ends[closes]  # and ends after its last range
+    tails = np.full((len(steps), 2), -np.inf)  # each row's last two values
     reach = ROOT
     while len(act := np.flatnonzero(~done & (pos < stop))):
-        n = np.minimum(stop[act] - pos[act], max(1, min(reach, BLOCK_TERMS // (terms * len(act)))))
+        n = max(1, min(reach, BLOCK_TERMS // (terms * len(act))))
         reach *= 2
-        # the block: per row its two carried values, then its next n slots
-        seg = np.cumsum(n + 2) - n - 2
-        fresh = np.ones(seg[-1] + n[-1] + 2, dtype=bool)
-        fresh[seg] = fresh[seg + 1] = False
-        slot = (np.repeat(pos[act] - seg - 2, n + 2) + np.arange(len(fresh)))[fresh]
+        # the block: per row its two carried values, then its next n slots,
+        # those past its end -inf
+        slot = pos[act, None] + np.arange(-2, n)
         j = np.maximum(np.searchsorted(first, slot, side="right") - 1, 0)
         at = lo[j] + slot - first[j]
-        real = (slot >= first[j]) & (at <= hi[j])
-        place = np.flatnonzero(fresh)[real]
-        rows = np.repeat(act, n)[real]
-        w = np.full(len(fresh), -np.inf)
-        index = np.full(len(fresh), -1)
-        w[seg], w[seg + 1], index[seg + 1] = tails[0, act], tails[1, act], tail_at[act]
-        w[place], index[place] = p_at(rows, h[rows] * at[real]), at[real]
+        real = (slot >= first[j]) & (at <= hi[j]) & (slot < stop[act, None])
+        w = np.full(slot.shape, -np.inf)
+        w[:, :2] = tails[act]
+        fresh = real & (np.arange(n + 2) >= 2)
+        rows = np.broadcast_to(act[:, None], slot.shape)
+        w[fresh] = p_at(rows[fresh], (h[act, None] * at)[fresh])
         # a row's first slot in the block is no candidate, its last not yet
-        inner = np.ones(len(fresh), dtype=bool)
-        inner[seg] = inner[seg + n + 1] = False
-        mid = w[1:-1]
-        c = np.flatnonzero(inner[1:-1] & (mid > thr) & (mid > w[:-2]) & (mid >= w[2:])) + 1
-        refine(np.repeat(act, n + 2)[c], index[c])
-        end = seg + n + 2
-        tails[:, act] = w[end - 2], w[end - 1]
-        tail_at[act] = index[end - 1]
+        mid = w[:, 1:-1]
+        c = (mid > thr) & (mid > w[:, :-2]) & (mid >= w[:, 2:])
+        refine(rows[:, 1:-1][c], at[:, 1:-1][c])
+        tails[act] = w[:, -2:]
         pos[act] += n
         # no later candidate of a row comes before the last point it read
-        for r, i in zip(act.tolist(), np.maximum.reduceat(index, seg).tolist()):
+        for r, i in zip(act.tolist(), np.where(real, at, -1).max(axis=1).tolist()):
             if i >= 0 and settled(r, i * steps[r] - steps[r]):
                 done[r] = True
     return times
@@ -379,9 +374,6 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
                   for x in g.tolist()])
     count = np.array([grid_count(cfg.horizon, x) for x in h.tolist()], dtype=int)
     scale = np.abs(g)
-    # the product's terms: values |g| sigma_i + c_a, weights w_i q_a
-    sigma, c = np.repeat(site[0], len(chan[0])), np.tile(chan[0], len(site[0]))
-    weights = np.outer(site[1], chan[1]).ravel()
     # rows go together as far as their windows fit BLOCK_TERMS: a row's
     # site windows, and its intersections, at most len(s0) + len(c0)
     group = max(1, BLOCK_TERMS // max(len(s0) + len(c0), 1))
@@ -390,10 +382,11 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
         part = slice(at, at + group)
 
         def p_of(rows: np.ndarray, t: np.ndarray, s=scale[part]) -> np.ndarray:
-            return probability_at(weights, s[rows, None] * sigma + c, t)
+            return (probability_at(site[1], site[0], s[rows] * t)
+                    * probability_at(chan[1], chan[0], t))
 
         times += _lockstep(p_of, *_row_ranges(s0, s1, c0, c1, scale[part], h[part], count[part]),
-                           h[part], cfg, first_only, len(weights))
+                           h[part], cfg, first_only, len(site[0]) + len(chan[0]))
     return list(zip(g.tolist(), h.tolist(), times))
 
 

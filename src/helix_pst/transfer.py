@@ -16,9 +16,9 @@ blocks of CHUNK points over t = i * step, i < grid_count(horizon, step),
 each one 64 x 64 complex matrix product of exactly seeded row phases.
 The PST search's factor passes stream it, and the CLI traces stream
 factor_chunks, the product of two of its streams. probability_at is
-the one evaluator of p at given times, for transition_probability and
-for the search's points inside its windows and its refinement, where
-each time may carry its own values (a sweep row's frequencies).
+the one evaluator of p at given times, for transition_probability and,
+once per factor, for the search's points inside its windows and its
+refinement.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ class TransferReport:
 
 def probability_at(overlaps: np.ndarray, values: np.ndarray, t):
     """p(t) = |sum_k o_k exp(-i lambda_k t)|^2 at a time t, or at each time
-    of an array t, with one row of values for all times or one per time.
-    Each sum runs in einsum's own loop, so a time's p does not depend on
-    the other times evaluated with it, and no BLAS product of many times
-    at few terms goes to threads that cost more than the sum."""
+    of an array t. Each sum runs in einsum's own loop, so a time's p does
+    not depend on the other times evaluated with it, and no BLAS product
+    of many times at few terms goes to threads that cost more than the
+    sum."""
     phases = -1j * (np.asarray(t)[..., None] * values)
     np.exp(phases, out=phases)
     return np.abs(np.einsum("...k,k->...", phases, overlaps)) ** 2

@@ -58,6 +58,13 @@ def test_residuals_at_frozen_times(ring8_report):
     mid = check_attainability(chain, 42.94, tol=0.2)
     assert not mid.all_satisfied
     assert mid.residuals.max() > 3.0
+    # any finite time runs: every offset is 0 or +-pi, so -t has the
+    # residuals of t, and t = 0 leaves the offsets' magnitudes
+    back = check_attainability(chain, -73.3055, tol=0.05)
+    assert back.all_satisfied
+    assert np.abs(back.residuals - good.residuals).max() < 1e-12
+    at_zero = check_attainability(chain, 0.0)
+    assert at_zero.residuals.tolist() == [abs(c.offset) for c in chain]
 
 
 def test_satisfied_k_are_the_nearest_integers(ring8_report):
@@ -179,7 +186,7 @@ def test_array_chain_and_check_equal_the_loop(N, site, channel, pair):
     chain = independent_constraints(report, decomp)
     assert chain == _loop_chain(report, decomp)
     # at t = 1e300 the witnesses are integers far beyond 64 bits
-    for t in (0.7, 12.576181, 1e4, 1e300):
+    for t in (0.0, -12.576181, 0.7, 12.576181, 1e4, 1e300):
         result = check_attainability(chain, t)
         for c, got, r in zip(chain, result.constraints, result.residuals):
             x = c.delta_lambda * t - c.offset

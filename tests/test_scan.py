@@ -277,26 +277,52 @@ def test_gamma_sweep_matches_per_gamma_scans(fig, monkeypatch):
         rows, grid, lambda g: (*make_decomp(N, site, channel, gamma=g), pair), cfg)
 
 
+@pytest.mark.parametrize("site_bc", ["open", "closed"])
+def test_large_n_sweep_rows_match_per_gamma_scans(site_bc):
+    # N=150 rows read N + 3 factor terms. Channel 1 -> 3 along the open
+    # 3-path reaches p_chan = 1 at pi / sqrt 2, the first event of small
+    # gamma, where p_site(gamma tau) of an end or a middle site stays near
+    # 1; from gamma = 0.05 on, p stays below 1 - epsilon
+    grid = [0.01, 0.02, 0.05, 0.3, 3.0]
+    template = make_spec(150, site_bc, "open", gamma=1.0)
+    for n, epsilon in ((0, 1e-3), (0, 1e-2), (75, 1e-3), (75, 1e-2)):
+        pair = (Node(n, 1), Node(n, 3))
+        cfg = ScanConfig(horizon=10.0, epsilon=epsilon)
+        rows = gamma_sweep(template, pair, grid, cfg)
+        _check_rows_against_full_scans(
+            rows, grid, lambda g: (*make_decomp(150, site_bc, "open", gamma=g), pair), cfg)
+        assert rows[0].tau_min == pytest.approx(math.pi / math.sqrt(2), abs=1e-3)
+        assert (rows[1].tau_min is None) == (epsilon == 1e-3)
+        if site_bc == "closed" and epsilon == 1e-2:
+            assert rows[1].tau_min == pytest.approx(2.21966, abs=1e-5)
+        assert [r.tau_min for r in rows[2:]] == [None] * 3
+
+
 @pytest.mark.parametrize("kind", ["gamma", "J"])
 def test_fig2_sweep_makes_a_bounded_number_of_evaluator_calls(kind, monkeypatch):
     # the 391 rows are read in a few row-parallel blocks and refined in
     # at most a few rounds, each one golden-section pass over all of
     # them; one golden section per candidate and one call per 64-point
-    # block of each row took 4568 probability_at calls for the gamma panel
+    # block of each row took 4568 evaluations for the gamma panel. An
+    # evaluation is one p_of call of the lockstep or its golden passes,
+    # one site and one channel probability_at call
     N, site, channel, pair = FIGURES["fig2"]
     grid = parse_grid("0.5:20:0.05")
     calls, rounds = [], []
-    real_p, real_golden = scan.probability_at, scan._golden
+    real, real_golden = scan._lockstep, scan._golden
 
-    def counted(*args):
-        calls.append(args)
-        return real_p(*args)
+    def spy(p_of, *args):
+        def counted(rows, t):
+            calls.append(len(t))
+            return p_of(rows, t)
+
+        return real(counted, *args)
 
     def golden(*args):
         rounds.append(args)
         return real_golden(*args)
 
-    monkeypatch.setattr(scan, "probability_at", counted)
+    monkeypatch.setattr(scan, "_lockstep", spy)
     monkeypatch.setattr(scan, "_golden", golden)
     template = make_spec(N, site, channel, gamma=1.0)
     if kind == "gamma":
@@ -643,13 +669,12 @@ def test_golden_pass_equals_the_scalar_reference_per_bracket():
     # p (a tie, which picks the midpoint), and brackets near t = 1e11, where
     # b - a cannot shrink to REFINE_XTOL and the step cap ends the search
     site, chan = pair_factors(make_spec(8, "closed", "closed", gamma=1.0), *PAIR8)
-    scale = np.array([0.5, 3.0, 14.5, 0.0])
-    values = np.add.outer(np.multiply.outer(scale, site[0]), chan[0]).reshape(len(scale), -1)
-    values = np.vstack((values, np.zeros(values.shape[1])))
-    weights = np.outer(site[1], chan[1]).ravel()
+    # four sweep rows, and a fifth frozen in both factors
+    scale = np.array([0.5, 3.0, 14.5, 0.0, 0.0])
 
     def p_of(rows, t):
-        return transfer.probability_at(weights, values[rows], t)
+        return (transfer.probability_at(site[1], site[0], scale[rows] * t)
+                * transfer.probability_at(chan[1], chan[0], np.where(rows == 4, 0.0, t)))
 
     rng = np.random.default_rng(5)
     rows = np.concatenate((rng.integers(0, 4, 40), [4, 4, 0, 2]))
@@ -741,7 +766,7 @@ def test_scan_memory_does_not_grow_with_the_grid():
 
 
 def test_large_gamma_sweep_memory_stays_within_the_block_budget():
-    # N=150 open/open: 450 product terms per row over 391 rows. The
+    # N=150 open/open: 153 factor terms per row over 391 rows. The
     # end-to-end pair has no event; onto itself, every row reads and
     # refines its trivial event at 0, all rows in each block and round
     template = make_spec(150, "open", "open", gamma=1.0)
@@ -754,7 +779,8 @@ def test_large_gamma_sweep_memory_stays_within_the_block_budget():
         finally:
             tracemalloc.stop()
         # an evaluation holds at most BLOCK_TERMS points x terms: values,
-        # their products with t and the complex phases, 2 MiB in all; one
-        # point of every row at once would take 391 x 450 x 32 B, 5.4 MiB
+        # their products with t and the complex phases, 2 MiB in all; the
+        # golden pass's last call, three points of every row at once, would
+        # take 1173 x 153 x 32 B, 5.5 MiB
         assert peak < 4 << 20, pair
     assert [r.tau_min for r in rows] == pytest.approx([0.0] * len(grid), abs=REFINE_XTOL)
