@@ -8,11 +8,15 @@ header; p(t) traces are written block by block as transfer.factor_chunks
 yields them from the pair's two factors, through the vectorised writer
 csvtext.rows_g12, byte for byte what %.12g gives. Only spectrum, pmax,
 dark and attain build the grouped decomposition. JSON output carries a
-top-level "schema": 1 field. Plot scripts are plain gnuplot. reproduce
-runs evolve and sweep commands into --output-dir, which it makes first,
-parents included. A --horizon/--step grid may hold at
-most MAX_GRID_POINTS points, and so may a --gamma-grid or --J-grid and
-the two factor passes of a scan's or sweep's PST search.
+top-level "schema": 1 field and is byte for byte json.dumps(doc,
+indent=2) and a newline, rendered by json's C encoder a container or a
+block of CHUNK table rows at a time and written as it is rendered: JSON
+traces stream their profile block by block as CSV traces do. Plot
+scripts are plain gnuplot and plot CSV only. reproduce runs evolve and
+sweep commands into --output-dir, which it makes first, parents
+included. A --horizon/--step grid may hold at most MAX_GRID_POINTS
+points, and so may a --gamma-grid or --J-grid and the two factor
+passes of a scan's or sweep's PST search.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
 from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep, pass_points
 from .spectral import decompose
-from .transfer import factor_chunks, grid_count, transfer_report
+from .transfer import CHUNK, factor_chunks, grid_count, transfer_report
 
 SCHEMA_VERSION = 1
 # Largest time grid --horizon/--step may ask for. The default grid has
 # 40 001 points and the longest bundled trace 120 001. At the bound a
-# CSV trace is about 250 MB; a JSON trace holds every point as a Python
-# list, about 1.4 GB.
+# CSV trace is about 250 MB and a JSON trace about 560 MB; both are
+# streamed a block at a time, so memory does not grow with the grid.
 MAX_GRID_POINTS = 10 ** 7
 
 
@@ -167,39 +171,91 @@ def _write_csv(stream, header: list[str], rows) -> None:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+@functools.cache
+def _json_encoder(depth: int):
+    """json's C encoder for items at depth: indent would turn it off, so
+    the item separator carries the line break and the indent."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _json_flat(value, depth: int) -> str:
+    """A scalar, or a container of scalars at depth, as indent=2 gives it."""
+    text = _json_encoder(depth + 1)(value)
+    if isinstance(value, (list, tuple, dict)) and value:
+        return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+    return text
+
+
+def _write_json_rows(write, blocks) -> None:
+    """A table at depth 1 from its blocks of rows, one encoder call per
+    block at the values' depth. With ensure_ascii no string holds a raw
+    line break, so only the separators between rows match the replace
+    that re-indents them."""
+    encode = _json_encoder(3)
+    lead = "[\n    "
+    for block in blocks:
+        text = encode(block)
+        first, last = text[1], text[-2]  # the rows' brackets
+        rows = text[2:-2].replace(f"{last},\n      {first}", f"\n    {last},\n    {first}\n      ")
+        write(f"{lead}{first}\n      {rows}\n    {last}")
+        lead = ",\n    "
+    write("\n  ]" if lead[0] == "," else "[]")
+
+
 def _write_json(stream, payload: dict) -> None:
-    doc = {"schema": SCHEMA_VERSION}
-    doc.update(payload)
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    """{"schema": 1, **payload} byte for byte as json.dumps(doc, indent=2)
+    and a newline give it, each piece written as soon as it is rendered.
+
+    A payload value is a scalar, a container of scalars, or a table of
+    flat, non-empty rows of one kind (lists, tuples or dicts of
+    scalars): a list of them, written CHUNK rows at a time, or an
+    iterator of such lists, written as it yields them.
+    """
+    write = stream.write
+    lead = "{\n  "
+    for key, value in {"schema": SCHEMA_VERSION, **payload}.items():
+        write(f"{lead}{_json_flat(key, 1)}: ")
+        lead = ",\n  "
+        if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple, dict)):
+            _write_json_rows(write, (value[i:i + CHUNK] for i in range(0, len(value), CHUNK)))
+        elif isinstance(value, (str, int, float, list, tuple, dict)) or value is None:
+            write(_json_flat(value, 1))
+        else:
+            _write_json_rows(write, value)
+    write("\n}\n")
 
 
 def _write_table(args, header: list[str], rows, doc: dict | None = None) -> None:
     """rows as CSV under header, or as the JSON doc, by default one object
-    per row (a spectral group) keyed by header under "groups"."""
+    per row (a spectral group) keyed by header under "groups", made a
+    block at a time."""
     with _open_out(args.output) as out:
         if args.format == "json":
-            _write_json(out, doc or {"groups": [dict(zip(header, row)) for row in rows]})
+            groups = ([dict(zip(header, row)) for row in rows[at:at + CHUNK]]
+                      for at in range(0, len(rows), CHUNK))
+            _write_json(out, doc or {"groups": groups})
         else:
             _write_csv(out, header, rows)
 
 
-def _write_trace(stream, fmt: str, label: str, step: float, blocks, extra: dict) -> None:
-    """p(i * step) from its blocks: CSV rows block by block, or one JSON
-    document of the points and extra."""
-    points: list[list[float]] = []
-    if fmt != "json":
-        stream.write(f"{label},p\n")
+def _timed(step: float, blocks):
+    """(times, p) of each block of p(i * step)."""
     start = 0
     for chunk in blocks:
-        times = step * np.arange(start, start + len(chunk))
-        if fmt == "json":
-            points += np.column_stack((times, chunk)).tolist()
-        else:  # the rows _write_csv would give, _fmt being %.12g on floats
-            stream.write(rows_g12(times, chunk))
+        yield step * np.arange(start, start + len(chunk)), chunk
         start += len(chunk)
+
+
+def _write_trace(stream, fmt: str, label: str, step: float, blocks, extra: dict) -> None:
+    """p(i * step) from its blocks, written block by block: CSV rows, or
+    the profile rows of a JSON document that ends with extra."""
     if fmt == "json":
-        _write_json(stream, {"profile": points, **extra})
+        profile = (np.column_stack(block).tolist() for block in _timed(step, blocks))
+        _write_json(stream, {"profile": profile, **extra})
+        return
+    stream.write(f"{label},p\n")
+    for times, chunk in _timed(step, blocks):  # the rows _write_csv would give
+        stream.write(rows_g12(times, chunk))
 
 
 def _check_passes(spec: NetworkSpec, pair, grid, cfg: ScanConfig, flags: str) -> None:
@@ -225,8 +281,12 @@ def _gnuplot(title: str, panels: list[tuple[str, str, str]]) -> str:
 
 
 def _check_plot_script(args) -> None:
-    if args.plot_script is not None and args.output == "-":
+    if args.plot_script is None:
+        return
+    if args.output == "-":
         raise ValueError("--plot-script needs --output pointing at a file")
+    if args.format != "csv":
+        raise ValueError(f"--plot-script plots CSV, not --format {args.format}")
 
 
 def _maybe_plot_script(args, xlabel: str, ylabel: str, style: str = "lines") -> None:
@@ -322,21 +382,26 @@ def _cmd_attain(args) -> int:
     decomp, _, report = _pair_report(args)
     chain = independent_constraints(report, decomp)
     result = check_attainability(chain, args.tau, args.tol)
+
+    def rows(at: int) -> list[dict]:
+        # the constraint rows one block at a time, never all at once
+        return [
+            {
+                "left_group": c.left_group,
+                "right_group": c.right_group,
+                "delta_lambda": c.delta_lambda,
+                "offset": c.offset,
+                "k": c.satisfied_k,
+                "residual": float(r),
+            }
+            for c, r in zip(result.constraints[at:at + CHUNK], result.residuals[at:at + CHUNK])
+        ]
+
     with _open_out(args.output) as out:
         _write_json(out, {
             "tau": result.t,
             "tol": result.tol,
-            "constraints": [
-                {
-                    "left_group": c.left_group,
-                    "right_group": c.right_group,
-                    "delta_lambda": c.delta_lambda,
-                    "offset": c.offset,
-                    "k": c.satisfied_k,
-                    "residual": float(r),
-                }
-                for c, r in zip(result.constraints, result.residuals)
-            ],
+            "constraints": map(rows, range(0, len(result.constraints), CHUNK)),
             "all_satisfied": result.all_satisfied,
         })
     return 0

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -371,6 +373,29 @@ def test_plot_script_requires_file_output(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["evolve", "--gamma", "2", "--in", "0,1", "--out", "3,1"],
+    ["scan", "--gamma", "2", "--in", "0,1", "--out", "3,1"],
+    ["sweep", "--gamma-grid", "1:2:1", "--in", "0,1", "--out", "3,1"],
+])
+def test_plot_script_refuses_json_output(argv, tmp_path, capsys, monkeypatch):
+    # gnuplot reads the script's data as CSV, so a JSON file cannot be
+    # plotted; the refusal comes before any work
+    for module, name in ((spectral, "pair_factors"), (scan, "pair_factors"),
+                         (transfer, "pair_factors")):
+        monkeypatch.setattr(module, name, refuse)
+    out, gp = tmp_path / "f.json", tmp_path / "p.gp"
+    code, stdout, err = run(
+        argv[:1] + ["--n", "4", "--site-bc", "open", "--channel-bc", "open"] + argv[1:]
+        + ["--format", "json", "--output", str(out), "--plot-script", str(gp)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: --plot-script plots CSV, not --format json\n"
+    assert stdout == ""
+    assert not out.exists() and not gp.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["spectrum"],
     ["dark", "--in", "0,1", "--out", "3,1"],
     ["pmax", "--in", "0,1", "--out", "3,1"],
@@ -718,3 +743,114 @@ def test_network_beyond_the_site_limit_exits_before_any_work(argv, tmp_path, cap
     assert code == 2
     assert stdout == "" and not out.exists()
     assert err == f"error: N=100000000 too large (need N <= {core.MAX_SITES})\n"
+
+
+def _indent_2(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # a trivial pair: every group bright, no dark group
+    ["pmax", "--n", "5", "--site-bc", "open", "--channel-bc", "open", "--gamma", "15",
+     "--in", "0,1", "--out", "0,1"],
+    ["pmax", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed", "--gamma", "2.5",
+     "--in", "0,1", "--out", "2,1"],
+    ["attain", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed", "--gamma", "3",
+     "--in", "0,1", "--out", "4,1", "--tau", "73.3055", "--tol", "0.05"],
+    ["dark", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed", "--gamma", "2.5",
+     "--in", "0,1", "--out", "2,1", "--format", "json"],
+    ["spectrum", "--n", "6", "--site-bc", "open", "--channel-bc", "closed", "--J", "1.5",
+     "--L", "-0.5", "--format", "json"],
+    # 4500 groups and 4499 constraints, two blocks each
+    ["spectrum", "--n", "1500", "--site-bc", "open", "--channel-bc", "open", "--gamma", "2",
+     "--format", "json"],
+    ["attain", "--n", "1500", "--site-bc", "open", "--channel-bc", "open", "--gamma", "2",
+     "--in", "0,1", "--out", "1499,1", "--tau", "5"],
+    # rows with and without an event, tau_min null
+    ["sweep", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed", "--in", "0,1",
+     "--out", "4,1", "--gamma-grid", "0.5:3:0.5", "--format", "json"],
+    ["sweep", "--n", "6", "--site-bc", "closed", "--channel-bc", "open", "--in", "0,1",
+     "--out", "3,1", "--J-grid", "1:2:1", "--format", "json"],
+    # one block, then 16 001 points over four blocks, with and without PST times
+    ["evolve", "--n", "4", "--site-bc", "open", "--channel-bc", "open", "--gamma", "2",
+     "--in", "0,1", "--out", "3,1", "--horizon", "1", "--format", "json"],
+    ["scan", "--n", "8", "--site-bc", "closed", "--channel-bc", "closed", "--gamma", "3",
+     "--in", "0,1", "--out", "4,1", "--horizon", "80", "--format", "json"],
+    ["scan", "--n", "4", "--site-bc", "open", "--channel-bc", "open", "--gamma", "2",
+     "--in", "0,1", "--out", "3,1", "--horizon", "30", "--format", "json"],
+])
+def test_json_output_is_json_dumps_with_indent_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code, stdout, _ = run(argv + ["--output", str(out)], capsys)
+    assert code == 0 and stdout == ""
+    text = out.read_text()
+    assert text == _indent_2(text)
+    assert run(argv, capsys)[1] == text  # stdout carries the same bytes
+    doc = json.loads(text)
+    if argv[0] == "pmax" and argv[-1] == "0,1":
+        assert doc["dark_groups"] == []
+    if argv[0] == "sweep":
+        assert None in [tau for _, tau in doc["rows"]]
+    if argv[0] in ("spectrum", "attain") and argv[2] == "1500":
+        assert len(doc.get("groups", doc.get("constraints"))) > cli.CHUNK
+    if argv[0] in ("evolve", "scan"):
+        assert len(doc["profile"]) == grid_count(float(argv[argv.index("--horizon") + 1]), 0.005)
+    if argv[0] == "scan":
+        assert list(doc) == ["schema", "profile", "pst_times"]
+
+
+@pytest.mark.parametrize("payload", [
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0, "none": None,
+     "flags": [True, False], "text": "\u00e9\u2603 \"quoted\"\n\t", "empty": [], "none_of": {},
+     "pair": (1, 2.5), "map": {"a": -0.0, "b": [], "\u00e9": None}},
+    {"values": [math.nan, -math.inf, math.inf, -0.0, 1e-320, 1.0 / 3.0, 10 ** 20]},
+    {"table": [{"x": 1, "y": math.nan}]},
+    {"table": [(i, -0.0 if i % 2 else None) for i in range(cli.CHUNK)]},
+    {"table": [[i, i / 7, "\u00e9"] for i in range(cli.CHUNK + 1)], "after": [1]},
+    # a string that would match the row boundary if its line break were raw
+    {"table": [{"k": i, "s": "},\n      {"} for i in range(2 * cli.CHUNK + 3)]},
+])
+def test_json_writer_is_json_dumps_with_indent_2(payload):
+    out = io.StringIO()
+    cli._write_json(out, payload)
+    assert out.getvalue() == json.dumps({"schema": 1, **payload}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("sizes", [[], [1], [cli.CHUNK], [cli.CHUNK, 1], [3, cli.CHUNK, 2]])
+def test_json_writer_streams_a_table_as_its_blocks_come(sizes):
+    blocks = [[[float(b), float(i)] for i in range(n)] for b, n in enumerate(sizes)]
+    written = []
+
+    class Stream:
+        def write(self, text):
+            written.append(text)
+
+    def stream():
+        for block in blocks:
+            seen = len(written)
+            yield block
+            # the block was written before the next one is asked for
+            assert len(written) > seen
+
+    cli._write_json(Stream(), {"profile": stream(), "pst_times": []})
+    rows = [row for block in blocks for row in block]
+    assert "".join(written) == json.dumps({"schema": 1, "profile": rows, "pst_times": []},
+                                          indent=2) + "\n"
+
+
+def test_evolve_json_memory_does_not_grow_with_the_grid(tmp_path):
+    out = tmp_path / "long.json"
+    argv = ["evolve", "--n", "8", "--site-bc", "open", "--channel-bc", "open",
+            "--gamma", "2.7", "--in", "0,1", "--out", "7,3",
+            "--horizon", "500", "--format", "json", "--output", str(out)]
+    tracemalloc.start()
+    try:
+        code = run_command(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out.read_text())["profile"]) == grid_count(500.0, 0.005) == 100_001
+    # the rows as Python lists would take 100 001 * 120 B, 11 MiB, and the
+    # document 7 MiB; the kernel, a block of rows and its text need 2 MiB
+    assert peak < 4 << 20

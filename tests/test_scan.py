@@ -737,6 +737,28 @@ def test_first_only_row_stops_reading_once_settled():
     assert full > count and few < count / 20
 
 
+def test_first_only_row_settles_on_a_block_that_ends_between_its_ranges():
+    # one row of two ranges, the first of ROOT - 2 points: the first block
+    # reads the -inf before it, its points and the -inf after it, so its
+    # last column is no point. The event at t = 0.1 settles the row from
+    # the last point the block read, and the second range is never read
+    h, second = 0.01, (1000, 1100)
+    cfg = ScanConfig(horizon=100.0, coarse_step=h)
+    asked = []
+
+    def p_of(rows, t):
+        asked.extend(t.tolist())
+        return np.exp(-(((t - 0.1) / h) ** 2))
+
+    [first] = scan._lockstep(p_of, np.array([0, 0]), np.array([0, second[0]]),
+                             np.array([ROOT - 3, second[1]]), np.array([h]), cfg, True, 1)
+    assert first == [pytest.approx(0.1, abs=REFINE_XTOL)]
+    asked = np.array(asked)
+    # the first range's points and the refinement's, none of the second's
+    assert np.count_nonzero(asked >= second[0] * h) == 0
+    assert len(asked) < ROOT + 50
+
+
 def test_tau_min_without_event_reads_only_the_factor_passes(monkeypatch):
     # open/open N=5 at gamma = 4 never comes near 1 - 2 epsilon: the search
     # reads the two factor passes, within their bound, and at most a few
