@@ -72,7 +72,10 @@ def parse_grid(text: str, name: str = "grid") -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must be 'start:stop:step', got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"{name} start, stop and step must be numbers, got {text!r}") from None
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"{name} start, stop and step must be finite, got {text!r}")
     if step <= 0:
@@ -305,10 +308,7 @@ def _cmd_spectrum(args) -> int:
     if args.dump_matrix:
         with _open_out(args.dump_matrix) as fh:
             dump_matrix(build_hamiltonian(spec), fh)
-    rows = [
-        (k, float(decomp.values[k]), int(decomp.multiplicities[k]))
-        for k in range(len(decomp))
-    ]
+    rows = list(zip(range(len(decomp)), decomp.values.tolist(), decomp.multiplicities.tolist()))
     _write_table(args, ["group", "eigenvalue", "multiplicity"], rows)
     return 0
 
@@ -358,7 +358,7 @@ def _cmd_pmax(args) -> int:
             "input": [input.n, input.alpha],
             "output": [output.n, output.alpha],
             "p_max": report.p_max,
-            "signs": [int(s) for s in report.signs],
+            "signs": report.signs.tolist(),
             "dark_groups": sorted(report.dark_groups),
         })
     return 0
@@ -366,10 +366,8 @@ def _cmd_pmax(args) -> int:
 
 def _cmd_dark(args) -> int:
     decomp, _, report = _pair_report(args)
-    rows = [
-        (k, float(decomp.values[k]), float(report.overlaps[k]), int(report.signs[k]))
-        for k in range(len(decomp))
-    ]
+    rows = list(zip(range(len(decomp)), decomp.values.tolist(), report.overlaps.tolist(),
+                    report.signs.tolist()))
     _write_table(args, ["group", "eigenvalue", "overlap", "sign"], rows)
     return 0
 

@@ -4,8 +4,9 @@ rows_g12(*columns) returns the text that
 
     ("%.12g," * (k - 1) + "%.12g\\n") % row
 
-gives for every row of the k columns, rendered a whole block at a time
-with numpy instead of one float at a time in Python.
+gives for every row of the k columns, rendered with numpy instead of
+one float at a time in Python: a pass formats ROWS rows of one column,
+its separator fixed, into that column's slots of a block of rows.
 
 Exactness. For a positive finite x take e = floor(log10 x) and
 y = fl(x * 10**(11 - e)). For 0 <= 11 - e <= 22, 10**(11 - e) is an
@@ -43,10 +44,9 @@ import numpy as np
 
 E_LO, E_HI = -11, 11  # exponents of the fast path
 FIELD = 24  # bytes per field; the longest %.12g text is 19, plus the separator
-# rows per pass: no temporary array exceeds 64 KiB, as larger ones, freed
-# at the top of the heap, went back to the system and were faulted in
-# again on every block
-ROWS = 1024
+# rows per pass, measured: 1024 pays numpy's per-call cost twice as often;
+# with malloc's mmap threshold fixed, 4096 faults its freed blocks in again
+ROWS = 2048
 
 _U = np.dtype("<u8")  # little-endian words, whatever the machine's order
 _255, _56 = np.uint64(255), np.uint64(56)
@@ -65,9 +65,9 @@ _MOVE_LO = np.array([2 ** 64 - (1 << 8 * p) if p < 8 else 0 for p in _dot], dtyp
 _MOVE_HI = np.array([2 ** 64 - (1 << 8 * max(p - 8, 0)) for p in _dot], dtype=_U)
 _exponent = [b"" if e >= -4 else b"e%+03d" % e for e in _EXPS]
 
-# four ASCII digits of 0..9999 as one little-endian word; and by
-# 10000 j + v, for group j of four of the 16 digits, the number of digits
-# up to the last nonzero one of v there (0 for v = 0)
+# four ASCII digits of 0..9999 as one little-endian word; and in row j,
+# for group j of four of the 16 digits, by its value v the number of
+# digits up to the last nonzero one of v there (0 for v = 0)
 _ascii = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
 for _j in range(4):
     _ascii[..., _j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - _j))
@@ -75,17 +75,16 @@ _DIGITS = _ascii.view("<u4").ravel()
 _significant = np.full(10000, 4, dtype=np.uint8)
 for _j in (10, 100, 1000, 10000):
     _significant[::_j] -= 1
-_END = ((_significant + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (_significant > 0)).ravel()
-_COLUMN = 10000 * np.arange(4).reshape(2, 1, 2)
+_END = (_significant + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (_significant > 0)
 
-# by ((newline * len(_EXPS) + e - E_LO) * 17 + end), end the digits up to
-# the last nonzero one: each word's mask of the digit and "." bytes the
-# field keeps, `length` of them, and its bytes of what follows the
-# digits: the "." where a digit follows it, then the exponent text and
-# the separator from byte `length` on
+# by (e - E_LO) * 17 + end, end the digits up to the last nonzero one:
+# each word's mask of the digit and "." bytes the field keeps, `length`
+# of them, and, before a "," (0) or a "\n" (1), its bytes of what
+# follows the digits: the "." where a digit follows it, then the
+# exponent text and the separator from byte `length` on
 _kept = np.maximum(np.arange(17), np.array(_dot)[:, None])
 _length = _kept + (_kept > np.array(_dot)[:, None])
-_MASK = np.tile((np.arange(FIELD) < _length[..., None]).astype(np.uint8) * np.uint8(255), (2, 1, 1))
+_MASK = (np.arange(FIELD) < _length[..., None]).astype(np.uint8) * np.uint8(255)
 _text = np.zeros((2, len(_EXPS), 18 + FIELD), dtype=np.uint8)
 _text[:, :, 18:23] = np.frombuffer(
     b"".join(t.ljust(5, b"\0") for t in _exponent), dtype=np.uint8).reshape(-1, 5)
@@ -94,15 +93,13 @@ _text[:, np.arange(len(_EXPS)), [18 + len(t) for t in _exponent]] = [[ord(",")],
 _tail = _text[:, np.arange(len(_EXPS))[:, None, None], 18 - _length[..., None] + np.arange(FIELD)]
 _a, _end = np.nonzero(_length > _kept)
 _tail[:, _a, _end, np.array(_dot)[_a]] = ord(".")
-_MASK, _TAIL = (t.reshape(-1, FIELD).view(_U).T.copy() for t in (_MASK, _tail))
+_MASK = _MASK.reshape(-1, FIELD).view(_U).T.copy()
+_TAIL = _tail.reshape(-1, FIELD).view(_U).T.reshape(3, 2, -1)
 del _ascii, _j, _significant, _z, _dot, _exponent, _kept, _length, _text, _tail, _a, _end
 
 
-def _fields(x: np.ndarray, newline: np.ndarray) -> np.ndarray:
-    """The "%.12g" text of each x followed by "\\n" where newline is true
-    and by "," elsewhere, one field per row of the returned (n, 3)
-    uint64 array."""
-    n = len(x)
+def _fields(x: np.ndarray, newline: bool, words: np.ndarray) -> None:
+    """Fill row i of words with the "%.12g" text of x[i], then "\\n" if newline else ","."""
     with np.errstate(divide="ignore", invalid="ignore"):
         # fmax and fmin map nan to a bound, so every index is valid
         at = (np.fmin(np.fmax(np.floor(np.log10(x)), E_LO), E_HI) - E_LO).astype(np.intp)
@@ -114,38 +111,41 @@ def _fields(x: np.ndarray, newline: np.ndarray) -> np.ndarray:
     # step is exact, as m < 2**40 and each true quotient lies at least
     # 1e-8 from the next integer, far above its rounding
     div = _DIV[at]
-    groups = np.empty((2, n, 2))
+    groups = np.empty((2, len(x), 2))
     np.floor(m / div, out=groups[0, :, 1])
     np.multiply(m - groups[0, :, 1] * div, _MUL[at], out=groups[1, :, 1])
     np.floor(groups[:, :, 1] / 1e4, out=groups[:, :, 0])
     groups[:, :, 1] -= groups[:, :, 0] * 1e4
     g = groups.astype(np.intp)
     left, right = _DIGITS[g].view(_U)[:, :, 0]
-    end = _END[g + _COLUMN]
-    end = np.maximum(np.maximum(end[0, :, 0], end[0, :, 1]), np.maximum(end[1, :, 0], end[1, :, 1]))
-    key = (at + len(_EXPS) * newline) * 17 + end
+    end = np.maximum(np.maximum(_END[0][g[0, :, 0]], _END[1][g[0, :, 1]]),
+                     np.maximum(_END[2][g[1, :, 0]], _END[3][g[1, :, 1]]))
+    key = at * 17 + end
+    tail = _TAIL[:, int(newline)]
     # the digits behind the "." move one byte up, leaving its byte free:
     # x + moved * 255 is x - moved + (moved << 8)
     moved_lo = left & _MOVE_LO[at]
     moved_hi = right & _MOVE_HI[at]
-    words = np.empty((n, 3), dtype=_U)
-    words[:, 0] = (left + moved_lo * _255) & _MASK[0][key] | _TAIL[0][key]
-    words[:, 1] = (right + moved_hi * _255 + (moved_lo >> _56)) & _MASK[1][key] | _TAIL[1][key]
-    words[:, 2] = (moved_hi >> _56) & _MASK[2][key] | _TAIL[2][key]
+    words[:, 0] = (left + moved_lo * _255) & _MASK[0][key] | tail[0][key]
+    words[:, 1] = (right + moved_hi * _255 + (moved_lo >> _56)) & _MASK[1][key] | tail[1][key]
+    words[:, 2] = (moved_hi >> _56) & _MASK[2][key] | tail[2][key]
     for i in np.flatnonzero(~fast):
-        text = "%.12g" % x[i] + ("\n" if newline[i] else ",")
+        text = "%.12g" % x[i] + ("\n" if newline else ",")
         words[i] = np.frombuffer(text.encode("ascii").ljust(FIELD, b"\0"), dtype=_U)
-    return words
 
 
 def rows_g12(*columns) -> str:
     """The lines of "%.12g" fields, one per row of the equal-length
     columns, joined by "," and ended by "\\n"."""
-    values = np.column_stack(columns).astype(float, copy=False)
-    newline = np.zeros(values.shape, dtype=bool)
-    newline[:, -1] = True
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
+    words = np.empty((min(rows, ROWS), len(columns), 3), dtype=_U)
     text = []
-    for r in range(0, len(values), ROWS):
-        words = _fields(values[r:r + ROWS].ravel(), newline[r:r + ROWS].ravel())
-        text.append(words.tobytes().translate(None, b"\0").decode("ascii"))
+    for r in range(0, rows, ROWS):
+        block = words[:rows - r]
+        for j, x in enumerate(columns):
+            _fields(x[r:r + ROWS], j == len(columns) - 1, block[:, j])
+        text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(text)

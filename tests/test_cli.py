@@ -191,6 +191,19 @@ def test_non_finite_inputs_name_their_flag(argv, flag, capsys):
     assert err.startswith(f"error: {flag} ")
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--gamma-grid", "a:2:0.5"),
+    ("--gamma-grid", "1:2:"),
+    ("--J-grid", "1:b:0.5"),
+    ("--J-grid", "1:2:0,5"),
+])
+def test_non_numeric_grid_part_names_its_flag(flag, text, capsys):
+    code, out, err = run(["sweep"] + PAIR_ARGS + [flag, text], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} start, stop and step must be numbers, got {text!r}\n"
+
+
 @pytest.mark.parametrize("command", ["scan", "sweep"])
 def test_out_of_range_epsilon_names_flag_and_value(command, capsys):
     grid = ["--gamma-grid", "1:2:1"] if command == "sweep" else ["--gamma", "2"]

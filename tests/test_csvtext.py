@@ -63,3 +63,56 @@ def test_rows_join_columns_like_percent_formatting():
     assert rows_g12(*three) == "".join(
         "%.12g,%.12g,%.12g\n" % row for row in zip(*three.tolist()))
     assert rows_g12(np.array([])) == ""
+
+
+def assert_lines_match_percent_g(*columns) -> None:
+    """rows_g12 of the columns, compared line by line, so that a failure
+    names its first differing row instead of diffing the whole text."""
+    expected = [",".join("%.12g" % v for v in row)
+                for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    assert rows_g12(*columns).split("\n") == expected + [""]
+
+
+def test_a_column_off_the_fast_path_beside_a_fast_one():
+    rng = np.random.default_rng(31)
+    count = ROWS + 1
+    off = np.resize([0.0, -0.0, -2.5, np.nan, np.inf, -np.inf, 1e-300, -1e-300], count)
+    fast = rng.random(count)
+    assert_lines_match_percent_g(fast, off)
+    assert_lines_match_percent_g(off, fast)
+
+
+@pytest.mark.parametrize("count", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+@pytest.mark.parametrize("width", [2, 3])
+def test_row_counts_around_the_pass_size(count, width):
+    rng = np.random.default_rng(count * width)
+    columns = rng.random((width, count)) * 10.0 ** rng.integers(-13, 14, (width, count))
+    columns[:, ::97] *= -1.0
+    assert_lines_match_percent_g(*columns)
+
+
+def test_last_nonzero_digit_at_every_position_and_exponent():
+    """12-digit mantissas whose last nonzero digit is each of the 12, at
+    every fast-path exponent: the digit groups of m * 10**z then have
+    their last nonzero digit at each of the 16 positions, in each of the
+    four 4-digit groups."""
+    rng = np.random.default_rng(12)
+    digits = rng.integers(0, 10, (8, 12))
+    digits[:, 0] = rng.integers(1, 10, 8)
+    values = []
+    for last in range(12):
+        row = digits.copy()
+        row[:, last] = rng.integers(1, 10, 8)
+        row[:, last + 1:] = 0
+        mantissas = row @ 10 ** np.arange(11, -1, -1)
+        values += [m * 10.0 ** (e - 11) for e in range(-11, 12) for m in mantissas.tolist()]
+    values = np.array(values)
+    assert_lines_match_percent_g(values)
+    assert_lines_match_percent_g(values, values[::-1])
+
+
+def test_columns_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match="equal lengths"):
+        rows_g12(np.arange(3.0), np.arange(2.0))
+    with pytest.raises(ValueError, match="equal lengths"):
+        rows_g12(np.arange(ROWS + 1.0), np.arange(ROWS + 1.0), np.arange(ROWS + 2.0))
