@@ -9,7 +9,7 @@ congruences), scan (peak searches and sweeps), cli (command line).
 
 from .attainability import (
     AttainabilityReport,
-    Constraint,
+    Constraints,
     check_attainability,
     independent_constraints,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "BoundaryCondition",
     "BoundaryConditions",
     "CHANNELS",
-    "Constraint",
+    "Constraints",
     "CouplingKind",
     "CouplingParams",
     "NetworkSpec",

@@ -29,14 +29,17 @@ DEFAULT_RESIDUAL_TOL = 0.05
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """One congruence (lambda_left - lambda_right) t = 2 pi k + offset."""
+class Constraints:
+    """A chain of congruences (lambda_left - lambda_right) t = 2 pi k +
+    offset, one array per column, link i in row i of each."""
 
-    left_group: int
-    right_group: int
-    delta_lambda: float
-    offset: float  # 0, +pi or -pi
-    satisfied_k: int | None = None
+    left_group: np.ndarray  # int
+    right_group: np.ndarray  # int
+    delta_lambda: np.ndarray  # float
+    offset: np.ndarray  # float: 0, +pi or -pi
+
+    def __len__(self) -> int:
+        return len(self.delta_lambda)
 
 
 @dataclass(frozen=True)
@@ -45,53 +48,60 @@ class AttainabilityReport:
 
     t: float
     tol: float
-    constraints: tuple[Constraint, ...]  # satisfied_k filled with witnesses
+    constraints: Constraints
+    witnesses: np.ndarray  # int64, the nearest k of each link
     residuals: np.ndarray
     all_satisfied: bool
 
 
 def independent_constraints(
     report: TransferReport, decomp: SpectralDecomposition
-) -> list[Constraint]:
+) -> Constraints:
     """Spanning chain of congruences over consecutive non-dark groups.
 
     Groups are taken in descending eigenvalue order; dark groups are
-    skipped entirely. Returns an empty list when fewer than two groups
+    skipped entirely. The chain is empty when fewer than two groups
     survive.
     """
     if len(report.overlaps) != len(decomp):
         raise ValueError("report and decomposition describe different systems")
-    keep = np.ones(len(decomp), dtype=bool)
-    keep[list(report.dark_groups)] = False
-    bright = np.flatnonzero(keep)
+    signs = np.asarray(report.signs)
+    bright = np.flatnonzero(signs)  # sign 0 marks the dark groups
     bright = bright[np.argsort(-decomp.values[bright], kind="stable")]
     hi, lo = bright[:-1], bright[1:]
-    signs = np.asarray(report.signs)
     # sign(s_left - s_right) indexes the offset: 0, +pi, and -pi at -1
-    offsets = (0.0, math.pi, -math.pi)
-    groups = bright.tolist()
-    return [Constraint(a, b, delta, offsets[turn]) for a, b, delta, turn in zip(
-        groups, groups[1:], (decomp.values[hi] - decomp.values[lo]).tolist(),
-        np.sign(signs[hi] - signs[lo]).tolist())]
+    offsets = np.array([0.0, math.pi, -math.pi])[np.sign(signs[hi] - signs[lo])]
+    return Constraints(hi, lo, decomp.values[hi] - decomp.values[lo], offsets)
 
 
 def check_attainability(
-    constraints: list[Constraint], t: float, tol: float = DEFAULT_RESIDUAL_TOL
+    constraints: Constraints, t: float, tol: float = DEFAULT_RESIDUAL_TOL
 ) -> AttainabilityReport:
     """Evaluate every congruence at a finite time t, 0 and negative t
-    included, with the nearest witness k. With offsets of 0 or +-pi, as
-    in a chain of independent_constraints, -t has the residuals of t."""
+    included, with the nearest witness k, half to even. With offsets of
+    0 or +-pi, as in a chain of independent_constraints, -t has the
+    residuals of t.
+
+    Rounding moves a residual by less than 6 u (m + 2 pi), u = 2**-53,
+    m = max |delta t|: u m from rounding the gap, u m from delta t,
+    u (m + pi) from subtracting the offset, 2 u (m + 2 pi) from 2 pi and
+    its product with k, and u pi from the last difference. ValueError
+    refuses a t at which that reaches tol (rounding alone could then
+    carry a residual past it) or pi; below pi every |k| < 2**53, so the
+    int64 witnesses are exact.
+    """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t:g}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol:g}")
     two_pi = 2.0 * math.pi
-    delta = np.array([c.delta_lambda for c in constraints], dtype=float)
-    r = delta * t - np.array([c.offset for c in constraints], dtype=float)
+    delta = np.asarray(constraints.delta_lambda, dtype=float)
+    noise = 6.0 * 2.0 ** -53 * (float(np.max(np.abs(delta), initial=0.0)) * abs(t) + two_pi)
+    if not noise < min(tol, math.pi):
+        raise ValueError(f"rounding may move the residuals at t = {t:g} by {noise:.3g} rad, "
+                         f"not less than min(tol, pi) = {min(tol, math.pi):g}")
+    r = delta * t - np.asarray(constraints.offset, dtype=float)
     k = np.rint(r / two_pi)  # half to even, as round does
     residuals = np.abs(r - two_pi * k)
-    filled = tuple(Constraint(c.left_group, c.right_group, c.delta_lambda, c.offset, w)
-                   for c, w in zip(constraints, map(int, k)))
-    ok = bool(np.all(residuals < tol))
-    return AttainabilityReport(float(t), float(tol), filled, residuals, ok)
-
+    return AttainabilityReport(float(t), float(tol), constraints, k.astype(np.int64),
+                               residuals, bool(np.all(residuals < tol)))

@@ -7,11 +7,11 @@ CSV output uses %.12g formatting, LF line endings and always carries a
 header; p(t) traces are written block by block as transfer.factor_chunks
 yields them from the pair's two factors, through the vectorised writer
 csvtext.rows_g12, byte for byte what %.12g gives. Only spectrum, pmax,
-dark and attain build the grouped decomposition. JSON output carries a
-top-level "schema": 1 field and is byte for byte json.dumps(doc,
-indent=2) and a newline, rendered by json's C encoder a container or a
-block of CHUNK table rows at a time and written as it is rendered: JSON
-traces stream their profile block by block as CSV traces do. Plot
+dark and attain build the grouped decomposition. Tables (spectrum,
+dark, attain, sweep) are named columns, their rows made CHUNK at a time
+from column slices. JSON output carries a top-level "schema": 1 field and is
+byte for byte json.dumps(doc, indent=2) and a newline, rendered by json's
+C encoder a container or a block of rows at a time as it is written. Plot
 scripts are plain gnuplot and plot CSV only. reproduce runs evolve and
 sweep commands into --output-dir, which it makes first, parents
 included. A --horizon/--step grid may hold at most MAX_GRID_POINTS
@@ -168,12 +168,6 @@ def _open_out(path: str):
         yield fh
 
 
-def _write_csv(stream, header: list[str], rows) -> None:
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 @functools.cache
 def _json_encoder(depth: int):
     """json's C encoder for items at depth: indent would turn it off, so
@@ -209,36 +203,44 @@ def _write_json(stream, payload: dict) -> None:
     """{"schema": 1, **payload} byte for byte as json.dumps(doc, indent=2)
     and a newline give it, each piece written as soon as it is rendered.
 
-    A payload value is a scalar, a container of scalars, or a table of
-    flat, non-empty rows of one kind (lists, tuples or dicts of
-    scalars): a list of them, written CHUNK rows at a time, or an
-    iterator of such lists, written as it yields them.
+    A payload value is a scalar, a container of scalars, or a table: an
+    iterator of blocks, lists of flat, non-empty rows of one kind (lists,
+    tuples or dicts of scalars), each written as it is yielded.
     """
     write = stream.write
     lead = "{\n  "
     for key, value in {"schema": SCHEMA_VERSION, **payload}.items():
         write(f"{lead}{_json_flat(key, 1)}: ")
         lead = ",\n  "
-        if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple, dict)):
-            _write_json_rows(write, (value[i:i + CHUNK] for i in range(0, len(value), CHUNK)))
-        elif isinstance(value, (str, int, float, list, tuple, dict)) or value is None:
+        if isinstance(value, (str, int, float, list, tuple, dict)) or value is None:
             write(_json_flat(value, 1))
         else:
             _write_json_rows(write, value)
     write("\n}\n")
 
 
-def _write_table(args, header: list[str], rows, doc: dict | None = None) -> None:
-    """rows as CSV under header, or as the JSON doc, by default one object
-    per row (a spectral group) keyed by header under "groups", made a
-    block at a time."""
+def _blocks(table: dict):
+    """Rows of a table of named columns, CHUNK at a time, from column slices."""
+    columns = list(table.values())
+    for at in range(0, len(columns[0]), CHUNK):
+        yield list(zip(*(c[at:at + CHUNK].tolist() for c in columns)))
+
+
+def _objects(table: dict):
+    """The rows of a table as objects keyed by its column names."""
+    return ([dict(zip(table, row)) for row in block] for block in _blocks(table))
+
+
+def _write_table(args, table: dict, doc: dict | None = None) -> None:
+    """A table of named columns as CSV rows under the names, or as the JSON
+    doc, by default one object per row under "groups", a block at a time."""
     with _open_out(args.output) as out:
         if args.format == "json":
-            groups = ([dict(zip(header, row)) for row in rows[at:at + CHUNK]]
-                      for at in range(0, len(rows), CHUNK))
-            _write_json(out, doc or {"groups": groups})
-        else:
-            _write_csv(out, header, rows)
+            _write_json(out, doc or {"groups": _objects(table)})
+            return
+        out.write(",".join(table) + "\n")
+        for block in _blocks(table):
+            out.write("".join(",".join(map(_fmt, row)) + "\n" for row in block))
 
 
 def _timed(step: float, blocks):
@@ -308,8 +310,8 @@ def _cmd_spectrum(args) -> int:
     if args.dump_matrix:
         with _open_out(args.dump_matrix) as fh:
             dump_matrix(build_hamiltonian(spec), fh)
-    rows = list(zip(range(len(decomp)), decomp.values.tolist(), decomp.multiplicities.tolist()))
-    _write_table(args, ["group", "eigenvalue", "multiplicity"], rows)
+    _write_table(args, {"group": np.arange(len(decomp)), "eigenvalue": decomp.values,
+                        "multiplicity": decomp.multiplicities})
     return 0
 
 
@@ -366,9 +368,8 @@ def _cmd_pmax(args) -> int:
 
 def _cmd_dark(args) -> int:
     decomp, _, report = _pair_report(args)
-    rows = list(zip(range(len(decomp)), decomp.values.tolist(), report.overlaps.tolist(),
-                    report.signs.tolist()))
-    _write_table(args, ["group", "eigenvalue", "overlap", "sign"], rows)
+    _write_table(args, {"group": np.arange(len(decomp)), "eigenvalue": decomp.values,
+                        "overlap": report.overlaps, "sign": report.signs})
     return 0
 
 
@@ -379,29 +380,15 @@ def _cmd_attain(args) -> int:
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
     decomp, _, report = _pair_report(args)
     chain = independent_constraints(report, decomp)
-    result = check_attainability(chain, args.tau, args.tol)
-
-    def rows(at: int) -> list[dict]:
-        # the constraint rows one block at a time, never all at once
-        return [
-            {
-                "left_group": c.left_group,
-                "right_group": c.right_group,
-                "delta_lambda": c.delta_lambda,
-                "offset": c.offset,
-                "k": c.satisfied_k,
-                "residual": float(r),
-            }
-            for c, r in zip(result.constraints[at:at + CHUNK], result.residuals[at:at + CHUNK])
-        ]
-
+    try:
+        result = check_attainability(chain, args.tau, args.tol)
+    except ValueError as exc:  # rounding at --tau reaches --tol
+        raise ValueError(f"--tau {args.tau:g} is too large for --tol {args.tol:g}: {exc}") from None
+    # the chain's four columns under their field names, then k and the residual
+    table = {**vars(chain), "k": result.witnesses, "residual": result.residuals}
     with _open_out(args.output) as out:
-        _write_json(out, {
-            "tau": result.t,
-            "tol": result.tol,
-            "constraints": map(rows, range(0, len(result.constraints), CHUNK)),
-            "all_satisfied": result.all_satisfied,
-        })
+        _write_json(out, {"tau": result.t, "tol": result.tol, "constraints": _objects(table),
+                          "all_satisfied": result.all_satisfied})
     return 0
 
 
@@ -425,8 +412,9 @@ def _cmd_sweep(args) -> int:
         rows = gamma_sweep(spec, pair, grid, cfg)
     else:
         rows = coupling_sweep_L0(args.n, bc, pair, grid, cfg)
-    table = [(r.parameter, r.tau_min) for r in rows]
-    _write_table(args, header, table, {"rows": table, "columns": header})
+    # object columns keep each tau_min a float, or None where no event
+    table = dict(zip(header, np.array([(r.parameter, r.tau_min) for r in rows], dtype=object).T))
+    _write_table(args, table, {"rows": _blocks(table), "columns": header})
     _maybe_plot_script(args, header[0], header[1], style="points")
     return 0
 

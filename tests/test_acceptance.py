@@ -381,8 +381,7 @@ def _link_tolerances(report, chain, epsilon):
     """
     w = np.abs(report.overlaps) / np.abs(report.overlaps).sum()
     tols = []
-    for c in chain:
-        wa, wb = w[c.left_group], w[c.right_group]
+    for wa, wb in zip(w[chain.left_group].tolist(), w[chain.right_group].tolist()):
         need = math.sqrt(1.0 - epsilon) - 1.0 + wa + wb
         if need <= abs(wa - wb):
             tols.append(math.pi)

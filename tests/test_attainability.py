@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import make_decomp
 from helix_pst import (
-    Constraint,
+    Constraints,
     Node,
     check_attainability,
     independent_constraints,
@@ -28,7 +29,7 @@ def ring8_report():
 def test_chain_spans_consecutive_bright_groups(ring8_report):
     decomp, report, chain = ring8_report
     assert len(chain) == len(decomp) - 1  # nothing is dark for this pair
-    deltas = sorted(round(c.delta_lambda, 9) for c in chain)
+    deltas = sorted(round(d, 9) for d in chain.delta_lambda.tolist())
     gamma = 3.0
     expected = sorted(
         round(v, 9)
@@ -39,11 +40,11 @@ def test_chain_spans_consecutive_bright_groups(ring8_report):
 
 def test_chain_offsets_follow_sign_pattern(ring8_report):
     _, report, chain = ring8_report
-    zero = [c for c in chain if c.offset == 0.0]
-    pi = [c for c in chain if abs(c.offset) == pytest.approx(math.pi)]
+    zero = np.flatnonzero(chain.offset == 0.0)
+    pi = [off for off in chain.offset.tolist() if abs(off) == pytest.approx(math.pi)]
     assert len(zero) == 1 and len(pi) == len(chain) - 1
     # the same-sign step is the channel splitting
-    assert zero[0].delta_lambda == pytest.approx(3.0, abs=1e-9)
+    assert chain.delta_lambda[zero[0]] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_residuals_at_frozen_times(ring8_report):
@@ -64,15 +65,16 @@ def test_residuals_at_frozen_times(ring8_report):
     assert back.all_satisfied
     assert np.abs(back.residuals - good.residuals).max() < 1e-12
     at_zero = check_attainability(chain, 0.0)
-    assert at_zero.residuals.tolist() == [abs(c.offset) for c in chain]
+    assert at_zero.residuals.tolist() == np.abs(chain.offset).tolist()
 
 
-def test_satisfied_k_are_the_nearest_integers(ring8_report):
+def test_witnesses_are_the_nearest_integers(ring8_report):
     _, _, chain = ring8_report
     result = check_attainability(chain, 73.3055, tol=0.05)
-    for c in result.constraints:
-        expect = round((c.delta_lambda * 73.3055 - c.offset) / (2 * math.pi))
-        assert c.satisfied_k == expect
+    assert result.constraints is chain and result.witnesses.dtype == np.int64
+    for delta, offset, k in zip(chain.delta_lambda.tolist(), chain.offset.tolist(),
+                                result.witnesses.tolist()):
+        assert k == round((delta * 73.3055 - offset) / (2 * math.pi))
 
 
 def test_chain_satisfaction_extends_to_all_pairs(ring8_report):
@@ -84,22 +86,22 @@ def test_chain_satisfaction_extends_to_all_pairs(ring8_report):
     for a, b in combinations(groups, 2):
         delta = float(decomp.values[b] - decomp.values[a])
         off = 0.0 if report.signs[a] == report.signs[b] else math.pi
-        pair = Constraint(a, b, delta, off)
-        res = check_attainability([pair], t, tol=len(chain) * 0.02)
+        pair = Constraints([a], [b], [delta], [off])
+        res = check_attainability(pair, t, tol=len(chain) * 0.02)
         assert res.all_satisfied
 
 
 def test_empty_chain_is_trivially_satisfied():
-    result = check_attainability([], 1.23, tol=0.05)
+    result = check_attainability(Constraints([], [], [], []), 1.23, tol=0.05)
     assert result.all_satisfied
-    assert result.residuals.shape == (0,)
+    assert result.residuals.shape == (0,) and result.witnesses.shape == (0,)
 
 
 def test_dark_groups_never_enter_the_chain():
     _, decomp = make_decomp(8, "closed", "closed", gamma=2.5)
     report = transfer_report(decomp, Node(0, 1), Node(2, 1))
     chain = independent_constraints(report, decomp)
-    used = {c.left_group for c in chain} | {c.right_group for c in chain}
+    used = set(chain.left_group.tolist()) | set(chain.right_group.tolist())
     assert used.isdisjoint(report.dark_groups)
     assert len(chain) == len(decomp) - len(report.dark_groups) - 1
 
@@ -112,8 +114,8 @@ def test_alignment_without_full_transfer():
     report = transfer_report(decomp, a, b)
     chain = independent_constraints(report, decomp)
     assert len(chain) == 1
-    assert chain[0].delta_lambda == pytest.approx(3.0, abs=1e-12)
-    assert chain[0].offset == pytest.approx(math.pi)
+    assert chain.delta_lambda[0] == pytest.approx(3.0, abs=1e-12)
+    assert chain.offset[0] == pytest.approx(math.pi)
     t_star = math.pi / 3.0
     result = check_attainability(chain, t_star, tol=1e-9)
     assert result.all_satisfied
@@ -158,20 +160,22 @@ def test_check_attainability_rejects_non_finite_time(ring8_report):
         with pytest.raises(ValueError, match="time must be finite"):
             check_attainability(chain, bad)
         with pytest.raises(ValueError, match="time must be finite"):
-            check_attainability([], bad)  # also with nothing to evaluate
+            check_attainability(Constraints([], [], [], []), bad)  # nothing to evaluate
 
 
 def _loop_chain(report, decomp):
-    """The chain and its check one constraint at a time, the reference
+    """The chain's columns built one constraint at a time, the reference
     of the array forms."""
     bright = sorted((k for k in range(len(decomp)) if k not in report.dark_groups),
                     key=lambda k: -decomp.values[k])
-    chain = []
+    columns = ([], [], [], [])
     for hi, lo in zip(bright, bright[1:]):
         s_hi, s_lo = int(report.signs[hi]), int(report.signs[lo])
         offset = 0.0 if s_hi == s_lo else (math.pi if s_hi > s_lo else -math.pi)
-        chain.append(Constraint(hi, lo, float(decomp.values[hi] - decomp.values[lo]), offset))
-    return chain
+        for column, value in zip(columns, (hi, lo, float(decomp.values[hi] - decomp.values[lo]),
+                                           offset)):
+            column.append(value)
+    return Constraints(*columns)
 
 
 @pytest.mark.parametrize("N, site, channel, pair", [
@@ -184,20 +188,68 @@ def test_array_chain_and_check_equal_the_loop(N, site, channel, pair):
     _, decomp = make_decomp(N, site, channel, gamma=2.7)
     report = transfer_report(decomp, *pair)
     chain = independent_constraints(report, decomp)
-    assert chain == _loop_chain(report, decomp)
-    # at t = 1e300 the witnesses are integers far beyond 64 bits
-    for t in (0.0, -12.576181, 0.7, 12.576181, 1e4, 1e300):
+    loop = _loop_chain(report, decomp)
+    for name in ("left_group", "right_group", "delta_lambda", "offset"):
+        got, want = getattr(chain, name), getattr(loop, name)
+        assert got.tolist() == want and all(type(v) is type(w) for v, w in zip(got.tolist(), want))
+    for t in (0.0, -12.576181, 0.7, 12.576181, 1e4):
         result = check_attainability(chain, t)
-        for c, got, r in zip(chain, result.constraints, result.residuals):
-            x = c.delta_lambda * t - c.offset
-            k = round(x / (2.0 * math.pi))
-            assert got == Constraint(c.left_group, c.right_group, c.delta_lambda, c.offset, k)
-            assert type(got.satisfied_k) is int and r == abs(x - 2.0 * math.pi * k)
+        assert result.witnesses.dtype == np.int64
+        for delta, offset, k, r in zip(loop.delta_lambda, loop.offset,
+                                       result.witnesses.tolist(), result.residuals.tolist()):
+            x = delta * t - offset
+            assert k == round(x / (2.0 * math.pi)) and r == abs(x - 2.0 * math.pi * k)
+    # at t = 1e300 the witnesses would be integers far beyond 64 bits and
+    # the residuals rounding noise: refused, not reported
+    with pytest.raises(ValueError, match="rounding may move the residuals"):
+        check_attainability(chain, 1e300)
 
 
 def test_witness_rounds_half_to_even():
     # (delta t - offset) / 2 pi is exactly 0.5, 1.5 and -2.5 here
-    chain = [Constraint(0, 1, 1.0, 0.0), Constraint(1, 2, 3.0, 0.0),
-             Constraint(2, 3, 1.0, 6.0 * math.pi)]
+    chain = Constraints([0, 1, 2], [1, 2, 3], [1.0, 3.0, 1.0], [0.0, 0.0, 6.0 * math.pi])
     result = check_attainability(chain, math.pi)
-    assert [c.satisfied_k for c in result.constraints] == [0, 2, -2]
+    assert result.witnesses.tolist() == [0, 2, -2]
+
+
+PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def test_refusal_follows_the_rounding_bound(ring8_report):
+    # below the refusal each residual is within 6 u (m + 2 pi) of the
+    # exact one of its witness, worked out in decimal from the stored
+    # gaps with offsets of exactly 0 or +-pi; above it t is refused
+    _, _, chain = ring8_report
+    u = 2.0 ** -53
+    reach = max(abs(d) for d in chain.delta_lambda.tolist())
+    limit = (0.05 / (6 * u) - 2 * math.pi) / reach  # where the bound meets tol = 0.05
+    for t in (1e6, -1e9, 0.999 * limit):
+        result = check_attainability(chain, t, tol=0.05)
+        bound = 6 * u * (reach * abs(t) + 2 * math.pi)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for delta, offset, k, r in zip(chain.delta_lambda.tolist(), chain.offset.tolist(),
+                                           result.witnesses.tolist(), result.residuals.tolist()):
+                turn = round(offset / math.pi)  # 0, 1 or -1
+                exact = abs(Decimal(delta) * Decimal(t) - turn * PI - 2 * PI * k)
+                assert abs(Decimal(r) - exact) <= Decimal(bound)
+    for t in (1.001 * limit, -1e17, 1e300):
+        with pytest.raises(ValueError, match="rounding may move the residuals"):
+            check_attainability(chain, t, tol=0.05)
+    # a bound past the largest double is refused too, with no overflow warning
+    with pytest.raises(ValueError, match="by inf rad"):
+        check_attainability(Constraints([0], [1], [1e6], [0.0]), 1e308)
+    # a tolerance of pi or more still refuses what pi does not resolve
+    assert check_attainability(chain, 1e14, tol=4.0).witnesses.dtype == np.int64
+    with pytest.raises(ValueError, match=r"min\(tol, pi\) = 3.14159"):
+        check_attainability(chain, 1e16, tol=4.0)
+
+
+def test_the_1e17_case_is_refused():
+    # at 1e17 this chain's residuals were rounding noise (16.0 rad at
+    # k = 22507907903927656) reported with exit code 0
+    _, decomp = make_decomp(5, "open", "open", gamma=2.0)
+    chain = independent_constraints(transfer_report(decomp, Node(0, 1), Node(4, 1)), decomp)
+    with pytest.raises(ValueError, match="at t = 1e[+]17"):
+        check_attainability(chain, 1e17)
+    assert check_attainability(chain, 12.5).witnesses.dtype == np.int64

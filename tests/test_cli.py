@@ -305,6 +305,17 @@ def test_attain_json_structure(capsys):
         assert isinstance(c["k"], int)
 
 
+@pytest.mark.parametrize("tau", ["1e17", "-1e17", "1e300"])
+def test_attain_refuses_a_tau_its_tolerance_cannot_resolve(tau, tmp_path, capsys):
+    # at 1e17 a residual of 16.0 rad with k = 22507907903927656 was rounding noise
+    out = tmp_path / "attain.json"
+    code, stdout, err = run(["attain", "--n", "5", "--site-bc", "open", "--channel-bc", "open",
+                             "--gamma", "2", "--in", "0,1", "--out", "4,1", f"--tau={tau}",
+                             "--output", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: --tau {float(tau):g} is too large for --tol 0.05: ")
+
+
 def test_scan_reports_times_on_stderr(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, err = run(
@@ -625,7 +636,8 @@ def test_evolve_csv_equals_percent_formatting_of_the_blocks(network, pair, flags
         rows = np.column_stack((args.step * np.arange(start, start + len(chunk)), chunk))
         text.append("%.12g,%.12g\n" * len(chunk) % tuple(rows.ravel().tolist()))
         start += len(chunk)
-    assert out.read_bytes() == "".join(text).encode("ascii")
+    # line lists, so that a failure names its first differing row
+    assert out.read_bytes().split(b"\n") == "".join(text).encode("ascii").split(b"\n")
 
 
 def test_scan_with_a_node_off_the_network_writes_no_file(tmp_path, capsys):
@@ -825,7 +837,10 @@ def test_json_output_is_json_dumps_with_indent_2(argv, tmp_path, capsys):
 ])
 def test_json_writer_is_json_dumps_with_indent_2(payload):
     out = io.StringIO()
-    cli._write_json(out, payload)
+    # a table goes to the writer as its blocks of CHUNK rows
+    rows = payload.get("table", [])
+    blocks = (rows[at:at + cli.CHUNK] for at in range(0, len(rows), cli.CHUNK))
+    cli._write_json(out, {**payload, "table": blocks} if "table" in payload else payload)
     assert out.getvalue() == json.dumps({"schema": 1, **payload}, indent=2) + "\n"
 
 
@@ -867,3 +882,31 @@ def test_evolve_json_memory_does_not_grow_with_the_grid(tmp_path):
     # the rows as Python lists would take 100 001 * 120 B, 11 MiB, and the
     # document 7 MiB; the kernel, a block of rows and its text need 2 MiB
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("argv, arrays, fields", [
+    (["dark", "--format", "json"], 6, 4),
+    (["dark"], 6, 4),
+    (["attain", "--tau", "12.5"], 11, 6),
+], ids=["dark-json", "dark-csv", "attain"])
+def test_tables_stream_from_their_columns(argv, arrays, fields, tmp_path):
+    N = 20_000
+    out = tmp_path / "table"
+    argv = [argv[0], "--n", str(N), "--site-bc", "open", "--channel-bc", "open", "--gamma", "2",
+            "--in", "0,1", "--out", f"{N - 1},1", *argv[1:], "--output", str(out)]
+    tracemalloc.start()
+    try:
+        code = run_command(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # Each column holds at most 3N = 60 000 values, 8 bytes each. dark keeps
+    # 6 alive (the decomposition's values, multiplicities and modes, the
+    # report's overlaps and signs, the group index), attain 11 (those 5,
+    # the chain's 4 columns, the witnesses and the residuals). On top,
+    # one block of CHUNK rows in flight, 512 B a field for its Python
+    # values, tuples or dicts and text: 8 MiB at 4 fields, 12 MiB at 6.
+    # The whole table as rows took 16.2 (dark JSON), 12.7 (dark CSV) and
+    # 26.5 MiB (attain); from columns it takes 8.2, 4.1 and 13.3 MiB.
+    assert peak < arrays * 3 * N * 8 + cli.CHUNK * fields * 512

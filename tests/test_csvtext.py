@@ -57,11 +57,12 @@ def test_rows_join_columns_like_percent_formatting():
     count = 2 * ROWS + 5
     times = 0.005 * np.arange(count)
     p = rng.random(count) ** 5
-    assert rows_g12(times, p) == "%.12g,%.12g\n" * count % tuple(
-        np.column_stack((times, p)).ravel().tolist())
+    # line lists, so that a failure names its first differing row
+    assert rows_g12(times, p).split("\n") == ("%.12g,%.12g\n" * count % tuple(
+        np.column_stack((times, p)).ravel().tolist())).split("\n")
     three = rng.normal(size=(3, 40)) * 10.0 ** rng.integers(-20, 20, (3, 40))
-    assert rows_g12(*three) == "".join(
-        "%.12g,%.12g,%.12g\n" % row for row in zip(*three.tolist()))
+    assert rows_g12(*three).split("\n") == "".join(
+        "%.12g,%.12g,%.12g\n" % row for row in zip(*three.tolist())).split("\n")
     assert rows_g12(np.array([])) == ""
 
 
