@@ -25,14 +25,7 @@ from .core import (
     validate_spec,
 )
 from .hamiltonian import CouplingKind, build_hamiltonian, dump_matrix, neighbors
-from .scan import (
-    ScanConfig,
-    SweepRow,
-    coupling_sweep_L0,
-    find_pst_times,
-    gamma_sweep,
-    tau_min,
-)
+from .scan import ScanConfig, SweepRow, find_pst_times, gamma_sweep, tau_min
 from .spectral import SpectralDecomposition, decompose
 from .transfer import (
     TransferReport,
@@ -62,7 +55,6 @@ __all__ = [
     "TransferReport",
     "build_hamiltonian",
     "check_attainability",
-    "coupling_sweep_L0",
     "decompose",
     "dump_matrix",
     "find_pst_times",

@@ -36,7 +36,7 @@ from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independen
 from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
 from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
-from .scan import ScanConfig, coupling_sweep_L0, find_pst_times, gamma_sweep, pass_points
+from .scan import ScanConfig, find_pst_times, gamma_sweep, pass_points
 from .spectral import decompose
 from .transfer import CHUNK, factor_chunks, grid_count, transfer_report
 
@@ -152,7 +152,10 @@ def _scan_config(args) -> ScanConfig:
     epsilon = getattr(args, "epsilon", ScanConfig.epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"--epsilon must lie in (0, 1), got {epsilon:g}")
-    return ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=epsilon)
+    try:
+        return ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=epsilon)
+    except ValueError as exc:  # the one check left: "epsilon ... is too small"
+        raise ValueError(f"--{exc}") from None
 
 
 @contextmanager
@@ -330,6 +333,10 @@ def _cmd_trace(args) -> int:
         flags = f"--gamma {c.J:g}" if c.scaled else f"--J {c.J:g} and --L {c.L:g}"
         _check_passes(spec, (input, output), [c.effective()[0]], cfg, flags)
         extra["pst_times"] = find_pst_times(spec, input, output, cfg)
+    # a phase lambda t past the float range turns p into nan
+    if not math.isfinite(c.eigenvalue_bound() * (cfg.horizon + cfg.coarse_step)):
+        raise ValueError(f"--horizon {cfg.horizon:g} at --step {cfg.coarse_step:g} overflows the "
+                         "phases: 2 (|J_eff| + |L_eff|) (horizon + step) is not finite")
     # reads the pair's factors, so both nodes are checked before the output opens
     blocks = factor_chunks(spec, input, output, cfg.coarse_step,
                            grid_count(cfg.horizon, cfg.coarse_step))
@@ -399,19 +406,16 @@ def _cmd_sweep(args) -> int:
     cfg = _scan_config(args)
     if (args.gamma_grid is None) == (args.J_grid is None):
         raise ValueError("give exactly one of --gamma-grid or --J-grid")
+    # each grid value is the site coupling in the template's units
     if args.gamma_grid is not None:
         flag, grid = "--gamma-grid", parse_grid(args.gamma_grid, "--gamma-grid")
-        spec = validate_spec(NetworkSpec(args.n, bc, CouplingParams.from_gamma(grid[0])))
-        header = ["gamma", "tau_min"]
+        couplings, header = CouplingParams.from_gamma(grid[0]), ["gamma", "tau_min"]
     else:
         flag, grid = "--J-grid", parse_grid(args.J_grid, "--J-grid")
-        spec = validate_spec(NetworkSpec(args.n, bc, CouplingParams(J=grid[0], L=0.0)))
-        header = ["J", "t_min"]
+        couplings, header = CouplingParams(J=grid[0], L=0.0), ["J", "t_min"]
+    spec = validate_spec(NetworkSpec(args.n, bc, couplings))
     _check_passes(spec, pair, grid, cfg, f"{flag} up to {max(map(abs, grid)):g}")
-    if header[0] == "gamma":
-        rows = gamma_sweep(spec, pair, grid, cfg)
-    else:
-        rows = coupling_sweep_L0(args.n, bc, pair, grid, cfg)
+    rows = gamma_sweep(spec, pair, grid, cfg)
     # object columns keep each tau_min a float, or None where no event
     table = dict(zip(header, np.array([(r.parameter, r.tau_min) for r in rows], dtype=object).T))
     _write_table(args, table, {"rows": _blocks(table), "columns": header})

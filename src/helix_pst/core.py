@@ -87,6 +87,12 @@ class CouplingParams:
             return self.J / self.L, 1.0
         return self.J, self.L
 
+    def eigenvalue_bound(self) -> float:
+        """2 (|J_eff| + |L_eff|): a chain or ring of coupling c has its
+        eigenvalues in [-2|c|, 2|c|], so every topology's lie within it."""
+        site, channel = self.effective()
+        return 2.0 * (abs(site) + abs(channel))
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -119,6 +125,10 @@ def validate_spec(spec: NetworkSpec) -> NetworkSpec:
         raise ValueError("couplings must be finite")
     if c.scaled and c.L == 0.0:
         raise ValueError("scaled couplings require L != 0")
+    if not math.isfinite(c.eigenvalue_bound()):
+        named = f"gamma={c.J / c.L:g}" if c.scaled else f"J={c.J:g}, L={c.L:g}"
+        raise ValueError(f"couplings {named} too large: the eigenvalue bound "
+                         "2 (|J_eff| + |L_eff|) overflows")
     closed_sites = spec.bc.site_bc is BoundaryCondition.CLOSED
     min_n = MIN_SITES_CLOSED if closed_sites else MIN_SITES_OPEN
     if spec.N < min_n:

@@ -1,13 +1,14 @@
 """Time-domain searches for perfect-transfer events and parameter sweeps.
 
-One search serves find_pst_times, tau_min, gamma_sweep and
-coupling_sweep_L0. The network is a Cartesian product, so a pair's
-amplitude is A(t) = A_site(g t) A_chan(t), both factors at most 1 in
-modulus (Christandl et al., PRL 92, 187902, 2004). The search reads
-the factors of spectral.pair_factors, as the CLI traces do: the site
-factor in units of g = J_eff, the channel factor scaled by L_eff; in
-scaled units t is tau and g is gamma. A search at one network is
-_sweep at its own J_eff, a sweep of one row.
+One search serves find_pst_times, tau_min and gamma_sweep. The network
+is a Cartesian product, so a pair's amplitude is A(t) = A_site(g t)
+A_chan(t), both factors at most 1 in modulus (Christandl et al., PRL
+92, 187902, 2004). The search reads the factors of
+spectral.pair_factors, as the CLI traces do: the site factor in units
+of g = J_eff, the channel factor scaled by L_eff; in scaled units t is
+tau and g is gamma, and on a raw L = 0 network g is J and the channel
+factor is delta_{alpha beta}. A search at one network is _sweep at its
+own J_eff, a sweep of one row.
 
 Each row reads p(t) = p_site(|g| t) p_chan(t), each factor from its own
 terms, on a grid t = i * h. Candidates are grid local maxima
@@ -84,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node
+from .core import NetworkSpec, Node
 from .spectral import pair_factors
 from .transfer import CHUNK, ROOT, grid_count, probability_at, probability_chunks
 
@@ -112,6 +113,10 @@ class ScanConfig:
             raise ValueError("coarse_step must be positive and finite")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        # below about 1.4e-16 the roots round together and no step is certified
+        if not _root(2.0 * self.epsilon) < _root(self.epsilon) < 1.0:
+            raise ValueError(f"epsilon {self.epsilon:g} is too small: sqrt(1 - 2 epsilon), "
+                             "sqrt(1 - epsilon) and 1 must differ in floating point")
 
 
 @dataclass(frozen=True)
@@ -273,10 +278,15 @@ def _search(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig,
     return times
 
 
+def _root(x: float) -> float:
+    """sqrt(1 - x), 0 for x >= 1: the amplitude of p = 1 - x."""
+    return math.sqrt(max(1.0 - x, 0.0))
+
+
 def _step_for(w2: float, epsilon: float, extent: float = math.inf) -> float:
     """The certified step at curvature bound W2, at most max(extent, 1), so a
     pass over [0, extent] of a constant |A| (W2 = 0) takes one or two samples."""
-    gap = math.sqrt(1.0 - epsilon) - math.sqrt(max(1.0 - 2.0 * epsilon, 0.0))
+    gap = _root(epsilon) - _root(2.0 * epsilon)
     return min(math.sqrt(8.0 * gap / w2) if w2 > 0.0 else math.inf, max(extent, 1.0))
 
 
@@ -312,7 +322,7 @@ def _windows(factor, extent: float, h: float, epsilon: float) -> tuple[np.ndarra
     w2 = _spread(factor)[0]
     count = math.ceil(extent / h) + 1
     r = 8 * np.finfo(float).eps * (np.abs(values).max(initial=0) * count * h + len(values) + ROOT)
-    floor = math.sqrt(max(1.0 - 2.0 * epsilon, 0.0)) - w2 * h * h / 8 - 4 * r
+    floor = _root(2.0 * epsilon) - w2 * h * h / 8 - 4 * r
     runs = [(np.empty(0, dtype=int),) * 2]
     for at, chunk in zip(range(0, count, CHUNK), probability_chunks(weights, values, h, count)):
         # sqrt(p) >= floor, true of every sample when floor <= 0
@@ -397,20 +407,11 @@ def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfi
     return sum(x / h + 1.0 for _, x, h in _passes(*pair_factors(spec, *pair), grid, cfg))
 
 
-def _rows(site, chan, grid, cfg: ScanConfig) -> list[SweepRow]:
-    return [SweepRow(g, times[0] if times else None, h)
-            for g, h, times in _sweep(site, chan, grid, cfg, first_only=True)]
-
-
-def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], gamma_grid,
+def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], grid,
                 cfg: ScanConfig) -> list[SweepRow]:
-    """tau_min versus gamma = J/L in scaled units, from the pair's two factors."""
-    return _rows(*pair_factors(template, *pair), gamma_grid, cfg)
-
-
-def coupling_sweep_L0(N: int, bc: BoundaryConditions, pair: tuple[Node, Node], J_grid,
-                      cfg: ScanConfig) -> list[SweepRow]:
-    """t_min versus J at L = 0 (raw units), where the channel factor is
-    delta_{alpha beta}: gamma_sweep with J for gamma and t for tau."""
-    return _rows(*pair_factors(NetworkSpec(N, bc, CouplingParams(J=1.0, L=0.0)), *pair), J_grid,
-                 cfg)
+    """tau_min per site coupling g = J_eff of grid, in the template's units,
+    from the pair's two factors, which do not depend on the template's J:
+    tau_min versus gamma = J/L in scaled units, or t_min versus J on a raw
+    L = 0 template, where the channel factor is delta_{alpha beta}."""
+    return [SweepRow(g, times[0] if times else None, h)
+            for g, h, times in _sweep(*pair_factors(template, *pair), grid, cfg, first_only=True)]

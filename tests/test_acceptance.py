@@ -42,7 +42,6 @@ from helix_pst import (
     SpectralDecomposition,
     build_hamiltonian,
     check_attainability,
-    coupling_sweep_L0,
     find_pst_times,
     flat_index,
     gamma_sweep,
@@ -441,7 +440,8 @@ def test_criterion_11_decoupled_limit():
     template = make_spec(8, "closed", "closed", gamma=grid[0])
     finite_gamma = sum(r.tau_min is not None for r in gamma_sweep(template, PAIR_CC, grid, cfg))
     finite_J = sum(r.tau_min is not None
-                   for r in coupling_sweep_L0(8, template.bc, PAIR_CC, grid, cfg))
+                   for r in gamma_sweep(make_spec(8, "closed", "closed", J=1.0, L=0.0),
+                                        PAIR_CC, grid, cfg))
     count_ok = finite_J > finite_gamma
     _verdict(11, ring_ok and count_ok,
              f"single-ring agreement within {worst:.2e}; finite arrivals "

@@ -183,6 +183,8 @@ PAIR_ARGS = ["--n", "4", "--site-bc", "closed", "--channel-bc", "closed",
     (["attain", "--gamma", "2", "--tau", "1", "--tol", "nan"], "--tol"),
     (["attain", "--gamma", "2", "--tau", "1", "--tol", "0"], "--tol"),
     (["scan", "--gamma", "2", "--epsilon", "nan"], "--epsilon"),
+    # phases lambda t overflow past t = 2.2e307 at gamma = 3
+    (["evolve", "--gamma", "3", "--horizon", "1e308", "--step", "1e303"], "--horizon"),
 ])
 def test_non_finite_inputs_name_their_flag(argv, flag, capsys):
     code, out, err = run(argv[:1] + PAIR_ARGS + argv[1:], capsys)
@@ -211,6 +213,34 @@ def test_out_of_range_epsilon_names_flag_and_value(command, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --epsilon must lie in (0, 1), got 7\n"
+
+
+@pytest.mark.parametrize("command", ["scan", "sweep"])
+@pytest.mark.parametrize("epsilon", ["1e-17", "1e-16", "1.2e-16"])
+def test_epsilon_too_small_to_certify_a_step_names_flag_and_value(command, epsilon, capsys):
+    grid = ["--gamma-grid", "1:2:1"] if command == "sweep" else ["--gamma", "2"]
+    code, out, err = run([command] + PAIR_ARGS + grid + ["--epsilon", epsilon], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --epsilon {epsilon} is too small: ")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--gamma", "1e308", "--format", "json"], "gamma=1e+308"),
+    (["spectrum", "--J", "1e308", "--L", "1"], "J=1e+308, L=1"),
+    (["pmax", "--gamma", "1e308", "--in", "0,1", "--out", "4,1"], "gamma=1e+308"),
+    (["pmax", "--J", "1e308", "--L", "1", "--in", "0,1", "--out", "4,1"], "J=1e+308, L=1"),
+    (["evolve", "--gamma", "1e308", "--in", "0,1", "--out", "4,1", "--format", "json",
+      "--horizon", "1"], "gamma=1e+308"),
+    (["evolve", "--J", "1e308", "--L", "1", "--in", "0,1", "--out", "4,1"], "J=1e+308, L=1"),
+])
+def test_couplings_whose_eigenvalues_overflow_are_usage_errors(argv, named, capsys):
+    # finite flags whose eigenvalues J_eff sigma + L_eff c overflow to nan
+    code, out, err = run(argv[:1] + ["--n", "8", "--site-bc", "closed", "--channel-bc", "closed"]
+                         + argv[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: couplings {named} too large: ")
 
 
 def test_evolve_has_no_epsilon_flag(capsys):

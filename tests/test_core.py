@@ -101,6 +101,24 @@ def test_validate_spec_rejects_non_finite_couplings():
         validate_spec(NetworkSpec(4, bc, CouplingParams(J=1.0, L=math.inf)))
 
 
+@pytest.mark.parametrize("couplings, named", [
+    (CouplingParams.from_gamma(1e308), "gamma=1e+308"),
+    (CouplingParams(J=1e300, L=1e-300, scaled=True), "gamma=inf"),
+    (CouplingParams(J=1e308, L=1.0), "J=1e+308, L=1"),
+    (CouplingParams(J=1.0, L=-1e308), "J=1, L=-1e+308"),
+    (CouplingParams(J=8e307, L=8e307), "J=8e+307, L=8e+307"),
+])
+def test_validate_spec_rejects_couplings_whose_eigenvalue_bound_overflows(couplings, named):
+    # finite couplings whose J_eff sigma + L_eff c can overflow
+    bc = BoundaryConditions.from_names("open", "closed")
+    with pytest.raises(ValueError) as err:
+        validate_spec(NetworkSpec(4, bc, couplings))
+    assert str(err.value) == (f"couplings {named} too large: the eigenvalue bound "
+                              "2 (|J_eff| + |L_eff|) overflows")
+    # the largest couplings whose bound stays finite pass
+    validate_spec(NetworkSpec(4, bc, CouplingParams(J=4e307, L=-4e307)))
+
+
 def test_validate_spec_bounds_the_site_count():
     bc = BoundaryConditions.from_names("open", "open")
     cp = CouplingParams.from_gamma(2.0)
@@ -133,7 +151,8 @@ def test_library_entries_refuse_a_network_beyond_the_site_limit(monkeypatch):
         lambda: scan.tau_min(spec, *pair, cfg),
         lambda: scan.pass_points(spec, pair, [2.0], cfg),
         lambda: scan.gamma_sweep(spec, pair, [1.0, 2.0], cfg),
-        lambda: scan.coupling_sweep_L0(N, bc, pair, [1.0, 2.0], cfg),
+        lambda: scan.gamma_sweep(NetworkSpec(N, bc, CouplingParams(J=1.0, L=0.0)), pair,
+                                 [1.0, 2.0], cfg),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"N={N} too large"):

@@ -10,7 +10,6 @@ from helix_pst import scan, transfer
 from helix_pst import (
     Node,
     ScanConfig,
-    coupling_sweep_L0,
     find_pst_times,
     gamma_sweep,
     grid_count,
@@ -107,6 +106,26 @@ def test_scan_config_validation():
             ScanConfig(horizon=bad)
         with pytest.raises(ValueError, match="coarse_step"):
             ScanConfig(coarse_step=bad)
+
+
+def test_scan_config_refuses_an_epsilon_too_small_to_certify_a_step():
+    # sqrt(1 - epsilon) rounding to 1 or to sqrt(1 - 2 epsilon) would give
+    # a certified step of 0, which the factor passes divide by
+    for tiny in (1e-17, 5e-17, 1e-16, 1.2e-16, 1.3e-16):
+        with pytest.raises(ValueError, match=f"epsilon {tiny:g} is too small"):
+            ScanConfig(epsilon=tiny)
+    # the refused epsilons are the ones below a cut, and every other one
+    # certifies a positive step
+    accepted = []
+    for epsilon in np.linspace(1e-18, 1e-15, 3001).tolist():
+        try:
+            ScanConfig(epsilon=epsilon)
+        except ValueError:
+            assert not accepted, epsilon
+        else:
+            accepted.append(epsilon)
+            assert scan._step_for(1.0, epsilon) > 0.0
+    assert 1.3e-16 < accepted[0] < 1.4e-16
 
 
 def test_find_pst_times_frozen_gamma3():
@@ -324,11 +343,9 @@ def test_fig2_sweep_makes_a_bounded_number_of_evaluator_calls(kind, monkeypatch)
 
     monkeypatch.setattr(scan, "_lockstep", spy)
     monkeypatch.setattr(scan, "_golden", golden)
-    template = make_spec(N, site, channel, gamma=1.0)
-    if kind == "gamma":
-        rows = gamma_sweep(template, pair, grid, ScanConfig())
-    else:
-        rows = coupling_sweep_L0(N, template.bc, pair, grid, ScanConfig())
+    template = (make_spec(N, site, channel, gamma=1.0) if kind == "gamma"
+                else make_spec(N, site, channel, J=1.0, L=0.0))
+    rows = gamma_sweep(template, pair, grid, ScanConfig())
     assert sum(r.tau_min is not None for r in rows) > 100
     # a round at brackets of 2 h <= 0.01 takes 1 + 20 + 1 calls, a block one
     assert 1 <= len(rounds) <= 3 and len(calls) <= 100
@@ -340,11 +357,12 @@ def test_sweep_rows_do_not_depend_on_the_block_budget(fig, monkeypatch):
     # points of it per block, so candidates meet block and group edges
     N, site, channel, pair = FIGURES[fig]
     template = make_spec(N, site, channel, gamma=1.0)
+    raw = make_spec(N, site, channel, J=1.0, L=0.0)
     grid = parse_grid("0.5:20:0.25")
 
     def sweeps():
         return (gamma_sweep(template, pair, grid, ScanConfig()),
-                coupling_sweep_L0(N, template.bc, pair, grid, ScanConfig()))
+                gamma_sweep(raw, pair, grid, ScanConfig()))
 
     want = sweeps()
     points = count_range_points(monkeypatch)
@@ -367,7 +385,7 @@ def test_sweep_rows_equal_the_reference_scan_at_their_step(fig):
     cases = [(row, make_decomp(N, site, channel, gamma=row.parameter)[1])
              for row in gamma_sweep(template, pair, gammas, cfg)]
     cases += [(row, make_decomp(N, site, channel, J=row.parameter, L=0.0)[1])
-              for row in coupling_sweep_L0(N, template.bc, pair, Js, cfg)]
+              for row in gamma_sweep(make_spec(N, site, channel, J=1.0, L=0.0), pair, Js, cfg)]
     for row, decomp in cases:
         want = reference_pst_times(decomp, *pair, replace(cfg, coarse_step=row.step))
         assert (row.tau_min is None) == (not want), row
@@ -396,15 +414,13 @@ def test_fig5_sweeps_evaluate_no_point_per_row(kind, monkeypatch):
     # the C6 antipodal site factor stays below its unattained 3/4, so its
     # window pass flags nothing and no row reads a point or refines one
     N, site, channel, pair = FIGURES["fig5"]
-    template = make_spec(N, site, channel, gamma=1.0)
+    template = (make_spec(N, site, channel, gamma=1.0) if kind == "gamma"
+                else make_spec(N, site, channel, J=1.0, L=0.0))
     calls = count_kernel_calls(monkeypatch)
     points = count_range_points(monkeypatch)
     monkeypatch.setattr(scan, "_golden", lambda *args: pytest.fail("a candidate was refined"))
     grid = parse_grid("0.5:20:0.05")
-    if kind == "gamma":
-        rows = gamma_sweep(template, pair, grid, ScanConfig())
-    else:
-        rows = coupling_sweep_L0(N, template.bc, pair, grid, ScanConfig())
+    rows = gamma_sweep(template, pair, grid, ScanConfig())
     assert [r.tau_min for r in rows] == [None] * len(grid)
     assert len(calls) == 2 and points == []  # the channel and site window passes
 
@@ -563,14 +579,22 @@ def test_window_pass_memory_does_not_grow_with_the_pass():
     assert peak < 2 << 20
 
 
+def test_L0_sweep_rows_do_not_depend_on_the_template_J():
+    # sweep --J-grid builds its template at the grid's first value; the
+    # rows read only the pair's factors, the site one in units of J
+    N, site, channel, pair = FIGURES["fig2"]
+    grid = parse_grid("-2:2:0.25")  # through J = 0
+    cfg = ScanConfig(horizon=100.0)
+    rows = [gamma_sweep(make_spec(N, site, channel, J=J, L=0.0), pair, grid, cfg)
+            for J in (1.0, 0.5, -3.0)]
+    assert rows[0] == rows[1] == rows[2]
+    assert [r.parameter for r in rows[0]] == grid
+    assert sum(r.tau_min is not None for r in rows[0]) >= 8
+
+
 def test_coupling_sweep_L0_decoupled_channels():
-    rows = coupling_sweep_L0(
-        8,
-        make_spec(8, "closed", "closed", J=1.0, L=0.0).bc,
-        PAIR8,
-        [1.0, 2.0],
-        ScanConfig(horizon=200.0),
-    )
+    rows = gamma_sweep(make_spec(8, "closed", "closed", J=1.0, L=0.0), PAIR8, [1.0, 2.0],
+                       ScanConfig(horizon=200.0))
     assert rows[0].tau_min == pytest.approx(91.0926, abs=1e-3)
     # doubling J halves the arrival time
     assert rows[0].tau_min == pytest.approx(2.0 * rows[1].tau_min, rel=1e-6)
@@ -581,22 +605,22 @@ def test_coupling_sweep_L0_matches_per_J_scans(fig):
     # the windowed sweep against the full-grid reference per J at the
     # row's certified step, on the figure's J grid (reproduce's 0.5:20:0.05)
     N, site, channel, pair = FIGURES[fig]
-    bc = make_spec(N, site, channel, J=1.0, L=0.0).bc
+    template = make_spec(N, site, channel, J=1.0, L=0.0)
     grid = parse_grid("0.5:20:0.05")
     cfg = ScanConfig()
-    rows = coupling_sweep_L0(N, bc, pair, grid, cfg)
+    rows = gamma_sweep(template, pair, grid, cfg)
     _check_rows_against_full_scans(
         rows, grid, lambda J: (*make_decomp(N, site, channel, J=J, L=0.0), pair), cfg)
 
 
 def test_coupling_sweep_L0_sign_of_J_and_zero():
-    bc = make_spec(8, "closed", "closed", J=1.0, L=0.0).bc
-    rows = coupling_sweep_L0(8, bc, PAIR8, [-2.0, 0.0, 2.0], ScanConfig(horizon=100.0))
+    template = make_spec(8, "closed", "closed", J=1.0, L=0.0)
+    rows = gamma_sweep(template, PAIR8, [-2.0, 0.0, 2.0], ScanConfig(horizon=100.0))
     assert rows[0].tau_min == rows[2].tau_min == pytest.approx(91.0926 / 2, abs=1e-3)
     # J = 0 has no dynamics: no transfer between distinct nodes, and the
     # trivial event at 0 for a node onto itself
     assert rows[1].tau_min is None
-    [self_row] = coupling_sweep_L0(8, bc, (PAIR8[0], PAIR8[0]), [0.0], ScanConfig())
+    [self_row] = gamma_sweep(template, (PAIR8[0], PAIR8[0]), [0.0], ScanConfig())
     assert self_row.tau_min == pytest.approx(0.0, abs=1e-6)
 
 
