@@ -125,10 +125,15 @@ def validate_spec(spec: NetworkSpec) -> NetworkSpec:
         raise ValueError("couplings must be finite")
     if c.scaled and c.L == 0.0:
         raise ValueError("scaled couplings require L != 0")
-    if not math.isfinite(c.eigenvalue_bound()):
+    bound = c.eigenvalue_bound()
+    if not math.isfinite(CHANNELS * spec.N * bound):
+        # decompose sums up to 3N eigenvalues of a group before it divides
         named = f"gamma={c.J / c.L:g}" if c.scaled else f"J={c.J:g}, L={c.L:g}"
-        raise ValueError(f"couplings {named} too large: the eigenvalue bound "
-                         "2 (|J_eff| + |L_eff|) overflows")
+        if not math.isfinite(bound):
+            raise ValueError(f"couplings {named} too large: the eigenvalue bound "
+                             "2 (|J_eff| + |L_eff|) overflows")
+        raise ValueError(f"couplings {named} too large for N={spec.N}: the sum of 3N "
+                         "eigenvalues, 3N * 2 (|J_eff| + |L_eff|), overflows")
     closed_sites = spec.bc.site_bc is BoundaryCondition.CLOSED
     min_n = MIN_SITES_CLOSED if closed_sites else MIN_SITES_OPEN
     if spec.N < min_n:

@@ -26,13 +26,16 @@ decompose sorts the 3N values lambda = J sigma_i + L c_a once and
 groups neighbours that differ by at most DEFAULT_GROUPING_SCALE times
 the spectral radius, so accidental ties between the factors (which
 decide p_max, the dark sets and the congruence chain) join one group.
-A group is then its value, its multiplicity and its labels, the flat
-mode indices CHANNELS * i + a in eigenvalue order. The overlap of a
-node pair with group k, <in| P_k |out>, is the sum over its labels of
-s_i q_a, with s_i = u_i[n] u_i[m] and q_a = v_a[alpha] v_a[beta]: O(N)
-time and memory per pair, with no Hamiltonian and no eigensolver. Only
-the spectral reports (spectrum, p_max, dark sets, congruence chains)
-need the groups; the time domain reads pair_factors.
+A group is then its value, its multiplicity and its smallest sorted
+value: the spectrum, and nothing per mode. The overlap of a node pair
+with group k, <in| P_k |out>, is the sum of the terms w_i q_a of the
+pair's two factors (pair_factors) whose eigenvalue J sigma_i + L c_a
+lies in the group. That eigenvalue is bit for bit one of the values
+decompose sorted, so one search over the groups' smallest values
+places every term exactly: O(N log N) time and O(N) memory per pair,
+with no Hamiltonian and no eigensolver. Only the spectral reports
+(spectrum, p_max, dark sets, congruence chains) need the groups; the
+time domain reads pair_factors alone.
 """
 
 from __future__ import annotations
@@ -49,29 +52,17 @@ DEFAULT_GROUPING_SCALE = 1e-8
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Pairwise distinct eigenvalues with the factor modes of each group.
+    """Pairwise distinct eigenvalues of a network and their multiplicities.
 
-    Label j is the product mode `modes[j]` = CHANNELS * i + a of site
-    mode i and channel mode a; labels are sorted by eigenvalue, and
-    group k owns the `multiplicities[k]` consecutive labels from
-    `starts[k]` on.
+    Group k holds the sorted eigenvalues from `lows[k]` up to, not
+    including, `lows[k + 1]`.
     """
 
     values: np.ndarray  # distinct eigenvalues, ascending
-    multiplicities: np.ndarray  # int per group, sums to dim
+    multiplicities: np.ndarray  # int per group, sums to 3N
     grouping_tol: float
-    modes: np.ndarray  # flat product mode of each label, in eigenvalue order
-    site_closed: bool
-    channel_closed: bool
-
-    @property
-    def dim(self) -> int:
-        return len(self.modes)
-
-    @property
-    def starts(self) -> np.ndarray:
-        """First label of each group."""
-        return np.cumsum(self.multiplicities) - self.multiplicities
+    lows: np.ndarray  # smallest sorted eigenvalue of each group
+    spec: NetworkSpec
 
     def __len__(self) -> int:
         return len(self.values)
@@ -111,35 +102,26 @@ def decompose(spec: NetworkSpec) -> SpectralDecomposition:
     """Grouped decomposition of the network from its factors' closed forms."""
     validate_spec(spec)
     j_eff, l_eff = spec.couplings.effective()
-    site_closed = spec.bc.site_bc is BoundaryCondition.CLOSED
-    channel_closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
-    lam = np.add.outer(
-        j_eff * _chain_values(spec.N, site_closed),
-        l_eff * _chain_values(CHANNELS, channel_closed),
-    ).ravel()
-    modes = np.argsort(lam, kind="stable")
-    values = lam[modes]
+    values = np.sort(np.add.outer(
+        j_eff * _chain_values(spec.N, spec.bc.site_bc is BoundaryCondition.CLOSED),
+        l_eff * _chain_values(CHANNELS, spec.bc.channel_bc is BoundaryCondition.CLOSED),
+    ), axis=None)
     tol = default_grouping_tol(values)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
     mult = np.diff(np.append(starts, len(values)))
     group_values = np.add.reduceat(values, starts) / mult
-    return SpectralDecomposition(group_values, mult, tol, modes, site_closed, channel_closed)
-
-
-def _channel_weights(N: int, closed: bool, input: Node, output: Node) -> np.ndarray:
-    """q_a = v_a[alpha] v_a[beta] of a node pair of an N-site network,
-    after checking that both nodes lie in it."""
-    flat_index(input, N)  # range checks
-    flat_index(output, N)
-    return _chain_weights(CHANNELS, closed, input.alpha - 1, output.alpha - 1)
+    return SpectralDecomposition(group_values, mult, tol, values[starts], spec)
 
 
 def _folded(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal values merged with their weights summed, zero sums dropped."""
-    values, inverse = np.unique(values, return_inverse=True)
-    weights = np.bincount(inverse, weights)
+    """Equal values merged, ascending, with their weights summed in index
+    order; zero sums dropped."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    weights = np.add.reduceat(weights[order], starts)
     keep = weights != 0.0
-    return values[keep], weights[keep]
+    return values[starts][keep], weights[keep]
 
 
 def pair_factors(
@@ -152,7 +134,9 @@ def pair_factors(
     validate_spec(spec)
     site_closed = spec.bc.site_bc is BoundaryCondition.CLOSED
     channel_closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
-    q = _channel_weights(spec.N, channel_closed, input, output)
+    flat_index(input, spec.N)  # range checks
+    flat_index(output, spec.N)
+    q = _chain_weights(CHANNELS, channel_closed, input.alpha - 1, output.alpha - 1)
     s = _chain_weights(spec.N, site_closed, input.n, output.n)
     values, weights = _folded(_chain_values(CHANNELS, channel_closed), q)
     l_eff = spec.couplings.effective()[1]
@@ -161,24 +145,23 @@ def pair_factors(
     return _folded(_chain_values(spec.N, site_closed), s), chan
 
 
-def pair_weights(
-    decomp: SpectralDecomposition, input: Node, output: Node
-) -> tuple[np.ndarray, np.ndarray]:
-    """Site weights s_i = u_i[n] u_i[m] and channel weights
-    q_a = v_a[alpha] v_a[beta] of a node pair; label CHANNELS * i + a
-    weighs s_i q_a."""
-    N = decomp.dim // CHANNELS
-    q = _channel_weights(N, decomp.channel_closed, input, output)
-    return _chain_weights(N, decomp.site_closed, input.n, output.n), q
-
-
 def projector_overlaps(
     decomp: SpectralDecomposition, input: Node, output: Node
 ) -> np.ndarray:
-    """Real overlaps <in| P_k |out>, one per distinct-eigenvalue group.
+    """Real overlaps <in| P_k |out>, one per distinct-eigenvalue group."""
+    return group_overlaps(decomp, pair_factors(decomp.spec, input, output))
 
-    Each is the sum of s_i q_a over its group's labels: one reduceat
-    over the labels in eigenvalue order, O(dim) in all.
-    """
-    s, q = pair_weights(decomp, input, output)
-    return np.add.reduceat(np.outer(s, q).ravel()[decomp.modes], decomp.starts)
+
+def group_overlaps(decomp: SpectralDecomposition, factors) -> np.ndarray:
+    """Overlaps of a pair's factors (pair_factors) with each group: the
+    sum of the terms w_i q_a whose eigenvalue J_eff sigma_i + L_eff c_a
+    the group holds. That eigenvalue is bit for bit one that decompose
+    sorted (at L = 0 up to the sign of a zero), so the last group whose
+    smallest value does not exceed it is its own. Channel by channel the
+    terms form at most three sorted runs, which one search reads nearly
+    in order, and one bincount sums them: O(N log N) in all."""
+    (sigma, w), (c, q) = factors
+    site = decomp.spec.couplings.effective()[0] * sigma
+    groups = np.searchsorted(decomp.lows, np.add.outer(c, site).ravel(), side="right")
+    groups -= 1
+    return np.bincount(groups, np.outer(q, w).ravel(), minlength=len(decomp))

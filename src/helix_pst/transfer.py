@@ -1,7 +1,9 @@
 """Transition probabilities and transfer bounds between two lattice nodes.
 
 The spectral reports and transition_probability, the reference of the
-tests, read the overlaps o_k = <in| P_k |out> of a grouped decomposition:
+tests, read the overlaps o_k = <in| P_k |out> of a grouped decomposition,
+each the sum of the pair's factor terms w_i q_a (spectral.pair_factors)
+whose eigenvalue lies in group k:
 
     p(t)  = | sum_k o_k exp(-i lambda_k t) |^2
     p_max = ( sum_k |o_k| )^2
@@ -9,7 +11,7 @@ tests, read the overlaps o_k = <in| P_k |out> of a grouped decomposition:
 p_max bounds p(t) for all t (triangle inequality) and is reached exactly
 when all surviving phases align up to the overlap signs. Groups with
 o_k = 0 are "dark": the excitation never passes through them and they
-drop out of the phase-alignment analysis.
+drop out of the phase-alignment analysis, and out of p_max.
 
 probability_chunks is the one evaluator of p(t) on a time grid, in
 blocks of CHUNK points over t = i * step, i < grid_count(horizon, step),
@@ -30,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import NetworkSpec, Node
-from .spectral import SpectralDecomposition, pair_factors, pair_weights, projector_overlaps
+from .spectral import SpectralDecomposition, group_overlaps, pair_factors, projector_overlaps
 
 DARK_TOL = 1e-10
 ROOT = 64
@@ -119,18 +121,18 @@ def sign_factors(overlaps: np.ndarray, dark_tol: float = DARK_TOL) -> np.ndarray
 def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) -> TransferReport:
     """Overlaps, bound, signs and dark groups of one node pair.
 
-    Every overlap is a sum of label weights s_i q_a. A dark group's sum
+    Every overlap is a sum of factor terms w_i q_a. A dark group's sum
     cancels down to the rounding of those terms; a bright group's can be
     as small as one of them, and the terms shrink like 1/N. So a group
     is dark when its overlap lies below DARK_TOL times the pair's largest
-    label weight, max|s| max|q|, which holds at any N and also when every
-    group is dark.
+    term, max|w| max|q|, which holds at any N and also when every group
+    is dark. p_max sums the bright groups only, so a pair that is never
+    reached reports 0, not the rounding left in its dark groups.
     """
-    overlaps = projector_overlaps(decomp, input, output)
-    s, q = pair_weights(decomp, input, output)
-    weight_scale = np.max(np.abs(s)) * np.max(np.abs(q))
-    signs = sign_factors(overlaps, DARK_TOL * weight_scale)
+    factors = pair_factors(decomp.spec, input, output)
+    overlaps = group_overlaps(decomp, factors)
+    (_, w), (_, q) = factors
+    signs = sign_factors(overlaps, DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q))))
     dark = frozenset(int(k) for k in np.flatnonzero(signs == 0))
-    bound = float(np.sum(np.abs(overlaps)) ** 2)
+    bound = float(np.sum(np.abs(overlaps[signs != 0])) ** 2)
     return TransferReport(input, output, overlaps, bound, signs, dark)
-

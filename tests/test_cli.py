@@ -243,6 +243,23 @@ def test_couplings_whose_eigenvalues_overflow_are_usage_errors(argv, named, caps
     assert err.startswith(f"error: couplings {named} too large: ")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--gamma", "4e307"], "gamma=4e+307"),
+    (["spectrum", "--J", "2e307", "--L", "2e307", "--format", "json"], "J=2e+307, L=2e+307"),
+    (["pmax", "--gamma", "4e307", "--in", "0,1", "--out", "4,1"], "gamma=4e+307"),
+    (["pmax", "--J=-4e307", "--L", "1", "--in", "0,1", "--out", "4,1"], "J=-4e+307, L=1"),
+])
+def test_couplings_whose_group_sums_overflow_are_usage_errors(argv, named, capsys):
+    # a finite eigenvalue bound whose sum over 3N = 24 eigenvalues is not:
+    # a group's value summed to -inf, with a RuntimeWarning and exit 0
+    code, out, err = run(argv[:1] + ["--n", "8", "--site-bc", "closed", "--channel-bc", "closed"]
+                         + argv[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: couplings {named} too large for N=8: the sum of 3N eigenvalues, "
+                   "3N * 2 (|J_eff| + |L_eff|), overflows\n")
+
+
 def test_evolve_has_no_epsilon_flag(capsys):
     # evolve finds no PST times, so a threshold would be silently ignored
     code, out, err = run(["evolve"] + PAIR_ARGS + ["--gamma", "2", "--horizon", "1",

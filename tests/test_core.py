@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from helix_pst import hamiltonian, scan, spectral
@@ -115,8 +116,27 @@ def test_validate_spec_rejects_couplings_whose_eigenvalue_bound_overflows(coupli
         validate_spec(NetworkSpec(4, bc, couplings))
     assert str(err.value) == (f"couplings {named} too large: the eigenvalue bound "
                               "2 (|J_eff| + |L_eff|) overflows")
-    # the largest couplings whose bound stays finite pass
-    validate_spec(NetworkSpec(4, bc, CouplingParams(J=4e307, L=-4e307)))
+    # couplings whose bound stays finite over the 3N eigenvalues pass
+    validate_spec(NetworkSpec(4, bc, CouplingParams(J=3.7e306, L=-3.7e306)))
+
+
+def test_validate_spec_rejects_couplings_whose_eigenvalue_sum_overflows():
+    # decompose sums up to 3N eigenvalues of a group before it divides, so
+    # a finite bound 2 (|J_eff| + |L_eff|) is not enough: at N = 8 a group
+    # of gamma = 4e307 summed to -inf
+    bc = BoundaryConditions.from_names("closed", "closed")
+    with pytest.raises(ValueError) as err:
+        validate_spec(NetworkSpec(8, bc, CouplingParams.from_gamma(4e307)))
+    assert str(err.value) == ("couplings gamma=4e+307 too large for N=8: the sum of 3N "
+                              "eigenvalues, 3N * 2 (|J_eff| + |L_eff|), overflows")
+    with pytest.raises(ValueError, match="^couplings J=1e[+]300, L=-1e[+]306 too large for N=9000: "):
+        validate_spec(NetworkSpec(9000, bc, CouplingParams(J=1e300, L=-1e306)))
+    # the largest gamma accepted at N = 8 keeps every group's sum finite
+    spec = validate_spec(NetworkSpec(8, bc, CouplingParams.from_gamma(3.7e306)))
+    with np.errstate(all="raise"):
+        values = spectral.decompose(spec).values
+    assert np.all(np.isfinite(values))
+    assert values[0] == pytest.approx(-2.0 * 3.7e306, rel=1e-12)
 
 
 def test_validate_spec_bounds_the_site_count():

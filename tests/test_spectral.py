@@ -86,7 +86,7 @@ def test_projector_algebra():
 def test_multiplicities_sum_to_dimension():
     for args in [(8, "closed", "closed"), (5, "open", "open"), (6, "closed", "open")]:
         _, decomp = make_decomp(*args, gamma=2.0)
-        assert int(decomp.multiplicities.sum()) == decomp.dim
+        assert int(decomp.multiplicities.sum()) == 3 * args[0]
 
 
 def test_verify_reconstruction_small():
@@ -196,14 +196,29 @@ def test_exact_cross_factor_level_crossing():
             assert transition_probability(decomp, src, dst, t) == pytest.approx(exact, abs=1e-9)
 
 
+def _stored_bytes(decomp):
+    return sum(v.nbytes for v in vars(decomp).values() if isinstance(v, np.ndarray))
+
+
 def test_decomposition_memory_is_linear():
     N = 150
     dim = 3 * N
     _, decomp = make_decomp(N, "open", "open", gamma=2.0)
-    stored = sum(v.nbytes for v in vars(decomp).values() if isinstance(v, np.ndarray))
-    # values, multiplicities and labels: at most three 8-byte numbers per label
-    assert stored <= 3 * 8 * dim
+    # at most three 8-byte numbers per label
+    assert _stored_bytes(decomp) <= 3 * 8 * dim
     report = transfer_report(decomp, Node(0, 1), Node(N - 1, 3))
+    assert len(report.overlaps) == len(decomp)
+
+
+def test_decomposition_memory_is_per_group():
+    # a degenerate spectrum: the closed/closed ring pairs its site modes,
+    # 152 groups for 450 modes; a group keeps its value, multiplicity and
+    # smallest sorted value, and nothing is kept per mode
+    N = 150
+    _, decomp = make_decomp(N, "closed", "closed", gamma=2.0)
+    assert len(decomp) == 152
+    assert _stored_bytes(decomp) <= 3 * 8 * len(decomp)
+    report = transfer_report(decomp, Node(0, 1), Node(N // 2, 3))
     assert len(report.overlaps) == len(decomp)
 
 
@@ -227,7 +242,23 @@ def _equivalence_cases():
 
 @pytest.mark.parametrize("N, site_bc, channel_bc, gamma", _equivalence_cases())
 def test_factorised_matches_dense_oracle(N, site_bc, channel_bc, gamma):
-    spec, dense = make_dense(N, site_bc, channel_bc, gamma=gamma)
+    _check_against_dense(N, *make_dense(N, site_bc, channel_bc, gamma=gamma))
+
+
+# raw couplings: L = 0, where pair_factors replaces the channel factor by
+# delta_{alpha beta} and every level is threefold or more; a negative J,
+# whose site terms descend; a negative L; and both
+RAW_CASES = [(N, s, c, J, L) for s, c in TOPOLOGIES
+             for N, J, L in ((7, 1.3, 0.0), (8, -0.8, 0.0), (9, -1.1, 0.7), (6, 0.9, -1.6),
+                             (10, -0.6, -2.2))]
+
+
+@pytest.mark.parametrize("N, site_bc, channel_bc, J, L", RAW_CASES)
+def test_factorised_matches_dense_oracle_at_raw_couplings(N, site_bc, channel_bc, J, L):
+    _check_against_dense(N, *make_dense(N, site_bc, channel_bc, J=J, L=L))
+
+
+def _check_against_dense(N, spec, dense):
     decomp = decompose(spec)
     assert tuple(decomp.multiplicities) == tuple(dense.multiplicities)
     radius = float(np.max(np.abs(dense.values)))

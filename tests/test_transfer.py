@@ -109,8 +109,8 @@ def test_sign_factors_zero_marks_dark():
 
 
 def test_single_label_groups_are_bright_at_large_n():
-    # a lone label's overlap is one weight s_i q_a, and for this end-to-end
-    # pair on a path s_i ~ sin^2(pi k / (N + 1)) never vanishes; at N = 1e5
+    # a lone mode's overlap is one factor term w_i q_a, and for this
+    # end-to-end pair on a path w_i ~ sin^2(pi k / (N + 1)) never vanishes; at N = 1e5
     # such overlaps reach down to ~1e-12, under any absolute cut of 1e-10
     N = 100_000
     _, decomp = make_decomp(N, "open", "open", gamma=2.0)
@@ -129,6 +129,22 @@ def test_disconnected_pair_is_dark_in_every_group(couplings, pair):
     _, decomp = make_decomp(8, "closed", "closed", **couplings)
     report = transfer_report(decomp, *pair)
     assert report.dark_groups == frozenset(range(len(decomp)))
+
+
+def test_p_max_leaves_out_the_rounding_of_dark_groups():
+    # at J = L = 0 all 15 levels are 0, and the one group's overlap is the
+    # sum of the path's site weights, delta_nm = 0 up to rounding
+    _, decomp = make_decomp(5, "open", "open", J=0.0, L=0.0)
+    report = transfer_report(decomp, Node(0, 1), Node(4, 1))
+    assert report.overlaps[0] != 0.0
+    assert tuple(report.signs) == (0,) and report.dark_groups == {0}
+    assert report.p_max == 0.0
+    # bright and dark groups together: only the bright ones are summed
+    _, decomp = make_decomp(8, "closed", "closed", gamma=2.5)
+    report = transfer_report(decomp, Node(0, 1), Node(2, 1))
+    dark = report.signs == 0
+    assert np.any(dark) and np.any(report.overlaps[dark] != 0.0)
+    assert report.p_max == float(np.sum(np.abs(report.overlaps[~dark])) ** 2)
 
 
 def test_dark_groups_distance_two():
