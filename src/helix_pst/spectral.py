@@ -132,17 +132,17 @@ def pair_factors(
     sum_i w_i exp(-i J_eff sigma_i t) times sum_a q_a exp(-i L_eff c_a t),
     at most N and 3 terms; at L = 0 the channel factor is delta_{alpha beta}."""
     validate_spec(spec)
-    site_closed = spec.bc.site_bc is BoundaryCondition.CLOSED
-    channel_closed = spec.bc.channel_bc is BoundaryCondition.CLOSED
+    closed_sites = spec.bc.site_bc is BoundaryCondition.CLOSED
+    closed_channels = spec.bc.channel_bc is BoundaryCondition.CLOSED
     flat_index(input, spec.N)  # range checks
     flat_index(output, spec.N)
-    q = _chain_weights(CHANNELS, channel_closed, input.alpha - 1, output.alpha - 1)
-    s = _chain_weights(spec.N, site_closed, input.n, output.n)
-    values, weights = _folded(_chain_values(CHANNELS, channel_closed), q)
+    q = _chain_weights(CHANNELS, closed_channels, input.alpha - 1, output.alpha - 1)
+    s = _chain_weights(spec.N, closed_sites, input.n, output.n)
+    values, weights = _folded(_chain_values(CHANNELS, closed_channels), q)
     l_eff = spec.couplings.effective()[1]
     chan = ((l_eff * values, weights) if l_eff != 0.0
             else (np.zeros(1), np.array([float(input.alpha == output.alpha)])))
-    return _folded(_chain_values(spec.N, site_closed), s), chan
+    return _folded(_chain_values(spec.N, closed_sites), s), chan
 
 
 def projector_overlaps(

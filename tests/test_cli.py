@@ -251,7 +251,7 @@ def test_couplings_whose_eigenvalues_overflow_are_usage_errors(argv, named, caps
 ])
 def test_couplings_whose_group_sums_overflow_are_usage_errors(argv, named, capsys):
     # a finite eigenvalue bound whose sum over 3N = 24 eigenvalues is not:
-    # a group's value summed to -inf, with a RuntimeWarning and exit 0
+    # a group's value would sum to -inf
     code, out, err = run(argv[:1] + ["--n", "8", "--site-bc", "closed", "--channel-bc", "closed"]
                          + argv[1:], capsys)
     assert code == 2

@@ -123,7 +123,7 @@ def test_validate_spec_rejects_couplings_whose_eigenvalue_bound_overflows(coupli
 def test_validate_spec_rejects_couplings_whose_eigenvalue_sum_overflows():
     # decompose sums up to 3N eigenvalues of a group before it divides, so
     # a finite bound 2 (|J_eff| + |L_eff|) is not enough: at N = 8 a group
-    # of gamma = 4e307 summed to -inf
+    # of gamma = 4e307 would sum to -inf
     bc = BoundaryConditions.from_names("closed", "closed")
     with pytest.raises(ValueError) as err:
         validate_spec(NetworkSpec(8, bc, CouplingParams.from_gamma(4e307)))
