@@ -22,7 +22,6 @@ from .core import (
     Node,
     flat_index,
     node_from_index,
-    validate_spec,
 )
 from .hamiltonian import CouplingKind, build_hamiltonian, dump_matrix, neighbors
 from .scan import ScanConfig, SweepRow, find_pst_times, gamma_sweep, tau_min
@@ -70,5 +69,4 @@ __all__ = [
     "tau_min",
     "transfer_report",
     "transition_probability",
-    "validate_spec",
 ]

@@ -2,7 +2,10 @@
 
 Subcommands: spectrum, evolve, pmax, dark, attain, scan, sweep,
 reproduce. Exit codes: 0 on success, 2 on usage or validation errors
-(an unwritable output path included), 1 on an internal numeric failure.
+(an output that cannot be opened or written, a closed pipe on stdout
+included), 1 on an internal numeric failure. NetworkSpec and ScanConfig
+refuse bad values when they are made; a ScanConfig refusal gets its
+flag's "--" here.
 CSV output uses %.12g formatting, LF line endings and always carries a
 header; p(t) traces are written block by block as transfer.factor_chunks
 yields them from the pair's two factors, through the vectorised writer
@@ -15,13 +18,15 @@ C encoder a container or a block of rows at a time as it is written. Plot
 scripts are plain gnuplot and plot CSV only. reproduce runs evolve and
 sweep commands into --output-dir, which it makes first, parents
 included. A --horizon/--step grid may hold at most MAX_GRID_POINTS
-points, and so may a --gamma-grid or --J-grid and the two factor
-passes of a scan's or sweep's PST search.
+points, and so may a --gamma-grid or --J-grid, the two factor passes
+of a scan's or sweep's PST search and the (3N)^2 numbers of a
+--dump-matrix.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independent_constraints
-from .core import BoundaryConditions, CouplingParams, NetworkSpec, Node, validate_spec
+from .core import CHANNELS, BoundaryConditions, CouplingParams, NetworkSpec, Node
 from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
 from .scan import ScanConfig, find_pst_times, gamma_sweep, pass_points
@@ -45,6 +50,7 @@ SCHEMA_VERSION = 1
 # 40 001 points and the longest bundled trace 120 001. At the bound a
 # CSV trace is about 250 MB and a JSON trace about 560 MB; both are
 # streamed a block at a time, so memory does not grow with the grid.
+# A --dump-matrix past it, N > 1054, would build three dense 3N x 3N arrays.
 MAX_GRID_POINTS = 10 ** 7
 
 
@@ -135,40 +141,39 @@ def _couplings(args) -> CouplingParams:
 
 def _network(args) -> NetworkSpec:
     bc = BoundaryConditions.from_names(args.site_bc, args.channel_bc)
-    return validate_spec(NetworkSpec(args.n, bc, _couplings(args)))
+    return NetworkSpec(args.n, bc, _couplings(args))
 
 
 def _scan_config(args) -> ScanConfig:
     """--horizon, --step and, where the command has it, --epsilon, each
-    checked under its flag's name."""
-    for flag, value in (("--horizon", args.horizon), ("--step", args.step)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be positive and finite, got {value:g}")
-    # the ratio first: it may overflow to inf, where grid_count would raise
-    if not (args.horizon / args.step < MAX_GRID_POINTS
-            and grid_count(args.horizon, args.step) <= MAX_GRID_POINTS):
-        raise ValueError(f"--horizon {args.horizon:g} at --step {args.step:g} gives more "
-                         f"than {MAX_GRID_POINTS} grid points")
-    epsilon = getattr(args, "epsilon", ScanConfig.epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"--epsilon must lie in (0, 1), got {epsilon:g}")
+    refused under its flag's name, then the grid's point count."""
     try:
-        return ScanConfig(horizon=args.horizon, coarse_step=args.step, epsilon=epsilon)
-    except ValueError as exc:  # the one check left: "epsilon ... is too small"
+        cfg = ScanConfig(args.horizon, args.step, getattr(args, "epsilon", ScanConfig.epsilon))
+    except ValueError as exc:  # ScanConfig names each value as its flag, less the "--"
         raise ValueError(f"--{exc}") from None
+    # the ratio first: it may overflow to inf, where grid_count would raise
+    if not (cfg.horizon / cfg.coarse_step < MAX_GRID_POINTS
+            and grid_count(cfg.horizon, cfg.coarse_step) <= MAX_GRID_POINTS):
+        raise ValueError(f"--horizon {cfg.horizon:g} at --step {cfg.coarse_step:g} gives more "
+                         f"than {MAX_GRID_POINTS} grid points")
+    return cfg
 
 
 @contextmanager
 def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-        return
+    """The stream of path, '-' for stdout, flushed or closed on leaving; an
+    OSError while it is opened, written, flushed or closed is a usage error."""
     try:
-        fh = open(path, "w", newline="")
+        if path == "-":
+            if sys.stdout is None:  # the process was started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="") as fh:
+                yield fh
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
-        yield fh
 
 
 @functools.cache
@@ -309,6 +314,10 @@ def _maybe_plot_script(args, xlabel: str, ylabel: str, style: str = "lines") -> 
 
 def _cmd_spectrum(args) -> int:
     spec = _network(args)
+    numbers = (CHANNELS * spec.N) ** 2
+    if args.dump_matrix and numbers > MAX_GRID_POINTS:
+        raise ValueError(f"--dump-matrix at N={spec.N} writes (3N)^2 = {numbers} numbers, "
+                         f"more than {MAX_GRID_POINTS}")
     decomp = decompose(spec)
     if args.dump_matrix:
         with _open_out(args.dump_matrix) as fh:
@@ -413,7 +422,7 @@ def _cmd_sweep(args) -> int:
     else:
         flag, grid = "--J-grid", parse_grid(args.J_grid, "--J-grid")
         couplings, header = CouplingParams(J=grid[0], L=0.0), ["J", "t_min"]
-    spec = validate_spec(NetworkSpec(args.n, bc, couplings))
+    spec = NetworkSpec(args.n, bc, couplings)
     _check_passes(spec, pair, grid, cfg, f"{flag} up to {max(map(abs, grid)):g}")
     rows = gamma_sweep(spec, pair, grid, cfg)
     # object columns keep each tau_min a float, or None where no event
@@ -483,8 +492,8 @@ def _cmd_reproduce(args) -> int:
     with _open_out(gp_path) as fh:
         fh.write(_gnuplot(args.figure, panels))
     written.append(gp_path)
-    for path in written:
-        print(path)
+    with _open_out("-") as out:
+        out.write("".join(f"{path}\n" for path in written))
     return 0
 
 
@@ -563,13 +572,21 @@ def run_command(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
+    except (FloatingPointError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    try:
+        if sys.stdout is not None:  # see _open_out
+            sys.stdout.flush()
+    except OSError:
+        # a failed write is reported where it happened; what is left in the
+        # buffer goes to devnull, or the flush at exit would print it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

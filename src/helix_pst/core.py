@@ -9,7 +9,9 @@ contiguous 3x3 block.
 Both lattice directions can be closed (periodic) or open, giving four
 topologies. Couplings can be given raw as (J, L) or in scaled units
 where every energy is measured in L (J becomes gamma = J/L) and times
-are tau = L * t.
+are tau = L * t. A NetworkSpec that breaks an invariant (site count,
+finite couplings, an eigenvalue sum that does not overflow) cannot be
+made, so no other layer checks one.
 """
 
 from __future__ import annotations
@@ -96,11 +98,37 @@ class CouplingParams:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Complete description of one network: size, topology, couplings."""
+    """Complete description of one network: size, topology, couplings.
+    Every invariant is checked when a spec is made, by dataclasses.replace too."""
 
     N: int
     bc: BoundaryConditions
     couplings: CouplingParams
+
+    def __post_init__(self) -> None:
+        c = self.couplings
+        if not (math.isfinite(c.J) and math.isfinite(c.L)):
+            raise ValueError("couplings must be finite")
+        if c.scaled and c.L == 0.0:
+            raise ValueError("scaled couplings require L != 0")
+        bound = c.eigenvalue_bound()
+        if not math.isfinite(CHANNELS * self.N * bound):
+            # decompose sums up to 3N eigenvalues of a group before it divides
+            named = f"gamma={c.J / c.L:g}" if c.scaled else f"J={c.J:g}, L={c.L:g}"
+            if not math.isfinite(bound):
+                raise ValueError(f"couplings {named} too large: the eigenvalue bound "
+                                 "2 (|J_eff| + |L_eff|) overflows")
+            raise ValueError(f"couplings {named} too large for N={self.N}: the sum of 3N "
+                             "eigenvalues, 3N * 2 (|J_eff| + |L_eff|), overflows")
+        closed_sites = self.bc.site_bc is BoundaryCondition.CLOSED
+        min_n = MIN_SITES_CLOSED if closed_sites else MIN_SITES_OPEN
+        if self.N < min_n:
+            raise ValueError(
+                f"N={self.N} too small for {self.bc.site_bc.value} site "
+                f"boundary (need N >= {min_n})"
+            )
+        if self.N > MAX_SITES:
+            raise ValueError(f"N={self.N} too large (need N <= {MAX_SITES})")
 
 
 def flat_index(node: Node, N: int) -> int:
@@ -116,31 +144,3 @@ def node_from_index(idx: int, N: int) -> Node:
         raise ValueError(f"basis index {idx} out of range for N={N}")
     n, rem = divmod(idx, CHANNELS)
     return Node(n=n, alpha=rem + 1)
-
-
-def validate_spec(spec: NetworkSpec) -> NetworkSpec:
-    """Check every invariant; returns the argument unchanged when valid."""
-    c = spec.couplings
-    if not (math.isfinite(c.J) and math.isfinite(c.L)):
-        raise ValueError("couplings must be finite")
-    if c.scaled and c.L == 0.0:
-        raise ValueError("scaled couplings require L != 0")
-    bound = c.eigenvalue_bound()
-    if not math.isfinite(CHANNELS * spec.N * bound):
-        # decompose sums up to 3N eigenvalues of a group before it divides
-        named = f"gamma={c.J / c.L:g}" if c.scaled else f"J={c.J:g}, L={c.L:g}"
-        if not math.isfinite(bound):
-            raise ValueError(f"couplings {named} too large: the eigenvalue bound "
-                             "2 (|J_eff| + |L_eff|) overflows")
-        raise ValueError(f"couplings {named} too large for N={spec.N}: the sum of 3N "
-                         "eigenvalues, 3N * 2 (|J_eff| + |L_eff|), overflows")
-    closed_sites = spec.bc.site_bc is BoundaryCondition.CLOSED
-    min_n = MIN_SITES_CLOSED if closed_sites else MIN_SITES_OPEN
-    if spec.N < min_n:
-        raise ValueError(
-            f"N={spec.N} too small for {spec.bc.site_bc.value} site "
-            f"boundary (need N >= {min_n})"
-        )
-    if spec.N > MAX_SITES:
-        raise ValueError(f"N={spec.N} too large (need N <= {MAX_SITES})")
-    return spec

@@ -23,14 +23,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import (
-    CHANNELS,
-    BoundaryCondition,
-    NetworkSpec,
-    Node,
-    flat_index,
-    validate_spec,
-)
+from .core import CHANNELS, BoundaryCondition, NetworkSpec, Node, flat_index
 
 
 class CouplingKind(Enum):
@@ -47,7 +40,6 @@ def neighbors(node: Node, spec: NetworkSpec) -> list[tuple[Node, CouplingKind]]:
     Site neighbours come first in ascending site order, then channel
     neighbours in ascending channel order.
     """
-    validate_spec(spec)
     flat_index(node, spec.N)  # range check
     n, N = node.n, spec.N
     if spec.bc.site_bc is BoundaryCondition.CLOSED:
@@ -84,7 +76,6 @@ def _channel_block(closed: bool) -> np.ndarray:
 
 def build_hamiltonian(spec: NetworkSpec) -> np.ndarray:
     """Dense 3N x 3N real symmetric Hamiltonian of the network."""
-    validate_spec(spec)
     j_eff, l_eff = spec.couplings.effective()
     S = _site_adjacency(spec.N, spec.bc.site_bc is BoundaryCondition.CLOSED)
     C = _channel_block(spec.bc.channel_bc is BoundaryCondition.CLOSED)

@@ -100,19 +100,19 @@ BLOCK_TERMS = 16 * CHUNK
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Knobs of the peak search."""
+    """Knobs of the peak search. A refusal names each value as the CLI
+    flag does (coarse_step is --step) and carries it."""
 
     horizon: float = 200.0
     coarse_step: float = 0.005
     epsilon: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be positive and finite")
-        if not (math.isfinite(self.coarse_step) and self.coarse_step > 0):
-            raise ValueError("coarse_step must be positive and finite")
+        for name, value in (("horizon", self.horizon), ("step", self.coarse_step)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value:g}")
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon:g}")
         # below about 1.4e-16 the roots round together and no step is certified
         if not _root(2.0 * self.epsilon) < _root(self.epsilon) < 1.0:
             raise ValueError(f"epsilon {self.epsilon:g} is too small: sqrt(1 - 2 epsilon), "

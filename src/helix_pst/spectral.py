@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHANNELS, BoundaryCondition, NetworkSpec, Node, flat_index, validate_spec
+from .core import CHANNELS, BoundaryCondition, NetworkSpec, Node, flat_index
 
 # default eigenvalue clustering width, relative to the spectral radius
 DEFAULT_GROUPING_SCALE = 1e-8
@@ -100,7 +100,6 @@ def _chain_weights(size: int, closed: bool, x: int, y: int) -> np.ndarray:
 
 def decompose(spec: NetworkSpec) -> SpectralDecomposition:
     """Grouped decomposition of the network from its factors' closed forms."""
-    validate_spec(spec)
     j_eff, l_eff = spec.couplings.effective()
     values = np.sort(np.add.outer(
         j_eff * _chain_values(spec.N, spec.bc.site_bc is BoundaryCondition.CLOSED),
@@ -131,7 +130,6 @@ def pair_factors(
     of its channel factor, folded, then scaled by L_eff: the amplitude is
     sum_i w_i exp(-i J_eff sigma_i t) times sum_a q_a exp(-i L_eff c_a t),
     at most N and 3 terms; at L = 0 the channel factor is delta_{alpha beta}."""
-    validate_spec(spec)
     closed_sites = spec.bc.site_bc is BoundaryCondition.CLOSED
     closed_channels = spec.bc.channel_bc is BoundaryCondition.CLOSED
     flat_index(input, spec.N)  # range checks

@@ -34,7 +34,7 @@ import numpy as np
 from .core import NetworkSpec, Node
 from .spectral import SpectralDecomposition, group_overlaps, pair_factors, projector_overlaps
 
-DARK_TOL = 1e-10
+DARK_TOL = 1e-10  # dark cut, relative to the pair's largest term (transfer_report)
 ROOT = 64
 CHUNK = ROOT * ROOT  # grid points per block of the p(t) evaluation
 
@@ -112,7 +112,7 @@ def factor_chunks(spec: NetworkSpec, input: Node, output: Node, step: float,
                probability_chunks(q, c, step, count))
 
 
-def sign_factors(overlaps: np.ndarray, dark_tol: float = DARK_TOL) -> np.ndarray:
+def sign_factors(overlaps: np.ndarray, dark_tol: float) -> np.ndarray:
     """Signs of the overlaps; entries below dark_tol in magnitude get 0."""
     o = np.asarray(overlaps, dtype=float)
     return np.where(np.abs(o) < dark_tol, 0, np.sign(o)).astype(int)

@@ -10,7 +10,6 @@ from helix_pst import (
     NetworkSpec,
     build_hamiltonian,
     decompose,
-    validate_spec,
 )
 from oracles import eigendecompose_numeric
 
@@ -21,7 +20,7 @@ def make_spec(N, site_bc, channel_bc, *, gamma=None, J=None, L=None) -> NetworkS
     else:
         couplings = CouplingParams(J=J, L=L)
     bc = BoundaryConditions.from_names(site_bc, channel_bc)
-    return validate_spec(NetworkSpec(N, bc, couplings))
+    return NetworkSpec(N, bc, couplings)
 
 
 def make_decomp(N, site_bc, channel_bc, **kw):

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index, validate_spec
+from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index
 from helix_pst.core import CHANNELS, BoundaryCondition
 from helix_pst.hamiltonian import CouplingKind
 from helix_pst.spectral import default_grouping_tol
@@ -146,7 +146,6 @@ def eigenpairs_closed_closed_analytic(spec: NetworkSpec) -> list[EigenPair]:
 
     with V_1 = (1, 1, 1) and V_2 = conj(V_3) = (e^{-2 pi i/3}, 1, e^{2 pi i/3}).
     """
-    validate_spec(spec)
     if (
         spec.bc.site_bc is not BoundaryCondition.CLOSED
         or spec.bc.channel_bc is not BoundaryCondition.CLOSED

@@ -253,3 +253,10 @@ def test_the_1e17_case_is_refused():
     with pytest.raises(ValueError, match="at t = 1e[+]17"):
         check_attainability(chain, 1e17)
     assert check_attainability(chain, 12.5).witnesses.dtype == np.int64
+
+
+def test_a_report_and_a_decomposition_of_different_networks_are_refused(ring8_report):
+    _, report, _ = ring8_report
+    _, other = make_decomp(5, "open", "open", gamma=2.0)
+    with pytest.raises(ValueError, match="different systems"):
+        independent_constraints(report, other)

@@ -1,6 +1,9 @@
+import errno
 import io
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -578,6 +581,67 @@ def test_unwritable_path_is_a_usage_error(argv, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: cannot write ")
     assert str(missing) in err
+
+
+_RING8_PAIR = ["--n", "8", "--site-bc", "closed", "--channel-bc", "closed", "--gamma", "3",
+               "--in", "0,1", "--out", "4,1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", [
+    "pmax",  # fits the file's buffer: the error comes at close
+    "evolve",  # fills it: the error comes at a write
+])
+def test_a_write_to_a_full_device_is_a_usage_error(command, capsys):
+    code, _, err = run([command, *_RING8_PAIR, "--output", "/dev/full"], capsys)
+    assert (code, err) == (2, "error: cannot write /dev/full: No space left on device\n")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("command", ["evolve", "dark"])
+def test_a_stdout_whose_reader_is_gone_is_a_usage_error(command, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code, _, err = run([command, *_RING8_PAIR], capsys)
+    assert (code, err) == (2, f"error: cannot write -: {os.strerror(errno.EPIPE)}\n")
+    # a process started with stdout closed has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    code, _, err = run([command, *_RING8_PAIR], capsys)
+    assert (code, err) == (2, f"error: cannot write -: {os.strerror(errno.EBADF)}\n")
+
+
+def test_a_dump_matrix_beyond_the_point_limit_opens_no_file(tmp_path, capsys, monkeypatch):
+    # (3N)^2 numbers at N = 1055 is 10 017 225, past MAX_GRID_POINTS = 10^7
+    build = cli.build_hamiltonian
+    monkeypatch.setattr(cli, "build_hamiltonian", refuse)
+    network = ["--site-bc", "open", "--channel-bc", "open", "--gamma", "2"]
+    argv = ["spectrum", "--n", "1055", *network, "--output", str(tmp_path / "s.csv"),
+            "--dump-matrix", str(tmp_path / "H.txt")]
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (2, "error: --dump-matrix at N=1055 writes (3N)^2 = 10017225 "
+                              "numbers, more than 10000000\n")
+    assert list(tmp_path.iterdir()) == []
+    # the bound is inclusive: N = 2 gives (3 N)^2 = 36 numbers
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 36)
+    code, _, _ = run(["spectrum", "--n", "3", *network, "--dump-matrix", "-"], capsys)
+    assert code == 2
+    monkeypatch.setattr(cli, "build_hamiltonian", build)
+    code, out, _ = run(["spectrum", "--n", "2", *network, "--dump-matrix", "-"], capsys)
+    assert code == 0
+    assert out.startswith("dim= 6\n")
+
+
+def test_a_numeric_failure_exits_1(capsys, monkeypatch):
+    def divide(spec):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "decompose", divide)
+    code, _, err = run(["spectrum", "--n", "4", "--site-bc", "open", "--channel-bc", "open",
+                        "--gamma", "2"], capsys)
+    assert (code, err) == (1, "numeric failure: float division by zero\n")
 
 
 def test_evolve_csv_memory_does_not_grow_with_the_grid(tmp_path, capsys):

@@ -104,7 +104,7 @@ def test_scan_config_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon"):
             ScanConfig(horizon=bad)
-        with pytest.raises(ValueError, match="coarse_step"):
+        with pytest.raises(ValueError, match="^step must be positive and finite"):
             ScanConfig(coarse_step=bad)
 
 

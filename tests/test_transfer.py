@@ -104,7 +104,7 @@ def test_sign_factors_frozen_pattern(ring8):
 
 
 def test_sign_factors_zero_marks_dark():
-    signs = sign_factors(np.array([0.5, -0.2, 1e-14]))
+    signs = sign_factors(np.array([0.5, -0.2, 1e-14]), 1e-10)
     assert tuple(signs) == (1, -1, 0)
 
 
