@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDecomposition
 from .transfer import TransferReport
 
 # residual tolerance for figure-level checks; analytic identities use 1e-6
@@ -54,24 +53,20 @@ class AttainabilityReport:
     all_satisfied: bool
 
 
-def independent_constraints(
-    report: TransferReport, decomp: SpectralDecomposition
-) -> Constraints:
-    """Spanning chain of congruences over consecutive non-dark groups.
+def independent_constraints(report: TransferReport) -> Constraints:
+    """Spanning chain of congruences over the report's consecutive non-dark groups.
 
     Groups are taken in descending eigenvalue order; dark groups are
     skipped entirely. The chain is empty when fewer than two groups
     survive.
     """
-    if len(report.overlaps) != len(decomp):
-        raise ValueError("report and decomposition describe different systems")
-    signs = np.asarray(report.signs)
+    signs, values = report.signs, report.values
     bright = np.flatnonzero(signs)  # sign 0 marks the dark groups
-    bright = bright[np.argsort(-decomp.values[bright], kind="stable")]
+    bright = bright[np.argsort(-values[bright], kind="stable")]
     hi, lo = bright[:-1], bright[1:]
     # sign(s_left - s_right) indexes the offset: 0, +pi, and -pi at -1
     offsets = np.array([0.0, math.pi, -math.pi])[np.sign(signs[hi] - signs[lo])]
-    return Constraints(hi, lo, decomp.values[hi] - decomp.values[lo], offsets)
+    return Constraints(hi, lo, values[hi] - values[lo], offsets)
 
 
 def check_attainability(

@@ -361,20 +361,18 @@ def _cmd_trace(args) -> int:
 
 
 def _pair_report(args):
-    """The decomposition of the network and the transfer report of the
-    --in/--out pair, with the pair."""
+    """The transfer report of the --in/--out pair of the network."""
     spec = _network(args)
     input, output = parse_node(args.node_in), parse_node(args.node_out)
-    decomp = decompose(spec)
-    return decomp, (input, output), transfer_report(decomp, input, output)
+    return transfer_report(decompose(spec), input, output)
 
 
 def _cmd_pmax(args) -> int:
-    _, (input, output), report = _pair_report(args)
+    report = _pair_report(args)
     with _open_out(args.output) as out:
         _write_json(out, {
-            "input": [input.n, input.alpha],
-            "output": [output.n, output.alpha],
+            "input": [report.input.n, report.input.alpha],
+            "output": [report.output.n, report.output.alpha],
             "p_max": report.p_max,
             "signs": report.signs.tolist(),
             "dark_groups": sorted(report.dark_groups),
@@ -383,8 +381,8 @@ def _cmd_pmax(args) -> int:
 
 
 def _cmd_dark(args) -> int:
-    decomp, _, report = _pair_report(args)
-    _write_table(args, {"group": np.arange(len(decomp)), "eigenvalue": decomp.values,
+    report = _pair_report(args)
+    _write_table(args, {"group": np.arange(len(report.values)), "eigenvalue": report.values,
                         "overlap": report.overlaps, "sign": report.signs})
     return 0
 
@@ -394,8 +392,7 @@ def _cmd_attain(args) -> int:
         raise ValueError(f"--tau must be finite, got {args.tau:g}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
-    decomp, _, report = _pair_report(args)
-    chain = independent_constraints(report, decomp)
+    chain = independent_constraints(_pair_report(args))
     try:
         result = check_attainability(chain, args.tau, args.tol)
     except ValueError as exc:  # rounding at --tau reaches --tol

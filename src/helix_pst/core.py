@@ -7,11 +7,13 @@ site-major: flat index 3*n + (alpha - 1), so each site contributes one
 contiguous 3x3 block.
 
 Both lattice directions can be closed (periodic) or open, giving four
-topologies. Couplings can be given raw as (J, L) or in scaled units
-where every energy is measured in L (J becomes gamma = J/L) and times
-are tau = L * t. A NetworkSpec that breaks an invariant (site count,
-finite couplings, an eigenvalue sum that does not overflow) cannot be
-made, so no other layer checks one.
+topologies: the network is the Cartesian product of a site chain of N
+nodes and a channel chain of 3, each a ring or a path (NetworkSpec.chains).
+Couplings can be given raw as (J, L) or in scaled units where every
+energy is measured in L (J becomes gamma = J/L) and times are
+tau = L * t. A NetworkSpec that breaks an invariant (site count, finite
+couplings, an eigenvalue sum that does not overflow) cannot be made, so
+no other layer checks one.
 """
 
 from __future__ import annotations
@@ -120,8 +122,7 @@ class NetworkSpec:
                                  "2 (|J_eff| + |L_eff|) overflows")
             raise ValueError(f"couplings {named} too large for N={self.N}: the sum of 3N "
                              "eigenvalues, 3N * 2 (|J_eff| + |L_eff|), overflows")
-        closed_sites = self.bc.site_bc is BoundaryCondition.CLOSED
-        min_n = MIN_SITES_CLOSED if closed_sites else MIN_SITES_OPEN
+        min_n = MIN_SITES_CLOSED if self.chains[0][1] else MIN_SITES_OPEN
         if self.N < min_n:
             raise ValueError(
                 f"N={self.N} too small for {self.bc.site_bc.value} site "
@@ -129,6 +130,13 @@ class NetworkSpec:
             )
         if self.N > MAX_SITES:
             raise ValueError(f"N={self.N} too large (need N <= {MAX_SITES})")
+
+    @property
+    def chains(self) -> tuple[tuple[int, bool], tuple[int, bool]]:
+        """(size, closed) of the site chain and of the channel chain, the
+        two factors of the network's Cartesian product."""
+        return ((self.N, self.bc.site_bc is BoundaryCondition.CLOSED),
+                (CHANNELS, self.bc.channel_bc is BoundaryCondition.CLOSED))
 
 
 def flat_index(node: Node, N: int) -> int:

@@ -255,7 +255,8 @@ def find_pst_times(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig
     coarse_step or the step that certifies every event (module
     docstring); a refined candidate is kept when its probability reaches
     1 - epsilon, and one closer than a grid step to the previous kept
-    time replaces it only when higher.
+    time replaces it only when higher. ValueError refuses a factor whose
+    curvature W2 overflows (|L_eff| from about 1e154): no step certifies it.
     """
     return _search(spec, input, output, cfg, first_only=False)
 
@@ -296,7 +297,8 @@ def _spread(factor) -> tuple[float, float]:
     a = np.abs(weights)
     total = float(a.sum())
     c = a @ values / total if total else 0.0
-    return float(a @ (values - c) ** 2), total
+    with np.errstate(over="ignore"):  # an inf W2 certifies no step (_step_for gives 0)
+        return float(a @ (values - c) ** 2), total
 
 
 def _merge(lo: np.ndarray, hi: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,6 +322,8 @@ def _windows(factor, extent: float, h: float, epsilon: float) -> tuple[np.ndarra
     """Sorted, disjoint windows (starts, ends) of a factor's pass over [0, extent] at step h."""
     values, weights = factor
     w2 = _spread(factor)[0]
+    if h == 0.0:
+        raise ValueError("a factor's curvature W2 overflows: no grid step certifies its pass")
     count = math.ceil(extent / h) + 1
     r = 8 * np.finfo(float).eps * (np.abs(values).max(initial=0) * count * h + len(values) + ROOT)
     floor = _root(2.0 * epsilon) - w2 * h * h / 8 - 4 * r
@@ -402,9 +406,10 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
 
 def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:
     """Points of the two factor passes of a search over the g of grid, a
-    float (inf on overflow), to bound before any work. A row's grid
-    within the windows holds at most about as many."""
-    return sum(x / h + 1.0 for _, x, h in _passes(*pair_factors(spec, *pair), grid, cfg))
+    float (inf on overflow, of W2 too), to bound before any work. A row's
+    grid within the windows holds at most about as many."""
+    return sum(x / h + 1.0 if h else math.inf
+               for _, x, h in _passes(*pair_factors(spec, *pair), grid, cfg))
 
 
 def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], grid,

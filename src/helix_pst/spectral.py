@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHANNELS, BoundaryCondition, NetworkSpec, Node, flat_index
+from .core import NetworkSpec, Node, flat_index
 
 # default eigenvalue clustering width, relative to the spectral radius
 DEFAULT_GROUPING_SCALE = 1e-8
@@ -101,10 +101,9 @@ def _chain_weights(size: int, closed: bool, x: int, y: int) -> np.ndarray:
 def decompose(spec: NetworkSpec) -> SpectralDecomposition:
     """Grouped decomposition of the network from its factors' closed forms."""
     j_eff, l_eff = spec.couplings.effective()
-    values = np.sort(np.add.outer(
-        j_eff * _chain_values(spec.N, spec.bc.site_bc is BoundaryCondition.CLOSED),
-        l_eff * _chain_values(CHANNELS, spec.bc.channel_bc is BoundaryCondition.CLOSED),
-    ), axis=None)
+    site, chan = spec.chains
+    values = np.sort(np.add.outer(j_eff * _chain_values(*site), l_eff * _chain_values(*chan)),
+                     axis=None)
     tol = default_grouping_tol(values)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
     mult = np.diff(np.append(starts, len(values)))
@@ -130,17 +129,16 @@ def pair_factors(
     of its channel factor, folded, then scaled by L_eff: the amplitude is
     sum_i w_i exp(-i J_eff sigma_i t) times sum_a q_a exp(-i L_eff c_a t),
     at most N and 3 terms; at L = 0 the channel factor is delta_{alpha beta}."""
-    closed_sites = spec.bc.site_bc is BoundaryCondition.CLOSED
-    closed_channels = spec.bc.channel_bc is BoundaryCondition.CLOSED
+    site, chan = spec.chains
     flat_index(input, spec.N)  # range checks
     flat_index(output, spec.N)
-    q = _chain_weights(CHANNELS, closed_channels, input.alpha - 1, output.alpha - 1)
-    s = _chain_weights(spec.N, closed_sites, input.n, output.n)
-    values, weights = _folded(_chain_values(CHANNELS, closed_channels), q)
+    q = _chain_weights(*chan, input.alpha - 1, output.alpha - 1)
+    s = _chain_weights(*site, input.n, output.n)
+    values, weights = _folded(_chain_values(*chan), q)
     l_eff = spec.couplings.effective()[1]
-    chan = ((l_eff * values, weights) if l_eff != 0.0
-            else (np.zeros(1), np.array([float(input.alpha == output.alpha)])))
-    return _folded(_chain_values(spec.N, closed_sites), s), chan
+    channel = ((l_eff * values, weights) if l_eff != 0.0
+               else (np.zeros(1), np.array([float(input.alpha == output.alpha)])))
+    return _folded(_chain_values(*site), s), channel
 
 
 def projector_overlaps(

@@ -45,7 +45,8 @@ class TransferReport:
 
     input: Node
     output: Node
-    overlaps: np.ndarray  # real, one per distinct-eigenvalue group
+    values: np.ndarray  # the decomposition's group eigenvalues, ascending
+    overlaps: np.ndarray  # real, one per group
     p_max: float
     signs: np.ndarray  # int in {-1, 0, +1}, 0 marks a dark group
     dark_groups: frozenset[int]
@@ -119,7 +120,8 @@ def sign_factors(overlaps: np.ndarray, dark_tol: float) -> np.ndarray:
 
 
 def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) -> TransferReport:
-    """Overlaps, bound, signs and dark groups of one node pair.
+    """Overlaps, bound, signs and dark groups of one node pair, with the
+    decomposition's group values they belong to.
 
     Every overlap is a sum of factor terms w_i q_a. A dark group's sum
     cancels down to the rounding of those terms; a bright group's can be
@@ -135,4 +137,4 @@ def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) ->
     signs = sign_factors(overlaps, DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q))))
     dark = frozenset(int(k) for k in np.flatnonzero(signs == 0))
     bound = float(np.sum(np.abs(overlaps[signs != 0])) ** 2)
-    return TransferReport(input, output, overlaps, bound, signs, dark)
+    return TransferReport(input, output, decomp.values, overlaps, bound, signs, dark)

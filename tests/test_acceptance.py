@@ -397,7 +397,7 @@ def test_criterion_10_attainability_at_found_times(found):
     for key in ("c1", "c2", "c3", "c4"):
         times, decomp, pair, _, eps = found[key]
         report = transfer_report(decomp, *pair)
-        chain = independent_constraints(report, decomp)
+        chain = independent_constraints(report)
         tols = _link_tolerances(report, chain, eps)
         spans.append(f"{key} {tols.min():.2f}-{tols.max():.2f}")
         for t in times:

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,54 @@ def test_couplings_whose_group_sums_overflow_are_usage_errors(argv, named, capsy
     assert out == ""
     assert err == (f"error: couplings {named} too large for N=8: the sum of 3N eigenvalues, "
                    "3N * 2 (|J_eff| + |L_eff|), overflows\n")
+
+
+EXTREME_COUPLINGS = [["--gamma", "1e300"], ["--gamma", "1e-300"], ["--J", "1e300", "--L", "1"],
+                     ["--J", "1", "--L", "1e300"], ["--J", "1", "--L", "2e154"],
+                     ["--J", "1e-320", "--L", "1e-320"]]
+COMMAND_FLAGS = {"spectrum": [], "evolve": ["--horizon", "5"], "pmax": [], "dark": [],
+                 "attain": ["--tau", "1"], "scan": ["--horizon", "5"]}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *couplings, *flags] for command, flags in COMMAND_FLAGS.items()
+    for couplings in EXTREME_COUPLINGS
+] + [["sweep", flag, grid, "--horizon", "5"] for flag in ("--gamma-grid", "--J-grid")
+     for grid in ("1e-300:1e-300:1", "1e150:1e150:1")])
+def test_every_command_at_extreme_couplings_exits_0_or_2_without_a_warning(argv, tmp_path,
+                                                                            capsys):
+    # a coupling near the float range either works or is refused with one
+    # line; no overflow may warn and go on, or end in a numeric failure.
+    # A scan that works reports its events on stderr
+    network = ["--n", "6", "--site-bc", "closed", "--channel-bc", "open"]
+    pair = [] if argv[0] == "spectrum" else ["--in", "0,1", "--out", "3,2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([argv[0], *network, *pair, *argv[1:],
+                              "--output", str(tmp_path / "out")], capsys)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2)
+    assert out == ""
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ("no PST event within the horizon\n" if argv[0] == "scan" else "")
+
+
+@pytest.mark.parametrize("coupling, named", [
+    (["--J", "1", "--L", "1e300"], "--J 1 and --L 1e+300"),
+    (["--J", "1e200", "--L", "1e200"], "--J 1e+200 and --L 1e+200"),
+])
+def test_a_scan_whose_channel_curvature_overflows_needs_inf_pass_points(coupling, named,
+                                                                        capsys):
+    # the channel factor's W2 overflows and certifies a step of 0; the
+    # search divided by it and exited 1
+    code, out, err = run(["scan", "--n", "6", "--site-bc", "closed", "--channel-bc", "open",
+                          *coupling, "--in", "0,1", "--out", "3,2", "--horizon", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {named} at --horizon 5 needs inf factor-pass grid points, "
+                   f"more than {cli.MAX_GRID_POINTS}\n")
 
 
 def test_evolve_has_no_epsilon_flag(capsys):

@@ -154,7 +154,7 @@ def test_library_entries_refuse_a_network_beyond_the_site_limit(monkeypatch):
         raise AssertionError("an array of the network was built")
 
     for module, name in ((spectral, "_chain_values"), (spectral, "_chain_weights"),
-                         (hamiltonian, "_site_adjacency")):
+                         (hamiltonian, "_chain_adjacency")):
         monkeypatch.setattr(module, name, refuse)
     N = 10 ** 8
     bc = BoundaryConditions.from_names("closed", "open")

@@ -448,6 +448,17 @@ def test_gamma_sweep_rejects_a_node_off_the_network_before_any_grid_pass(monkeyp
     assert sizes == []
 
 
+def test_a_search_whose_channel_curvature_overflows_is_refused():
+    # from |L| about 1.3e154 the channel factor's W2 overflows to inf and
+    # certifies a step of 0, which the search divided by
+    spec = make_spec(6, "closed", "open", J=1.0, L=1e300)
+    cfg = ScanConfig(horizon=5.0)
+    for search in (find_pst_times, tau_min):
+        with pytest.raises(ValueError, match="^a factor's curvature W2 overflows"):
+            search(spec, Node(0, 1), Node(3, 2), cfg)
+    assert scan.pass_points(spec, (Node(0, 1), Node(3, 2)), [1.0], cfg) == math.inf
+
+
 def test_gamma_sweep_at_zero_and_negative_gamma():
     # at gamma = 0 the site factor stays at delta_{n m}, so a row is the
     # channel factor's own scan; p_site is even in gamma
