@@ -69,13 +69,12 @@ those past its end -inf. The slot of each entry gives its grid index,
 and one mask over the block gives its candidates. A block takes at most
 BLOCK_TERMS points x terms, terms = len(site) + len(chan), and n is at
 most ROOT at first, twice as many in each later block, so a first event
-found early ends its row early. The block's candidates are refined in
-rounds, each one vectorised _golden pass: without first_only every
-candidate is refined, so one round takes all of them; with first_only a
-round takes the next candidate of each unsettled row, as a row's earlier
-results decide whether its next candidate still counts. A row settles,
-and drops out of later rounds and blocks, once its first time can no
-longer change.
+found early ends its row early. One vectorised _golden pass refines all
+of a block's candidates, each from its own bracket alone, and the
+results are then taken in row and index order: each is kept, merged
+with its row's last event or, with first_only, dropped once its row has
+settled. A row settles, and drops out of later blocks, once its first
+time can no longer change.
 """
 
 from __future__ import annotations
@@ -183,31 +182,6 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
         t = times[r]
         return first_only and bool(t) and (len(t) > 1 or a > t[0] + steps[r])
 
-    def refine(rows: np.ndarray, index: np.ndarray) -> None:
-        # candidates in row and then index order, rank their place in the row
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        for k in range(rank.max() + 1 if first_only else 1) if len(rows) else ():
-            brackets = []
-            for r, i, place in zip(rows.tolist(), index.tolist(), rank.tolist()):
-                if first_only and (place != k or done[r]):
-                    continue
-                a = max(i * steps[r] - steps[r], 0.0)
-                if settled(r, a):
-                    done[r] = True
-                else:
-                    brackets.append((r, a, min(i * steps[r] + steps[r], cfg.horizon)))
-            if not brackets:
-                continue
-            rs, a, b = map(np.array, zip(*brackets))
-            for r, t, p in zip(rs.tolist(), *(x.tolist() for x in _golden(p_at, rs, a, b))):
-                if p >= 1.0 - cfg.epsilon:
-                    if times[r] and abs(t - times[r][-1]) < steps[r]:
-                        if p > probs[r][-1]:
-                            times[r][-1], probs[r][-1] = t, p
-                    else:
-                        times[r].append(t)
-                        probs[r].append(p)
-
     # slots: each range's points and a -inf, three -inf before each row so
     # that the values a row's first block carries are its own -inf
     size = hi - lo + 1
@@ -237,7 +211,21 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
         # a row's first slot in the block is no candidate, its last not yet
         mid = w[:, 1:-1]
         c = (mid > thr) & (mid > w[:, :-2]) & (mid >= w[:, 2:])
-        refine(rows[:, 1:-1][c], at[:, 1:-1][c])
+        rs, i = rows[:, 1:-1][c], at[:, 1:-1][c]
+        if len(rs):
+            # every candidate in one pass, then each in row and index order
+            a, b = i * h[rs] - h[rs], i * h[rs] + h[rs]
+            found = _golden(p_at, rs, np.maximum(a, 0.0), np.minimum(b, cfg.horizon))
+            for r, start, t, p in zip(rs.tolist(), a.tolist(), *(x.tolist() for x in found)):
+                if done[r] or settled(r, start):
+                    done[r] = True
+                elif p >= 1.0 - cfg.epsilon:
+                    if times[r] and abs(t - times[r][-1]) < steps[r]:
+                        if p > probs[r][-1]:
+                            times[r][-1], probs[r][-1] = t, p
+                    else:
+                        times[r].append(t)
+                        probs[r].append(p)
         tails[act] = w[:, -2:]
         pos[act] += n
         # no later candidate of a row comes before the last point it read
@@ -256,7 +244,8 @@ def find_pst_times(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig
     docstring); a refined candidate is kept when its probability reaches
     1 - epsilon, and one closer than a grid step to the previous kept
     time replaces it only when higher. ValueError refuses a factor whose
-    curvature W2 overflows (|L_eff| from about 1e154): no step certifies it.
+    curvature W2 overflows (|L_eff| from about 1e154), or the product's
+    W2(J_eff) (|J_eff| from about 1e154): no step certifies it.
     """
     return _search(spec, input, output, cfg, first_only=False)
 
@@ -355,7 +344,8 @@ def _row_ranges(s0, s1, c0, c1, scale, h, count) -> tuple[np.ndarray, np.ndarray
     not adjacent; one _intersect call serves every row."""
     if not len(s0):
         return (np.empty(0, dtype=int),) * 3
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal |g| may overflow a start to inf: a window never reached
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a0, a1 = s0 / scale[:, None], s1 / scale[:, None]
     # at g = 0 p_site stays at its value at x = 0: a row holds all of tau
     # or none of it
@@ -375,17 +365,24 @@ def _row_ranges(s0, s1, c0, c1, scale, h, count) -> tuple[np.ndarray, np.ndarray
     return row, lo - base[row], hi - base[row]
 
 
+def _row_steps(site, chan, grid, cfg: ScanConfig) -> np.ndarray:
+    """h_g = min(coarse_step, _step_for(W2(g))) per g of grid, 0 where W2(g)
+    overflows (from |g| about 1e154 on)."""
+    (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
+    return np.array([min(cfg.coarse_step, _step_for(x * x * w2_site * sum_q + w2_chan * sum_w,
+                                                     cfg.epsilon)) for x in grid])
+
+
 def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[float, float, list]]:
     """(g, step, PST times) of p_site(g tau) p_chan(tau), factors (values,
     weights), per g of grid; with first_only, only the first time is final."""
-    h0, epsilon = cfg.coarse_step, cfg.epsilon
     g = np.array([float(x) for x in grid])
     site_pass, chan_pass = _passes(site, chan, g.tolist(), cfg)
-    c0, c1 = _windows(*chan_pass, epsilon)
-    s0, s1 = _windows(*site_pass, epsilon) if len(c0) else (c0, c1)
-    (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
-    h = np.array([min(h0, _step_for(x * x * w2_site * sum_q + w2_chan * sum_w, epsilon))
-                  for x in g.tolist()])
+    c0, c1 = _windows(*chan_pass, cfg.epsilon)
+    s0, s1 = _windows(*site_pass, cfg.epsilon) if len(c0) else (c0, c1)
+    h = _row_steps(site, chan, g.tolist(), cfg)
+    if not h.all():
+        raise ValueError("a row's curvature W2(g) overflows: no grid step certifies its search")
     count = np.array([grid_count(cfg.horizon, x) for x in h.tolist()], dtype=int)
     scale = np.abs(g)
     # rows go together as far as their windows fit BLOCK_TERMS: a row's
@@ -406,10 +403,13 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
 
 def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:
     """Points of the two factor passes of a search over the g of grid, a
-    float (inf on overflow, of W2 too), to bound before any work. A row's
+    float, to bound before any work: inf on overflow, of a factor's W2 too,
+    or of the W2(g) of the largest |g|, whose row no step certifies. A row's
     grid within the windows holds at most about as many."""
-    return sum(x / h + 1.0 if h else math.inf
-               for _, x, h in _passes(*pair_factors(spec, *pair), grid, cfg))
+    site, chan = pair_factors(spec, *pair)
+    if not _row_steps(site, chan, [max(map(abs, grid), default=0.0)], cfg).all():
+        return math.inf
+    return sum(x / h + 1.0 if h else math.inf for _, x, h in _passes(site, chan, grid, cfg))
 
 
 def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], grid,

@@ -23,9 +23,18 @@ their sum is a projector entry, and since equal values always share a
 group, only that sum is ever read.
 
 decompose sorts the 3N values lambda = J sigma_i + L c_a once and
-groups neighbours that differ by at most DEFAULT_GROUPING_SCALE times
-the spectral radius, so accidental ties between the factors (which
-decide p_max, the dark sets and the congruence chain) join one group.
+groups neighbours that differ by at most GROUPING_EPS eps B, B = 2 (|J|
++ |L|) the eigenvalue bound (CouplingParams.eigenvalue_bound), so exact
+ties between the factors (which decide p_max, the dark sets and the
+congruence chain) join one group. The width is the rounding of the
+values: a phase pi m / n carries a relative error of about 2 eps, so
+mu = 2 cos(phase) is off by at most 2 (2 pi + 1/2) eps < 14 eps, the
+products J mu and L c add half an ulp each and their sum another, so a
+value lies within 8 eps B of its exact one and two equal levels within
+16 eps B of each other; 64 eps B leaves a factor of four. Distinct
+levels stay apart to far larger N than any rule relative to the
+spectral radius allows: near a path's band edge they lie about
+|J| 3 (pi / (N + 1))^2 apart, 6e-9 |J| at N = 10^5.
 A group is then its value, its multiplicity and its smallest sorted
 value: the spectrum, and nothing per mode. The overlap of a node pair
 with group k, <in| P_k |out>, is the sum of the terms w_i q_a of the
@@ -46,8 +55,8 @@ import numpy as np
 
 from .core import NetworkSpec, Node, flat_index
 
-# default eigenvalue clustering width, relative to the spectral radius
-DEFAULT_GROUPING_SCALE = 1e-8
+# eigenvalue grouping width in eps times the eigenvalue bound (module docstring)
+GROUPING_EPS = 64
 
 
 @dataclass(frozen=True)
@@ -66,11 +75,6 @@ class SpectralDecomposition:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def default_grouping_tol(values: np.ndarray) -> float:
-    radius = float(np.max(np.abs(values))) if len(values) else 0.0
-    return DEFAULT_GROUPING_SCALE * radius
 
 
 def _chain_values(size: int, closed: bool) -> np.ndarray:
@@ -104,7 +108,7 @@ def decompose(spec: NetworkSpec) -> SpectralDecomposition:
     site, chan = spec.chains
     values = np.sort(np.add.outer(j_eff * _chain_values(*site), l_eff * _chain_values(*chan)),
                      axis=None)
-    tol = default_grouping_tol(values)
+    tol = GROUPING_EPS * np.finfo(float).eps * spec.couplings.eigenvalue_bound()
     starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
     mult = np.diff(np.append(starts, len(values)))
     group_values = np.add.reduceat(values, starts) / mult

@@ -49,7 +49,11 @@ class TransferReport:
     overlaps: np.ndarray  # real, one per group
     p_max: float
     signs: np.ndarray  # int in {-1, 0, +1}, 0 marks a dark group
-    dark_groups: frozenset[int]
+
+    @property
+    def dark_groups(self) -> frozenset[int]:
+        """The groups of sign 0, built from signs on each read."""
+        return frozenset(np.flatnonzero(self.signs == 0).tolist())
 
 
 def probability_at(overlaps: np.ndarray, values: np.ndarray, t):
@@ -135,6 +139,5 @@ def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) ->
     overlaps = group_overlaps(decomp, factors)
     (_, w), (_, q) = factors
     signs = sign_factors(overlaps, DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q))))
-    dark = frozenset(int(k) for k in np.flatnonzero(signs == 0))
     bound = float(np.sum(np.abs(overlaps[signs != 0])) ** 2)
-    return TransferReport(input, output, decomp.values, overlaps, bound, signs, dark)
+    return TransferReport(input, output, decomp.values, overlaps, bound, signs)

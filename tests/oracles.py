@@ -32,10 +32,19 @@ import numpy as np
 from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index
 from helix_pst.core import CHANNELS, BoundaryCondition
 from helix_pst.hamiltonian import CouplingKind
-from helix_pst.spectral import default_grouping_tol
 from helix_pst.transfer import grid_count, probability_chunks, projector_overlaps
 
 OVERLAP_IMAG_TOL = 1e-9
+# the dense oracles' grouping width, relative to the spectral radius: eigh
+# leaves errors far above the closed forms' rounding that
+# spectral.decompose groups within, and the networks checked against it
+# keep their distinct levels further apart
+DEFAULT_GROUPING_SCALE = 1e-8
+
+
+def default_grouping_tol(values: np.ndarray) -> float:
+    radius = float(np.max(np.abs(values))) if len(values) else 0.0
+    return DEFAULT_GROUPING_SCALE * radius
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,7 @@ def test_couplings_whose_group_sums_overflow_are_usage_errors(argv, named, capsy
 EXTREME_COUPLINGS = [["--gamma", "1e300"], ["--gamma", "1e-300"], ["--J", "1e300", "--L", "1"],
                      ["--J", "1", "--L", "1e300"], ["--J", "1", "--L", "2e154"],
                      ["--J", "1e-320", "--L", "1e-320"]]
+TINY_HORIZON = ["--horizon", "1e-150", "--step", "1e-150"]
 COMMAND_FLAGS = {"spectrum": [], "evolve": ["--horizon", "5"], "pmax": [], "dark": [],
                  "attain": ["--tau", "1"], "scan": ["--horizon", "5"]}
 
@@ -275,12 +276,27 @@ COMMAND_FLAGS = {"spectrum": [], "evolve": ["--horizon", "5"], "pmax": [], "dark
     [command, *couplings, *flags] for command, flags in COMMAND_FLAGS.items()
     for couplings in EXTREME_COUPLINGS
 ] + [["sweep", flag, grid, "--horizon", "5"] for flag in ("--gamma-grid", "--J-grid")
-     for grid in ("1e-300:1e-300:1", "1e150:1e150:1")])
+     for grid in ("1e-300:1e-300:1", "1e150:1e150:1")] + [
+    # the product's W2(g) overflows while both factor passes stay small
+    ["scan", "--gamma", "1e154", *TINY_HORIZON],
+    ["scan", "--n", "8", "--channel-bc", "closed", "--out", "4,1", "--gamma", "1e154",
+     *TINY_HORIZON],
+    ["sweep", "--gamma-grid", "1e154:1e154:1", *TINY_HORIZON],
+    ["sweep", "--n", "8", "--channel-bc", "closed", "--out", "4,1", "--gamma-grid",
+     "1e154:1e154:1", *TINY_HORIZON],
+    # a subnormal site coupling with site windows: the pair stays on its site
+    # and its channel factor nears 1 - 2 epsilon just before the horizon
+    ["scan", "--out", "0,3", "--gamma", "1e-320", "--horizon", "2.185"],
+    ["scan", "--out", "0,3", "--J", "1e-320", "--L", "1", "--horizon", "2.185"],
+    ["sweep", "--out", "0,1", "--J-grid=1e-320:1e-320:1", "--horizon", "2.185"],
+    ["sweep", "--out", "0,3", "--gamma-grid=1e-310:1e-310:1", "--horizon", "2.185"],
+])
 def test_every_command_at_extreme_couplings_exits_0_or_2_without_a_warning(argv, tmp_path,
                                                                             capsys):
     # a coupling near the float range either works or is refused with one
     # line; no overflow may warn and go on, or end in a numeric failure.
-    # A scan that works reports its events on stderr
+    # A scan that works reports its events on stderr. Flags given after
+    # the default network and pair override them
     network = ["--n", "6", "--site-bc", "closed", "--channel-bc", "open"]
     pair = [] if argv[0] == "spectrum" else ["--in", "0,1", "--out", "3,2"]
     with warnings.catch_warnings(record=True) as caught:

@@ -319,15 +319,15 @@ def test_large_n_sweep_rows_match_per_gamma_scans(site_bc):
 
 @pytest.mark.parametrize("kind", ["gamma", "J"])
 def test_fig2_sweep_makes_a_bounded_number_of_evaluator_calls(kind, monkeypatch):
-    # the 391 rows are read in a few row-parallel blocks and refined in
-    # at most a few rounds, each one golden-section pass over all of
-    # them; one golden section per candidate and one call per 64-point
+    # the 391 rows are read in a few row-parallel blocks, each block's
+    # candidates refined in one golden-section pass over all of them;
+    # one golden section per candidate and one call per 64-point
     # block of each row took 4568 evaluations for the gamma panel. An
     # evaluation is one p_of call of the lockstep or its golden passes,
     # one site and one channel probability_at call
     N, site, channel, pair = FIGURES["fig2"]
     grid = parse_grid("0.5:20:0.05")
-    calls, rounds = [], []
+    calls, passes = [], []
     real, real_golden = scan._lockstep, scan._golden
 
     def spy(p_of, *args):
@@ -338,7 +338,7 @@ def test_fig2_sweep_makes_a_bounded_number_of_evaluator_calls(kind, monkeypatch)
         return real(counted, *args)
 
     def golden(*args):
-        rounds.append(args)
+        passes.append(args)
         return real_golden(*args)
 
     monkeypatch.setattr(scan, "_lockstep", spy)
@@ -347,8 +347,8 @@ def test_fig2_sweep_makes_a_bounded_number_of_evaluator_calls(kind, monkeypatch)
                 else make_spec(N, site, channel, J=1.0, L=0.0))
     rows = gamma_sweep(template, pair, grid, ScanConfig())
     assert sum(r.tau_min is not None for r in rows) > 100
-    # a round at brackets of 2 h <= 0.01 takes 1 + 20 + 1 calls, a block one
-    assert 1 <= len(rounds) <= 3 and len(calls) <= 100
+    # a pass at brackets of 2 h <= 0.01 takes 1 + 20 + 1 calls, a block one
+    assert 1 <= len(passes) <= 3 and len(calls) <= 100
 
 
 @pytest.mark.parametrize("fig", ["fig2", "fig4"])
@@ -457,6 +457,22 @@ def test_a_search_whose_channel_curvature_overflows_is_refused():
         with pytest.raises(ValueError, match="^a factor's curvature W2 overflows"):
             search(spec, Node(0, 1), Node(3, 2), cfg)
     assert scan.pass_points(spec, (Node(0, 1), Node(3, 2)), [1.0], cfg) == math.inf
+
+
+def test_a_search_whose_row_curvature_overflows_is_refused():
+    # at gamma = 1e154 the product's W2(g) = g^2 W2_site sum|q| + ...
+    # overflows and certifies a step of 0, while at this horizon both
+    # factor passes are small; the search divided by the step
+    spec = make_spec(8, "closed", "closed", gamma=1e154)
+    cfg = ScanConfig(horizon=1e-150, coarse_step=1e-150)
+    pair = (Node(0, 1), Node(4, 1))
+    for search in (find_pst_times, tau_min):
+        with pytest.raises(ValueError, match="^a row's curvature W2"):
+            search(spec, *pair, cfg)
+    with pytest.raises(ValueError, match="^a row's curvature W2"):
+        gamma_sweep(spec, pair, [1.0, 1e154], cfg)
+    assert scan.pass_points(spec, pair, [1e154], cfg) == math.inf
+    assert scan.pass_points(spec, pair, [1e150], cfg) < 1e6
 
 
 def test_gamma_sweep_at_zero_and_negative_gamma():
@@ -747,6 +763,36 @@ def test_tau_min_keeps_the_higher_of_two_merged_first_peaks(monkeypatch):
     for step, row, first in zip(h, times, firsts):
         assert row[:2] == [pytest.approx(1.3 * step), pytest.approx(3.3 * step)]
         assert first[0] == row[0]
+
+
+def test_lockstep_refines_a_block_in_one_golden_pass(monkeypatch):
+    # p = (1 + cos(pi t / h)) / 2 peaks at every even index, all of one
+    # block; the first-event scan refines them all in one pass and then
+    # keeps the first two (the second decides that the first is final),
+    # as the full scan keeps all eleven
+    h = np.array([0.1, 0.05, 0.2])
+    cfg = ScanConfig(horizon=20 * h.max(), coarse_step=h.max(), epsilon=1e-3)
+    golden = scan._golden
+    calls = []
+
+    def counted(p_of, rows, a, b):
+        calls.append(len(rows))
+        return golden(p_of, rows, a, b)
+
+    monkeypatch.setattr(scan, "_golden", counted)
+
+    def search(first_only):
+        calls.clear()
+        times = scan._lockstep(lambda rows, t: (1 + np.cos(np.pi * t / h[rows])) / 2,
+                               np.arange(3), np.zeros(3, dtype=int), np.full(3, 20), h, cfg,
+                               first_only, 1)
+        return times, list(calls)
+
+    (times, every), (firsts, once) = search(False), search(True)
+    assert every == once == [33]
+    for step, row, first in zip(h, times, firsts):
+        assert row == pytest.approx(2 * step * np.arange(11), abs=1e-6)
+        assert first == row[:2]
 
 
 def test_first_only_row_stops_reading_once_settled():

@@ -120,6 +120,16 @@ def test_single_label_groups_are_bright_at_large_n():
     assert np.all(report.signs[single] != 0)
 
 
+@pytest.mark.parametrize("N", [30_000, 50_000, 100_000])
+def test_mirror_pair_bound_is_one_at_large_n(N):
+    # (0,1) -> (N-1,1) is mirror-symmetric, so sum_k |o_k| = sum|w| sum|q|
+    # = 1 exactly; a grouping width relative to the spectral radius joined
+    # distinct band-edge levels of opposite sign here (0.9992 at N = 5e4)
+    _, decomp = make_decomp(N, "open", "open", gamma=2.0)
+    report = transfer_report(decomp, Node(0, 1), Node(N - 1, 1))
+    assert report.p_max == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("couplings, pair", [
     ({"J": 1.0, "L": 0.0}, (Node(0, 1), Node(3, 2))),  # channels decoupled
     ({"J": 0.0, "L": 1.0}, (Node(0, 1), Node(3, 1))),  # sites decoupled
