@@ -51,12 +51,15 @@ generous bound on the rounding of an amplitude (eps per radian of phase
 and per term). By the chord bound, the flagged runs widened by h hold
 every point where the factor's |A| reaches sqrt(thr) - 2 r, as both
 factors do wherever a computed p exceeds thr. So a search makes two
-g-free passes (_passes, which pass_points bounds), the site one over
-[0, max|g| (horizon + coarse_step)], and scans each g only in W_chan
-intersected with W_site / |g|, at h_g = min(coarse_step, _step_for(W2(g))),
-W2(g) = g^2 W2_site sum|q| + W2_chan sum|w|, the W2 of the product's
-terms. That W2(g) grows as g^2 is why a fixed step misses events at
-high gamma.
+g-free passes, the site one over [0, max|g| (horizon + coarse_step)],
+and scans each g only in W_chan intersected with W_site / |g|, at
+h_g = min(coarse_step, _step_for(W2(g))), W2(g) = g^2 W2_site sum|q| +
+W2_chan sum|w|, the W2 of the product's terms. That W2(g) grows as g^2
+is why a fixed step misses events at high gamma. _steps gives both
+passes' steps and every h_g from one _spread per factor, and pass_points
+reads it at the largest |g|. A search is refused before either pass
+streams: a W2 that overflows certifies no step, and a g or grid point
+count that is not finite no grid.
 
 Lockstep. The rows of a sweep are searched together, in groups whose
 windows fit BLOCK_TERMS (all rows of a figure sweep). One _intersect
@@ -243,29 +246,24 @@ def find_pst_times(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig
     coarse_step or the step that certifies every event (module
     docstring); a refined candidate is kept when its probability reaches
     1 - epsilon, and one closer than a grid step to the previous kept
-    time replaces it only when higher. ValueError refuses a factor whose
-    curvature W2 overflows (|L_eff| from about 1e154), or the product's
-    W2(J_eff) (|J_eff| from about 1e154): no step certifies it.
+    time replaces it only when higher. ValueError refuses, before any
+    grid pass, a factor whose curvature W2 overflows (|L_eff| from about
+    1e154), the product's W2(J_eff) (|J_eff| from about 1e154), both
+    certifying no step, or a grid point count that is not finite.
     """
-    return _search(spec, input, output, cfg, first_only=False)
+    [(_, _, times)] = _sweep(*pair_factors(spec, input, output), [spec.couplings.effective()[0]],
+                             cfg, first_only=False)
+    return times
 
 
 def tau_min(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig) -> float | None:
     """Earliest PST time within the horizon, or None when there is none.
 
     Equal to the first element of find_pst_times, but the scan stops
-    once a later candidate can no longer replace the first event.
+    once a later candidate can no longer replace the first event: the
+    gamma_sweep row at g = J_eff, refused as find_pst_times is.
     """
-    times = _search(spec, input, output, cfg, first_only=True)
-    return times[0] if times else None
-
-
-def _search(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig,
-            first_only: bool) -> list[float]:
-    """The PST times of one network: _sweep at g = J_eff."""
-    [(_, _, times)] = _sweep(*pair_factors(spec, input, output), [spec.couplings.effective()[0]],
-                             cfg, first_only)
-    return times
+    return gamma_sweep(spec, (input, output), [spec.couplings.effective()[0]], cfg)[0].tau_min
 
 
 def _root(x: float) -> float:
@@ -297,22 +295,9 @@ def _merge(lo: np.ndarray, hi: np.ndarray, gap: int) -> tuple[np.ndarray, np.nda
     return lo[new], hi[np.concatenate((new[1:], new[:1]))]
 
 
-def _passes(site, chan, grid, cfg: ScanConfig) -> list[tuple]:
-    """(factor, extent, step) of the site and channel passes of a search
-    over the g of grid: [0, max|g| end] and [0, end] at their certified
-    steps, end = horizon + coarse_step, past a row grid's last point."""
-    end = cfg.horizon + cfg.coarse_step
-    top = max(map(abs, grid), default=0.0)
-    return [(f, x, _step_for(_spread(f)[0], cfg.epsilon, x))
-            for f, x in ((site, top * end), (chan, end))]
-
-
-def _windows(factor, extent: float, h: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, disjoint windows (starts, ends) of a factor's pass over [0, extent] at step h."""
+def _windows(factor, w2, extent, h, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint windows (starts, ends) of a W2 factor's pass over [0, extent] at step h."""
     values, weights = factor
-    w2 = _spread(factor)[0]
-    if h == 0.0:
-        raise ValueError("a factor's curvature W2 overflows: no grid step certifies its pass")
     count = math.ceil(extent / h) + 1
     r = 8 * np.finfo(float).eps * (np.abs(values).max(initial=0) * count * h + len(values) + ROOT)
     floor = _root(2.0 * epsilon) - w2 * h * h / 8 - 4 * r
@@ -365,26 +350,40 @@ def _row_ranges(s0, s1, c0, c1, scale, h, count) -> tuple[np.ndarray, np.ndarray
     return row, lo - base[row], hi - base[row]
 
 
-def _row_steps(site, chan, grid, cfg: ScanConfig) -> np.ndarray:
-    """h_g = min(coarse_step, _step_for(W2(g))) per g of grid, 0 where W2(g)
-    overflows (from |g| about 1e154 on)."""
+def _steps(site, chan, grid, cfg: ScanConfig) -> tuple[list[tuple], np.ndarray]:
+    """The site and channel passes (factor, W2, extent, step) of a search
+    over the g of grid, [0, max|g| end] and [0, end] at their certified
+    steps, end = horizon + coarse_step, past a row grid's last point; and
+    the row steps h_g = min(coarse_step, _step_for(W2(g))). A step is 0
+    where its W2 overflows, W2(g) from |g| about 1e154 on."""
     (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
-    return np.array([min(cfg.coarse_step, _step_for(x * x * w2_site * sum_q + w2_chan * sum_w,
-                                                     cfg.epsilon)) for x in grid])
+    end = cfg.horizon + cfg.coarse_step
+    passes = [(f, w2, x, _step_for(w2, cfg.epsilon, x)) for f, w2, x in
+              ((site, w2_site, max(map(abs, grid), default=0.0) * end), (chan, w2_chan, end))]
+    rows = [x * x * w2_site * sum_q + w2_chan * sum_w for x in grid]  # W2(g)
+    return passes, np.array([min(cfg.coarse_step, _step_for(w2, cfg.epsilon)) for w2 in rows])
 
 
 def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[float, float, list]]:
     """(g, step, PST times) of p_site(g tau) p_chan(tau), factors (values,
     weights), per g of grid; with first_only, only the first time is final."""
     g = np.array([float(x) for x in grid])
-    site_pass, chan_pass = _passes(site, chan, g.tolist(), cfg)
-    c0, c1 = _windows(*chan_pass, cfg.epsilon)
-    s0, s1 = _windows(*site_pass, cfg.epsilon) if len(c0) else (c0, c1)
-    h = _row_steps(site, chan, g.tolist(), cfg)
+    scale = np.abs(g)
+    # every refusal comes before either factor pass streams
+    (site_pass, chan_pass), h = _steps(site, chan, g.tolist(), cfg)
+    if not (site_pass[-1] and chan_pass[-1]):
+        raise ValueError("a factor's curvature W2 overflows: no grid step certifies its pass")
+    if not np.isfinite(g).all():
+        raise ValueError(f"each g of a sweep must be finite, got {g[~np.isfinite(g)][0]:g}")
     if not h.all():
         raise ValueError("a row's curvature W2(g) overflows: no grid step certifies its search")
+    if not math.isfinite(sum([x / step for *_, x, step in (site_pass, chan_pass)]
+                             + [(cfg.horizon + 0.5 * x) / x for x in h.tolist()])):
+        raise ValueError(f"horizon {cfg.horizon:g} at step {cfg.coarse_step:g} and |g| up to "
+                         f"{scale.max(initial=0.0):g} needs grid point counts that are not finite")
+    c0, c1 = _windows(*chan_pass, cfg.epsilon)
+    s0, s1 = _windows(*site_pass, cfg.epsilon) if len(c0) else (c0, c1)
     count = np.array([grid_count(cfg.horizon, x) for x in h.tolist()], dtype=int)
-    scale = np.abs(g)
     # rows go together as far as their windows fit BLOCK_TERMS: a row's
     # site windows, and its intersections, at most len(s0) + len(c0)
     group = max(1, BLOCK_TERMS // max(len(s0) + len(c0), 1))
@@ -406,10 +405,8 @@ def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfi
     float, to bound before any work: inf on overflow, of a factor's W2 too,
     or of the W2(g) of the largest |g|, whose row no step certifies. A row's
     grid within the windows holds at most about as many."""
-    site, chan = pair_factors(spec, *pair)
-    if not _row_steps(site, chan, [max(map(abs, grid), default=0.0)], cfg).all():
-        return math.inf
-    return sum(x / h + 1.0 if h else math.inf for _, x, h in _passes(site, chan, grid, cfg))
+    passes, [h] = _steps(*pair_factors(spec, *pair), [max(map(abs, grid), default=0.0)], cfg)
+    return sum(x / step + 1.0 if step else math.inf for *_, x, step in passes) if h else math.inf
 
 
 def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], grid,

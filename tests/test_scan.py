@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -448,31 +449,77 @@ def test_gamma_sweep_rejects_a_node_off_the_network_before_any_grid_pass(monkeyp
     assert sizes == []
 
 
-def test_a_search_whose_channel_curvature_overflows_is_refused():
+def test_a_search_whose_channel_curvature_overflows_is_refused(monkeypatch):
     # from |L| about 1.3e154 the channel factor's W2 overflows to inf and
-    # certifies a step of 0, which the search divided by
+    # certifies a step of 0, which the search divided by; it is refused
+    # before either factor pass streams a point
     spec = make_spec(6, "closed", "open", J=1.0, L=1e300)
     cfg = ScanConfig(horizon=5.0)
+    passes = count_grid_points(monkeypatch)
     for search in (find_pst_times, tau_min):
         with pytest.raises(ValueError, match="^a factor's curvature W2 overflows"):
             search(spec, Node(0, 1), Node(3, 2), cfg)
+    assert passes == []
     assert scan.pass_points(spec, (Node(0, 1), Node(3, 2)), [1.0], cfg) == math.inf
 
 
-def test_a_search_whose_row_curvature_overflows_is_refused():
+def test_a_search_whose_row_curvature_overflows_is_refused(monkeypatch):
     # at gamma = 1e154 the product's W2(g) = g^2 W2_site sum|q| + ...
     # overflows and certifies a step of 0, while at this horizon both
-    # factor passes are small; the search divided by the step
+    # factor passes are small; the search divided by the step. The
+    # refusal comes before both passes, 447 049 points at this horizon
     spec = make_spec(8, "closed", "closed", gamma=1e154)
     cfg = ScanConfig(horizon=1e-150, coarse_step=1e-150)
     pair = (Node(0, 1), Node(4, 1))
+    passes = count_grid_points(monkeypatch)
     for search in (find_pst_times, tau_min):
         with pytest.raises(ValueError, match="^a row's curvature W2"):
             search(spec, *pair, cfg)
     with pytest.raises(ValueError, match="^a row's curvature W2"):
         gamma_sweep(spec, pair, [1.0, 1e154], cfg)
+    assert passes == []
     assert scan.pass_points(spec, pair, [1e154], cfg) == math.inf
     assert scan.pass_points(spec, pair, [1e150], cfg) < 1e6
+
+
+def test_a_search_whose_grid_counts_are_not_finite_is_refused_naming_the_value(monkeypatch):
+    # an infinite or nan g, or a horizon whose site pass max|g| (horizon
+    # + step) overflows, gives a point count no int holds, and a nan past
+    # the first g no max|g| sees: each is refused by name before any pass
+    template = make_spec(8, "closed", "closed", gamma=1.0)
+    passes = count_grid_points(monkeypatch)
+    for grid, value in (([math.inf], "inf"), ([-math.inf], "-inf"), ([math.nan, 1.0], "nan"),
+                        ([1.0, math.nan], "nan")):
+        with pytest.raises(ValueError, match=f"^each g of a sweep must be finite, got {value}$"):
+            gamma_sweep(template, PAIR8, grid, ScanConfig())
+    spec = make_spec(8, "closed", "closed", gamma=3.0)
+    cfg = ScanConfig(horizon=1e308, coarse_step=1e300)
+    for search in (find_pst_times, tau_min):
+        with pytest.raises(ValueError, match=re.escape("horizon 1e+308 at step 1e+300 and |g| up "
+                                                       "to 3 needs grid point counts")):
+            search(spec, *PAIR8, cfg)
+    assert passes == []
+
+
+@pytest.mark.parametrize("search", ["find_pst_times", "tau_min", "gamma_sweep"])
+def test_a_search_spreads_each_factor_once(search, monkeypatch):
+    # the pass steps, the row steps and the windows all read the two
+    # factors' W2 from one _spread each
+    calls = []
+    real = scan._spread
+
+    def spy(factor):
+        calls.append(len(factor[0]))
+        return real(factor)
+
+    monkeypatch.setattr(scan, "_spread", spy)
+    spec = make_spec(8, "closed", "closed", gamma=3.0)
+    if search == "gamma_sweep":
+        gamma_sweep(make_spec(8, "closed", "closed", gamma=1.0), PAIR8, [0.5, 3.0, 5.0],
+                    ScanConfig())
+    else:
+        {"find_pst_times": find_pst_times, "tau_min": tau_min}[search](spec, *PAIR8, ScanConfig())
+    assert len(calls) == 2
 
 
 def test_gamma_sweep_at_zero_and_negative_gamma():
@@ -491,8 +538,8 @@ def test_gamma_sweep_at_zero_and_negative_gamma():
 
 def certified_windows(factor, extent: float, epsilon: float):
     """scan._windows of a factor's pass over [0, extent] at its certified step."""
-    h = scan._step_for(scan._spread(factor)[0], epsilon, extent)
-    return scan._windows(factor, extent, h, epsilon)
+    w2 = scan._spread(factor)[0]
+    return scan._windows(factor, w2, extent, scan._step_for(w2, epsilon, extent), epsilon)
 
 
 def test_windows_hold_a_peak_between_two_samples():
