@@ -30,8 +30,6 @@ from .transfer import (
     TransferReport,
     grid_count,
     probability_chunks,
-    projector_overlaps,
-    sign_factors,
     transfer_report,
     transition_probability,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "neighbors",
     "node_from_index",
     "probability_chunks",
-    "projector_overlaps",
-    "sign_factors",
     "tau_min",
     "transfer_report",
     "transition_probability",

@@ -293,6 +293,13 @@ def _gnuplot(title: str, panels: list[tuple[str, str, str]]) -> str:
     return "\n".join(lines + [""])
 
 
+def _check_apart(args, flag: str, path) -> None:
+    """Refuse a second output path that resolves to the --output file."""
+    real = os.path.realpath
+    if path and "-" not in (path, args.output) and real(path) == real(args.output):
+        raise ValueError(f"{flag} {path} and --output {args.output} are the same file")
+
+
 def _check_plot_script(args) -> None:
     if args.plot_script is None:
         return
@@ -300,6 +307,7 @@ def _check_plot_script(args) -> None:
         raise ValueError("--plot-script needs --output pointing at a file")
     if args.format != "csv":
         raise ValueError(f"--plot-script plots CSV, not --format {args.format}")
+    _check_apart(args, "--plot-script", args.plot_script)
 
 
 def _maybe_plot_script(args, xlabel: str, ylabel: str, style: str = "lines") -> None:
@@ -313,6 +321,7 @@ def _maybe_plot_script(args, xlabel: str, ylabel: str, style: str = "lines") -> 
 
 
 def _cmd_spectrum(args) -> int:
+    _check_apart(args, "--dump-matrix", args.dump_matrix)
     spec = _network(args)
     numbers = (CHANNELS * spec.N) ** 2
     if args.dump_matrix and numbers > MAX_GRID_POINTS:

@@ -145,13 +145,6 @@ def pair_factors(
     return _folded(_chain_values(*site), s), channel
 
 
-def projector_overlaps(
-    decomp: SpectralDecomposition, input: Node, output: Node
-) -> np.ndarray:
-    """Real overlaps <in| P_k |out>, one per distinct-eigenvalue group."""
-    return group_overlaps(decomp, pair_factors(decomp.spec, input, output))
-
-
 def group_overlaps(decomp: SpectralDecomposition, factors) -> np.ndarray:
     """Overlaps of a pair's factors (pair_factors) with each group: the
     sum of the terms w_i q_a whose eigenvalue J_eff sigma_i + L_eff c_a

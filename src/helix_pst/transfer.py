@@ -1,17 +1,18 @@
 """Transition probabilities and transfer bounds between two lattice nodes.
 
-The spectral reports and transition_probability, the reference of the
-tests, read the overlaps o_k = <in| P_k |out> of a grouped decomposition,
-each the sum of the pair's factor terms w_i q_a (spectral.pair_factors)
-whose eigenvalue lies in group k:
+transfer_report gives a pair's overlaps o_k = <in| P_k |out> in a grouped
+decomposition, which the spectral reports and transition_probability, the
+reference of the tests, read: each the sum of the pair's factor terms
+w_i q_a (spectral.pair_factors) whose eigenvalue lies in group k:
 
     p(t)  = | sum_k o_k exp(-i lambda_k t) |^2
     p_max = ( sum_k |o_k| )^2
 
 p_max bounds p(t) for all t (triangle inequality) and is reached exactly
-when all surviving phases align up to the overlap signs. Groups with
-o_k = 0 are "dark": the excitation never passes through them and they
-drop out of the phase-alignment analysis, and out of p_max.
+when all surviving phases align up to the overlap signs; where rational
+relations among the values keep them apart, p(t) stays below it. Groups
+with o_k = 0 are "dark": the excitation never passes through them and
+they drop out of the phase-alignment analysis, and out of p_max.
 
 probability_chunks is the one evaluator of p(t) on a time grid, in
 blocks of CHUNK points over t = i * step, i < grid_count(horizon, step),
@@ -32,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import NetworkSpec, Node
-from .spectral import SpectralDecomposition, group_overlaps, pair_factors, projector_overlaps
+from .spectral import SpectralDecomposition, group_overlaps, pair_factors
 
 DARK_TOL = 1e-10  # dark cut, relative to the pair's largest term (transfer_report)
 ROOT = 64
@@ -71,7 +72,8 @@ def transition_probability(
     decomp: SpectralDecomposition, input: Node, output: Node, t: float
 ) -> float:
     """p(t) = |<out| exp(-iHt) |in>|^2 via the grouped decomposition."""
-    return float(probability_at(projector_overlaps(decomp, input, output), decomp.values, t))
+    overlaps = group_overlaps(decomp, pair_factors(decomp.spec, input, output))
+    return float(probability_at(overlaps, decomp.values, t))
 
 
 def grid_count(horizon: float, step: float) -> int:
@@ -117,12 +119,6 @@ def factor_chunks(spec: NetworkSpec, input: Node, output: Node, step: float,
                probability_chunks(q, c, step, count))
 
 
-def sign_factors(overlaps: np.ndarray, dark_tol: float) -> np.ndarray:
-    """Signs of the overlaps; entries below dark_tol in magnitude get 0."""
-    o = np.asarray(overlaps, dtype=float)
-    return np.where(np.abs(o) < dark_tol, 0, np.sign(o)).astype(int)
-
-
 def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) -> TransferReport:
     """Overlaps, bound, signs and dark groups of one node pair, with the
     decomposition's group values they belong to.
@@ -138,6 +134,7 @@ def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) ->
     factors = pair_factors(decomp.spec, input, output)
     overlaps = group_overlaps(decomp, factors)
     (_, w), (_, q) = factors
-    signs = sign_factors(overlaps, DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q))))
+    cut = DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q)))
+    signs = np.where(np.abs(overlaps) < cut, 0, np.sign(overlaps)).astype(int)
     bound = float(np.sum(np.abs(overlaps[signs != 0])) ** 2)
     return TransferReport(input, output, decomp.values, overlaps, bound, signs)

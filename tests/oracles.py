@@ -18,7 +18,9 @@ every sweep row. Both read the grouped decomposition rather than the
 factors the search reads, and both are references of the search at the
 step it uses. `same_class_step`,
 `closed_closed_example_constraints` and `dark_predicate_closed_closed`
-are closed forms of the doubly closed network that only tests read.
+are closed forms of the doubly closed network that only tests read, and
+`EXACT_PST` gives product networks whose pair reaches p = 1 exactly,
+with the gamma and the times at which it does.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index
 from helix_pst.core import CHANNELS, BoundaryCondition
 from helix_pst.hamiltonian import CouplingKind
-from helix_pst.transfer import grid_count, probability_chunks, projector_overlaps
+from helix_pst.transfer import grid_count, probability_chunks, transfer_report
 
 OVERLAP_IMAG_TOL = 1e-9
 # the dense oracles' grouping width, relative to the spectral radius: eigh
@@ -320,7 +322,7 @@ def reference_pst_times(decomp, input: Node, output: Node, cfg) -> list[float]:
     exp of the (points x groups) phase matrix, then a loop over every
     grid point that skips flat runs and refines each local maximum above
     1 - 2 epsilon by golden section."""
-    o = projector_overlaps(decomp, input, output)
+    o = transfer_report(decomp, input, output).overlaps
     lam = decomp.values
 
     def p_of(t: float) -> float:
@@ -365,7 +367,7 @@ def grid_pst_times(decomp, input: Node, output: Node, cfg, first_only: bool = Fa
     1 - 2 epsilon, p > left and p >= right with -inf past both ends, each
     refined by golden section and merged within a step; with first_only
     it stops once the first time can no longer change."""
-    o = projector_overlaps(decomp, input, output)
+    o = transfer_report(decomp, input, output).overlaps
     lam = decomp.values
     h = cfg.coarse_step
     p = np.concatenate(list(probability_chunks(o, lam, h, grid_count(cfg.horizon, h))))
@@ -443,3 +445,56 @@ def dark_predicate_closed_closed(N: int, i: int, j: int, n: int) -> bool:
         raise ValueError(f"mode {n} outside the paired range for N={N}")
     q, r = divmod(4 * n * (j - i), N)
     return r == 0 and q % 2 == 1
+
+
+@dataclass(frozen=True)
+class ExactPST:
+    """A product network whose pair reaches p = 1 exactly, in scaled units.
+
+    p(tau) = p_site(gamma tau) p_chan(tau), and each factor reaches 1 on a
+    progression of its own, worked out by hand on the small chains:
+
+        C4 antipodes 0 -> 2     p_site(x) = sin^4 x             at x = (2m+1) pi/2
+        P2 ends 0 -> 1          p_site(x) = sin^2 x             at x = (2m+1) pi/2
+        P3 ends 0 -> 2          p_site(x) = sin^4(x/sqrt 2)     at x = (2m+1) pi/sqrt 2
+        triangle, one channel   p_chan = (5 + 4 cos 3 tau) / 9  at tau = 2 pi j/3
+        3-path, channel 1 -> 3  p_chan = sin^4(tau/sqrt 2)      at tau = (2j+1) pi/sqrt 2
+
+    With site period s and channel period c, p = 1 where tau = c j and
+    gamma c j = s (2m' + 1). At gamma = s (2m+1) / (c k) these are the j
+    (odd j only for the 3-path) for which (2m+1) j / k is an odd integer:
+
+        C4 x triangle   gamma = 3 (2m+1) / (4 k),          tau = 2 pi j/3
+        P2 x 3-path     gamma = (2m+1) / (sqrt 2 k),       tau = j pi/sqrt 2, j odd
+        P3 x triangle   gamma = 3 (2m+1) / (2 sqrt 2 k),   tau = 2 pi j/3
+    """
+
+    N: int
+    site_bc: str
+    channel_bc: str
+    pair: tuple[Node, Node]
+    site_period: float  # s
+    channel_period: float  # c
+    odd_only: bool  # the channel reaches 1 at odd j only
+
+    def gamma(self, m: int, k: int) -> float:
+        return self.site_period * (2 * m + 1) / (self.channel_period * k)
+
+    def events(self, m: int, k: int, horizon: float) -> list[float]:
+        """The exact PST times tau <= horizon at gamma(m, k), ascending."""
+        times = []
+        for j in range(1, int(horizon / self.channel_period) + 1):
+            q, r = divmod((2 * m + 1) * j, k)
+            if r == 0 and q % 2 == 1 and (j % 2 == 1 or not self.odd_only):
+                times.append(self.channel_period * j)
+        return times
+
+
+EXACT_PST = {
+    "C4-triangle": ExactPST(4, "closed", "closed", (Node(0, 1), Node(2, 1)),
+                              math.pi / 2, 2 * math.pi / 3, False),
+    "P2-3path": ExactPST(2, "open", "open", (Node(0, 1), Node(1, 3)),
+                            math.pi / 2, math.pi / math.sqrt(2), True),
+    "P3-triangle": ExactPST(3, "open", "closed", (Node(0, 1), Node(2, 1)),
+                              math.pi / math.sqrt(2), 2 * math.pi / 3, False),
+}

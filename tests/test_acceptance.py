@@ -48,7 +48,6 @@ from helix_pst import (
     grid_count,
     independent_constraints,
     probability_chunks,
-    projector_overlaps,
     transfer_report,
     transition_probability,
 )
@@ -201,7 +200,7 @@ def _global_max(decomp, pair, horizon, step=0.002):
     """(t, p) of the largest local maximum of p on [0, horizon]."""
     count = grid_count(horizon, step)
     grid = step * np.arange(count)
-    o = projector_overlaps(decomp, *pair)
+    o = transfer_report(decomp, *pair).overlaps
     p = np.concatenate(list(probability_chunks(o, decomp.values, step, count)))
     inner = (p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:])
     cands = [i + 1 for i in np.flatnonzero(inner) if p[i + 1] > p.max() - 1e-3]

@@ -534,6 +534,41 @@ def test_plot_script_refuses_json_output(argv, tmp_path, capsys, monkeypatch):
     assert not out.exists() and not gp.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "--gamma", "2", "--in", "0,1", "--out", "3,1"], "--plot-script"),
+    (["scan", "--gamma", "2", "--in", "0,1", "--out", "3,1"], "--plot-script"),
+    (["sweep", "--gamma-grid", "1:2:1", "--in", "0,1", "--out", "3,1"], "--plot-script"),
+    (["spectrum", "--gamma", "2"], "--dump-matrix"),
+], ids=["evolve", "scan", "sweep", "spectrum"])
+@pytest.mark.parametrize("second", ["sub/../a.csv", "link.csv"])
+def test_a_second_output_on_the_output_file_is_refused(argv, flag, second, tmp_path, capsys,
+                                                       monkeypatch):
+    # the file written second would replace the data: the paths are compared
+    # as resolved, symlinks included, before any work and any file is opened
+    for module, name in ((spectral, "pair_factors"), (scan, "pair_factors"),
+                         (transfer, "pair_factors"), (cli, "decompose")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    os.symlink("a.csv", "link.csv")
+    code, out, err = run(
+        argv[:1] + ["--n", "4", "--site-bc", "open", "--channel-bc", "open"] + argv[1:]
+        + ["--output", "a.csv", flag, second],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {second} and --output a.csv are the same file\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_a_second_output_on_stdout_stays_allowed(tmp_path, capsys):
+    code, out, err = run(["evolve", *_RING8_PAIR, "--horizon", "1", "--output",
+                          str(tmp_path / "a.csv"), "--plot-script", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("# gnuplot script for ")
+    assert (tmp_path / "a.csv").read_text().startswith("tau,p\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum"],
     ["dark", "--in", "0,1", "--out", "3,1"],

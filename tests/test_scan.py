@@ -14,16 +14,17 @@ from helix_pst import (
     find_pst_times,
     gamma_sweep,
     grid_count,
-    projector_overlaps,
     tau_min,
+    transfer_report,
     transition_probability,
 )
 from helix_pst.cli import parse_grid
 from helix_pst.scan import REFINE_XTOL
 from helix_pst.spectral import pair_factors
 from helix_pst.transfer import CHUNK, ROOT
-from oracles import (_reference_golden_max, channel_hamiltonian, grid_pst_times,
-                     reference_pst_times, ring_hamiltonian, series_expm)
+from oracles import (EXACT_PST, _reference_golden_max, channel_hamiltonian, grid_pst_times,
+                     product_rule_probability, reference_pst_times, ring_hamiltonian,
+                     series_expm)
 
 PAIR8 = (Node(0, 1), Node(4, 1))
 # the paper's figure networks fig2..fig5 and their node pairs
@@ -212,7 +213,7 @@ def _certified_bound(decomp, pair, epsilon):
     """The certified step of the grouped amplitude at this decomposition,
     from its own W2; the sweep's labelled factor terms can only need a
     finer one."""
-    o = np.abs(projector_overlaps(decomp, *pair))
+    o = np.abs(transfer_report(decomp, *pair).overlaps)
     c = o @ decomp.values / o.sum()
     w2 = o @ (decomp.values - c) ** 2
     return math.sqrt(8 * (math.sqrt(1 - epsilon) - math.sqrt(1 - 2 * epsilon)) / w2)
@@ -934,3 +935,47 @@ def test_large_gamma_sweep_memory_stays_within_the_block_budget():
         # take 1173 x 153 x 32 B, 5.5 MiB
         assert peak < 4 << 20, pair
     assert [r.tau_min for r in rows] == pytest.approx([0.0] * len(grid), abs=REFINE_XTOL)
+
+
+# gamma(m, k) of each exact case, one per ratio (2m+1)/k
+EXACT_GAMMAS = [(m, k) for m in range(3) for k in (1, 2, 3) if math.gcd(2 * m + 1, k) == 1]
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_PST))
+def test_pst_times_are_exactly_the_events_of_the_factor_progressions(case):
+    # p = 1 exactly where both factors' progressions meet (oracles.ExactPST);
+    # at epsilon = 1e-9 a time off them would have to come within about
+    # 1e-5 of a progression of each. The 3-path meets no progression at
+    # even k, which predicts no event at all.
+    net = EXACT_PST[case]
+    cfg = ScanConfig(horizon=200.0, epsilon=1e-9)
+    for m, k in EXACT_GAMMAS:
+        spec = make_spec(net.N, net.site_bc, net.channel_bc, gamma=net.gamma(m, k))
+        want = net.events(m, k, cfg.horizon)
+        for t in want:
+            assert product_rule_probability(spec, *net.pair, t) == pytest.approx(1.0, abs=1e-10)
+        got = find_pst_times(spec, *net.pair, cfg)
+        assert len(got) == len(want), (m, k)
+        assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-6, (m, k)
+
+
+def test_a_near_miss_of_an_exact_gamma_has_no_event():
+    # gamma = 3/4 + 1e-3 on C4 x triangle: at tau = 2 pi/3 the site factor
+    # misses 1 by about 9e-6, an event at epsilon = 1e-4 but not at 1e-9
+    net = EXACT_PST["C4-triangle"]
+    spec = make_spec(net.N, net.site_bc, net.channel_bc, gamma=0.751)
+    assert find_pst_times(spec, *net.pair, ScanConfig(horizon=200.0, epsilon=1e-9)) == []
+    near = find_pst_times(spec, *net.pair, ScanConfig(horizon=200.0, epsilon=1e-4))
+    assert near[0] == pytest.approx(2 * math.pi / 3, abs=1e-2)
+
+
+def test_a_site_factor_whose_supremum_is_three_quarters_caps_every_gamma():
+    # C6 antipodes reach at most 3/4 (acceptance criterion 5), so no gamma
+    # gives an event at 1 - epsilon = 0.8; at 0.7 most rows have one
+    template = make_spec(6, "closed", "closed", gamma=1.0)
+    pair = (Node(0, 1), Node(3, 1))
+    grid = parse_grid("0.5:10.25:0.25")
+    rows = gamma_sweep(template, pair, grid, ScanConfig(epsilon=0.2))
+    assert len(rows) == 40 and all(r.tau_min is None for r in rows)
+    rows = gamma_sweep(template, pair, grid, ScanConfig(epsilon=0.3))
+    assert sum(r.tau_min is not None for r in rows) == 33

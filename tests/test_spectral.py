@@ -9,11 +9,11 @@ from helix_pst import (
     build_hamiltonian,
     decompose,
     flat_index,
-    projector_overlaps,
-    sign_factors,
     transfer_report,
     transition_probability,
 )
+from helix_pst.spectral import pair_factors
+from helix_pst.transfer import DARK_TOL
 from oracles import (
     block_overlaps,
     distinct_count_closed_closed,
@@ -154,7 +154,7 @@ def test_block_overlaps_equal_projector_entries(N):
         decomp = decompose(spec)
         assert tuple(decomp.multiplicities) == tuple(dense.multiplicities)
         assert _worst_overlap_error(
-            lambda a, b: projector_overlaps(decomp, a, b), P, N) < 1e-12
+            lambda a, b: transfer_report(decomp, a, b).overlaps, P, N) < 1e-12
     spec = make_spec(N, "closed", "closed", gamma=1.7)
     analytic = group_eigenpairs(eigenpairs_closed_closed_analytic(spec))
     assert _worst_overlap_error(
@@ -175,7 +175,7 @@ def test_exact_cross_factor_level_crossing():
     assert tied == {(1, 2), (1, 3), (4, 2), (4, 3), (2, 1), (3, 1)}
 
     nodes = [Node(k, al) for k in range(N) for al in (1, 2, 3)]
-    routes = ((decompose(spec), projector_overlaps),
+    routes = ((decompose(spec), lambda d, a, b: transfer_report(d, a, b).overlaps),
               (eigendecompose_numeric(H), block_overlaps),  # raises if not real
               (group_eigenpairs(pairs), block_overlaps))
     for decomp, overlaps in routes:
@@ -267,7 +267,12 @@ def _check_against_dense(N, spec, dense):
     nodes = [Node(int(rng.integers(N)), int(rng.integers(1, 4))) for _ in range(12)]
     for a, b in [(Node(0, 1), Node(N - 1, 3)), (Node(0, 1), Node(N // 2, 1)),
                  *zip(nodes[::2], nodes[1::2])]:
-        o = projector_overlaps(decomp, a, b)
+        report = transfer_report(decomp, a, b)
         oracle = block_overlaps(dense, a, b)
-        assert np.max(np.abs(o - oracle)) <= 1e-11
-        assert np.array_equal(sign_factors(o, 1e-10), sign_factors(oracle, 1e-10))
+        assert np.max(np.abs(report.overlaps - oracle)) <= 1e-11
+        # the report's dark cut, DARK_TOL times the pair's largest factor
+        # term; a pair without one (L = 0 across channels) is dark throughout
+        (_, w), (_, q) = pair_factors(spec, a, b)
+        cut = DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q)))
+        signs = np.where(np.abs(oracle) < cut, 0, np.sign(oracle)) if cut else 0 * oracle
+        assert np.array_equal(report.signs, signs)

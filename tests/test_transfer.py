@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,6 @@ from helix_pst import (
     flat_index,
     grid_count,
     probability_chunks,
-    projector_overlaps,
-    sign_factors,
     transfer_report,
     transition_probability,
 )
@@ -60,7 +59,7 @@ def test_spectral_route_matches_series_propagator(ring8):
 
 def test_grouped_overlaps_diametric(ring8):
     _, decomp = ring8
-    o = projector_overlaps(decomp, *DIAMETRIC)
+    o = transfer_report(decomp, *DIAMETRIC).overlaps
     assert o.sum() == pytest.approx(0.0, abs=1e-12)        # p(0) = 0
     assert np.abs(o).sum() == pytest.approx(1.0, abs=1e-12)  # aligned bound is 1
     # magnitudes: singles 1/24, site pairs 2/24, merged channel pairs double
@@ -104,8 +103,19 @@ def test_sign_factors_frozen_pattern(ring8):
 
 
 def test_sign_factors_zero_marks_dark():
-    signs = sign_factors(np.array([0.5, -0.2, 1e-14]), 1e-10)
-    assert tuple(signs) == (1, -1, 0)
+    # distance 2 on the ring N = 8: the site classes n of
+    # dark_predicate_closed_closed are dark in both channel classes, and
+    # every other group keeps its overlap's sign
+    N, gamma = 8, 2.5
+    _, decomp = make_decomp(N, "closed", "closed", gamma=gamma)
+    report = transfer_report(decomp, Node(0, 1), Node(2, 1))
+    dark = [round(2 * gamma * math.cos(2 * math.pi * n / N) + c, 9)
+            for n in (1, 2, 3) if dark_predicate_closed_closed(N, 0, 2, n) for c in (2.0, -1.0)]
+    is_dark = np.isin(np.round(decomp.values, 9), dark)
+    assert report.signs.dtype.kind == "i" and is_dark.sum() == 4
+    assert np.all(report.signs[is_dark] == 0)
+    assert np.array_equal(report.signs[~is_dark], np.sign(report.overlaps[~is_dark]))
+    assert set(report.signs[~is_dark].tolist()) == {-1, 1}
 
 
 def test_single_label_groups_are_bright_at_large_n():
@@ -228,7 +238,7 @@ def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     pair = (Node(0, 1), Node(3, 2))
     step = 0.0021
     chunks = list(probability_chunks(
-        projector_overlaps(decomp, *pair), decomp.values, step, count))
+        transfer_report(decomp, *pair).overlaps, decomp.values, step, count))
     sizes = [len(c) for c in chunks]
     factored = list(factor_chunks(spec, *pair, step, count))
     assert [len(c) for c in factored] == sizes
