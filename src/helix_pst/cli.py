@@ -7,20 +7,20 @@ included), 1 on an internal numeric failure. NetworkSpec and ScanConfig
 refuse bad values when they are made; a ScanConfig refusal gets its
 flag's "--" here.
 CSV output uses %.12g formatting, LF line endings and always carries a
-header; p(t) traces are written block by block as transfer.factor_chunks
-yields them from the pair's two factors, through the vectorised writer
-csvtext.rows_g12, byte for byte what %.12g gives. Only spectrum, pmax,
-dark and attain build the grouped decomposition. Tables (spectrum,
-dark, attain, sweep) are named columns, their rows made CHUNK at a time
-from column slices. JSON output carries a top-level "schema": 1 field and is
-byte for byte json.dumps(doc, indent=2) and a newline, rendered by json's
-C encoder a container or a block of rows at a time as it is written. Plot
-scripts are plain gnuplot and plot CSV only. reproduce runs evolve and
-sweep commands into --output-dir, which it makes first, parents
-included. A --horizon/--step grid may hold at most MAX_GRID_POINTS
-points, and so may a --gamma-grid or --J-grid, the two factor passes
-of a scan's or sweep's PST search and the (3N)^2 numbers of a
---dump-matrix.
+header. Traces and tables share one writer: a p(t) trace comes block by
+block as transfer.factor_chunks yields it from the pair's two factors,
+a table (spectrum, dark, attain, sweep) is named columns sliced CHUNK
+rows at a time, and each CSV block is one call of the vectorised
+csvtext.rows_g12, byte for byte what %.12g gives, None an empty cell.
+Only spectrum, pmax, dark and attain build the grouped decomposition.
+JSON output carries a top-level "schema": 1 field and is byte for byte
+json.dumps(doc, indent=2) and a newline, rendered by json's C encoder a
+container or a block of rows at a time as it is written. Plot scripts
+are plain gnuplot and plot CSV only. reproduce runs evolve and sweep
+commands into --output-dir, which it makes first, parents included. A
+--horizon/--step grid may hold at most MAX_GRID_POINTS points, and so
+may a --gamma-grid or --J-grid, the two factor passes of a scan's or
+sweep's PST search and the (3N)^2 numbers of a --dump-matrix.
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ SCHEMA_VERSION = 1
 # streamed a block at a time, so memory does not grow with the grid.
 # A --dump-matrix past it, N > 1054, would build three dense 3N x 3N arrays.
 MAX_GRID_POINTS = 10 ** 7
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return "%.12g" % x
-    return str(x)
 
 
 def parse_node(text: str) -> Node:
@@ -227,48 +219,28 @@ def _write_json(stream, payload: dict) -> None:
     write("\n}\n")
 
 
-def _blocks(table: dict):
-    """Rows of a table of named columns, CHUNK at a time, from column slices."""
-    columns = list(table.values())
-    for at in range(0, len(columns[0]), CHUNK):
-        yield list(zip(*(c[at:at + CHUNK].tolist() for c in columns)))
+def _slices(*columns):
+    """Slices of the equal-length columns, CHUNK rows at a time."""
+    return ([c[at:at + CHUNK] for c in columns] for at in range(0, len(columns[0]), CHUNK))
 
 
-def _objects(table: dict):
-    """The rows of a table as objects keyed by its column names."""
-    return ([dict(zip(table, row)) for row in block] for block in _blocks(table))
+def _rows(blocks, keys=None):
+    """Each block of column slices as rows: tuples, or objects keyed by keys."""
+    for block in blocks:
+        rows = zip(*(c.tolist() for c in block))
+        yield [dict(zip(keys, row)) for row in rows] if keys else list(rows)
 
 
-def _write_table(args, table: dict, doc: dict | None = None) -> None:
-    """A table of named columns as CSV rows under the names, or as the JSON
-    doc, by default one object per row under "groups", a block at a time."""
+def _write_table(args, header, blocks, doc: dict | None = None) -> None:
+    """Blocks of column slices as CSV under the header, a rows_g12 call
+    each, or the JSON doc, by default the rows as objects under "groups"."""
     with _open_out(args.output) as out:
         if args.format == "json":
-            _write_json(out, doc or {"groups": _objects(table)})
+            _write_json(out, doc or {"groups": _rows(blocks, header)})
             return
-        out.write(",".join(table) + "\n")
-        for block in _blocks(table):
-            out.write("".join(",".join(map(_fmt, row)) + "\n" for row in block))
-
-
-def _timed(step: float, blocks):
-    """(times, p) of each block of p(i * step)."""
-    start = 0
-    for chunk in blocks:
-        yield step * np.arange(start, start + len(chunk)), chunk
-        start += len(chunk)
-
-
-def _write_trace(stream, fmt: str, label: str, step: float, blocks, extra: dict) -> None:
-    """p(i * step) from its blocks, written block by block: CSV rows, or
-    the profile rows of a JSON document that ends with extra."""
-    if fmt == "json":
-        profile = (np.column_stack(block).tolist() for block in _timed(step, blocks))
-        _write_json(stream, {"profile": profile, **extra})
-        return
-    stream.write(f"{label},p\n")
-    for times, chunk in _timed(step, blocks):  # the rows _write_csv would give
-        stream.write(rows_g12(times, chunk))
+        out.write(",".join(header) + "\n")
+        for block in blocks:
+            out.write(rows_g12(*block))
 
 
 def _check_passes(spec: NetworkSpec, pair, grid, cfg: ScanConfig, flags: str) -> None:
@@ -331,8 +303,8 @@ def _cmd_spectrum(args) -> int:
     if args.dump_matrix:
         with _open_out(args.dump_matrix) as fh:
             dump_matrix(build_hamiltonian(spec), fh)
-    _write_table(args, {"group": np.arange(len(decomp)), "eigenvalue": decomp.values,
-                        "multiplicity": decomp.multiplicities})
+    _write_table(args, ["group", "eigenvalue", "multiplicity"],
+                 _slices(np.arange(len(decomp)), decomp.values, decomp.multiplicities))
     return 0
 
 
@@ -356,13 +328,15 @@ def _cmd_trace(args) -> int:
         raise ValueError(f"--horizon {cfg.horizon:g} at --step {cfg.coarse_step:g} overflows the "
                          "phases: 2 (|J_eff| + |L_eff|) (horizon + step) is not finite")
     # reads the pair's factors, so both nodes are checked before the output opens
-    blocks = factor_chunks(spec, input, output, cfg.coarse_step,
+    chunks = factor_chunks(spec, input, output, cfg.coarse_step,
                            grid_count(cfg.horizon, cfg.coarse_step))
+    # (times, p) of each block, all but the last CHUNK points long
+    blocks = ((cfg.coarse_step * np.arange(i * CHUNK, i * CHUNK + len(p)), p)
+              for i, p in enumerate(chunks))
     label = "tau" if c.scaled else "t"
-    with _open_out(args.output) as out:
-        _write_trace(out, args.format, label, cfg.coarse_step, blocks, extra)
+    _write_table(args, [label, "p"], blocks, {"profile": _rows(blocks), **extra})
     if extra.get("pst_times"):
-        print("PST times: " + ", ".join(_fmt(t) for t in extra["pst_times"]), file=sys.stderr)
+        print("PST times: " + ", ".join("%.12g" % t for t in extra["pst_times"]), file=sys.stderr)
     elif extra:
         print("no PST event within the horizon", file=sys.stderr)
     _maybe_plot_script(args, label, "p")
@@ -391,8 +365,8 @@ def _cmd_pmax(args) -> int:
 
 def _cmd_dark(args) -> int:
     report = _pair_report(args)
-    _write_table(args, {"group": np.arange(len(report.values)), "eigenvalue": report.values,
-                        "overlap": report.overlaps, "sign": report.signs})
+    _write_table(args, ["group", "eigenvalue", "overlap", "sign"], _slices(
+        np.arange(len(report.values)), report.values, report.overlaps, report.signs))
     return 0
 
 
@@ -409,7 +383,8 @@ def _cmd_attain(args) -> int:
     # the chain's four columns under their field names, then k and the residual
     table = {**vars(chain), "k": result.witnesses, "residual": result.residuals}
     with _open_out(args.output) as out:
-        _write_json(out, {"tau": result.t, "tol": result.tol, "constraints": _objects(table),
+        _write_json(out, {"tau": result.t, "tol": result.tol,
+                          "constraints": _rows(_slices(*table.values()), table),
                           "all_satisfied": result.all_satisfied})
     return 0
 
@@ -432,8 +407,8 @@ def _cmd_sweep(args) -> int:
     _check_passes(spec, pair, grid, cfg, f"{flag} up to {max(map(abs, grid)):g}")
     rows = gamma_sweep(spec, pair, grid, cfg)
     # object columns keep each tau_min a float, or None where no event
-    table = dict(zip(header, np.array([(r.parameter, r.tau_min) for r in rows], dtype=object).T))
-    _write_table(args, table, {"rows": _blocks(table), "columns": header})
+    blocks = _slices(*np.array([(r.parameter, r.tau_min) for r in rows], dtype=object).T)
+    _write_table(args, header, blocks, {"rows": _rows(blocks), "columns": header})
     _maybe_plot_script(args, header[0], header[1], style="points")
     return 0
 
@@ -468,7 +443,7 @@ def _cmd_reproduce(args) -> int:
     pair and defaults, written into the output directory, which is made
     first, parents included."""
     job = _FIGURES[args.figure]
-    outdir = args.output_dir.rstrip("/") or "."
+    outdir = args.output_dir or "."
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -478,7 +453,7 @@ def _cmd_reproduce(args) -> int:
     written: list[str] = []
 
     def panel(name: str, command: str, *flags: str) -> str:
-        path = f"{outdir}/{name}"
+        path = os.path.join(outdir, name)
         sub = build_parser().parse_args([command, *network, *flags, f"--output={path}"])
         sub.func(sub)
         written.append(path)
@@ -486,15 +461,15 @@ def _cmd_reproduce(args) -> int:
 
     traces = []
     for g in job.trace_gammas:
-        name = panel(f"{args.figure}a_gamma{_fmt(g)}.csv", "evolve", "--gamma", repr(g),
+        name = panel(f"{args.figure}a_gamma{g:.12g}.csv", "evolve", "--gamma", repr(g),
                      "--horizon", repr(job.trace_horizon), "--step", repr(_TRACE_STEP))
-        traces.append(f'"{name}" using 1:2 with lines title "gamma={_fmt(g)}"')
+        traces.append(f'"{name}" using 1:2 with lines title "gamma={g:.12g}"')
     panels = [("tau", "p", ", ".join(traces))]
     sweeps = [("gamma", "tau_min")] if job.sweep else []
     for letter, (x, y) in zip("bc", sweeps + [("J", "t_min")]):
         name = panel(f"{args.figure}{letter}_{y}_vs_{x}.csv", "sweep", f"--{x}-grid", _SWEEP_GRID)
         panels.append((x, y, f'"{name}" using 1:2 with points title "{y}"'))
-    gp_path = f"{outdir}/{args.figure}.gp"
+    gp_path = os.path.join(outdir, f"{args.figure}.gp")
     with _open_out(gp_path) as fh:
         fh.write(_gnuplot(args.figure, panels))
     written.append(gp_path)

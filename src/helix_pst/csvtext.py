@@ -32,10 +32,14 @@ it, the exponent and the separator. Tables give the ASCII digits four
 at a time and, by e and the last nonzero digit, the masks and the text
 behind the digits; every other step is one whole-array operation.
 
-Every other value goes through "%.12g" % v on its own and is patched
-into its field: 0, -0.0, negatives, subnormals, non-finite values,
-e outside [-11, 11], a y that is a half-integer and a mantissa that
-rounds up to 10**12.
+A negative x whose |x| takes the fast path gets the text of |x| behind
+a "-", as %g rounds the magnitude alone: in a pass that holds one, the
+three words of those fields move up one byte, which a fast field, at
+most 18 bytes, has room for, and the "-" fills byte 0. Every other
+value goes through "%.12g" % v on its own and is patched into its
+field: 0, -0.0, subnormals, non-finite values, e outside [-11, 11], a
+y that is a half-integer and a mantissa that rounds up to 10**12, each
+with its sign. A None in an object column is an empty field.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ FIELD = 24  # bytes per field; the longest %.12g text is 19, plus the separator
 ROWS = 2048
 
 _U = np.dtype("<u8")  # little-endian words, whatever the machine's order
-_255, _56 = np.uint64(255), np.uint64(56)
+_255, _56, _8, _MINUS = np.uint64(255), np.uint64(56), np.uint64(8), np.uint64(ord("-"))
 
 # by exponent e - E_LO: the scale 10**(11 - e), the divisor 10**(8 - z)
 # and factor 10**z that split m * 10**z into 8-digit halves, the digit p
@@ -98,10 +102,12 @@ _TAIL = _tail.reshape(-1, FIELD).view(_U).T.reshape(3, 2, -1)
 del _ascii, _j, _significant, _z, _dot, _exponent, _kept, _length, _text, _tail, _a, _end
 
 
-def _fields(x: np.ndarray, newline: bool, words: np.ndarray) -> None:
-    """Fill row i of words with the "%.12g" text of x[i], then "\\n" if newline else ","."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # fmax and fmin map nan to a bound, so every index is valid
+def _fields(x: np.ndarray, newline: bool, words: np.ndarray, values=None) -> None:
+    """Fill row i of words with "%.12g" of x[i], then "\\n" if newline else
+    ","; a slow row formats values[i] (x[i] by default), and None as nothing."""
+    with np.errstate(all="ignore"):
+        # fmax and fmin map nan to a bound, so every index is valid, and
+        # a negative x, off the fast path here, may overflow in y
         at = (np.fmin(np.fmax(np.floor(np.log10(x)), E_LO), E_HI) - E_LO).astype(np.intp)
         y = x * _SCALE[at]
         m = np.rint(y)
@@ -129,15 +135,25 @@ def _fields(x: np.ndarray, newline: bool, words: np.ndarray) -> None:
     words[:, 0] = (left + moved_lo * _255) & _MASK[0][key] | tail[0][key]
     words[:, 1] = (right + moved_hi * _255 + (moved_lo >> _56)) & _MASK[1][key] | tail[1][key]
     words[:, 2] = (moved_hi >> _56) & _MASK[2][key] | tail[2][key]
-    for i in np.flatnonzero(~fast):
-        text = "%.12g" % x[i] + ("\n" if newline else ",")
+    slow = np.flatnonzero(~fast)
+    negative = slow[x[slow] < 0]
+    if len(negative):  # the words of |x| and a "-" below them
+        shifted = np.empty((len(negative), 3), dtype=_U)
+        _fields(-x[negative], newline, shifted)
+        words[negative, 0] = shifted[:, 0] << _8 | _MINUS
+        words[negative, 1:] = shifted[:, 1:] << _8 | shifted[:, :2] >> _56
+        slow = slow[~(x[slow] < 0)]
+    values = x if values is None else values
+    for i in slow:
+        text = ("" if values[i] is None else "%.12g" % values[i]) + ("\n" if newline else ",")
         words[i] = np.frombuffer(text.encode("ascii").ljust(FIELD, b"\0"), dtype=_U)
 
 
 def rows_g12(*columns) -> str:
     """The lines of "%.12g" fields, one per row of the equal-length
-    columns, joined by "," and ended by "\\n"."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    columns, joined by "," and ended by "\\n"; None is an empty field."""
+    values = [np.asarray(c) for c in columns]
+    columns = [v.astype(float, copy=False) for v in values]
     rows = len(columns[0])
     if any(len(c) != rows for c in columns):
         raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
@@ -146,6 +162,6 @@ def rows_g12(*columns) -> str:
     for r in range(0, rows, ROWS):
         block = words[:rows - r]
         for j, x in enumerate(columns):
-            _fields(x[r:r + ROWS], j == len(columns) - 1, block[:, j])
+            _fields(x[r:r + ROWS], j == len(columns) - 1, block[:, j], values[j][r:r + ROWS])
         text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(text)

@@ -663,6 +663,31 @@ def test_reproduce_makes_its_output_directory_with_parents(tmp_path, capsys):
         "fig4c_t_min_vs_J.csv", "fig4.gp")]
 
 
+@pytest.mark.parametrize("outdir, prefix", [
+    ("/", "/"), ("//", "//"), ("out", "out/"), ("out/", "out/"), (".", "./"), ("", "./")])
+def test_reproduce_joins_its_paths_to_the_output_directory(outdir, prefix, monkeypatch, capsys):
+    # the paths are recorded, and nothing is made or written
+    made, opened = [], []
+    monkeypatch.setattr(os, "makedirs", lambda path, exist_ok=False: made.append(path))
+
+    class Sink(io.StringIO):
+        def __init__(self, path, *args, **kwargs):
+            super().__init__()
+            opened.append(path)
+
+    monkeypatch.setattr(cli, "open", Sink, raising=False)
+    # fig4 with one short trace and two-point sweeps
+    monkeypatch.setitem(cli._FIGURES, "fig4", cli._FigureJob(
+        4, "open", "closed", ("0,1", "3,1"), (4.0,), 0.01, True))
+    monkeypatch.setattr(cli, "_SWEEP_GRID", "0.5:1:0.5")
+    code, out, err = run(["reproduce", "fig4", "--output-dir", outdir], capsys)
+    assert (code, err) == (0, "")
+    assert made == [outdir or "."]
+    assert opened == [prefix + name for name in (
+        "fig4a_gamma4.csv", "fig4b_tau_min_vs_gamma.csv", "fig4c_t_min_vs_J.csv", "fig4.gp")]
+    assert out.splitlines() == opened
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--gamma", "2", "--output", "{missing}/a.csv"],
     ["spectrum", "--gamma", "2", "--output", "{tmp}/a.csv", "--dump-matrix", "{missing}/H.txt"],
@@ -849,6 +874,50 @@ def test_evolve_csv_equals_percent_formatting_of_the_blocks(network, pair, flags
         start += len(chunk)
     # line lists, so that a failure names its first differing row
     assert out.read_bytes().split(b"\n") == "".join(text).encode("ascii").split(b"\n")
+
+
+def per_cell_lines(header: str, *columns) -> list[str]:
+    """The CSV lines of the columns made cell by cell: "%.12g" for a float,
+    str for an int and nothing for None."""
+    def cell(x):
+        return "" if x is None else "%.12g" % x if isinstance(x, float) else str(x)
+    return [header] + [",".join(map(cell, row)) for row in zip(*columns)] + [""]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dark", "sweep"])
+def test_table_csv_equals_per_cell_formatting(command, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    if command == "sweep":
+        argv = ["sweep", "--n", "4", "--site-bc", "open", "--channel-bc", "closed",
+                "--in", "0,1", "--out", "3,1", "--gamma-grid=-3:3:0.25"]
+        rows = scan.gamma_sweep(make_spec(4, "open", "closed", gamma=-3.0),
+                                (Node(0, 1), Node(3, 1)), parse_grid("-3:3:0.25"),
+                                scan.ScanConfig())
+        taus = [r.tau_min for r in rows]
+        assert None in taus and any(taus)  # no-event rows beside events
+        expected = per_cell_lines("gamma,tau_min", [r.parameter for r in rows], taus)
+    else:
+        # raw couplings, a negative J, with more groups than one block holds
+        network = ["--n", "1400", "--site-bc", "open", "--channel-bc", "open",
+                   "--J", "-1.7", "--L", "0.3"]
+        decomp = spectral.decompose(make_spec(1400, "open", "open", J=-1.7, L=0.3))
+        assert len(decomp) > cli.CHUNK
+        groups = range(len(decomp))
+        if command == "spectrum":
+            argv = ["spectrum", *network]
+            expected = per_cell_lines("group,eigenvalue,multiplicity", groups,
+                                      decomp.values.tolist(), decomp.multiplicities.tolist())
+        else:
+            argv = ["dark", *network, "--in", "0,1", "--out", "1399,2"]
+            report = transfer.transfer_report(decomp, Node(0, 1), Node(1399, 2))
+            assert -1 in report.signs and 0 in report.signs
+            expected = per_cell_lines("group,eigenvalue,overlap,sign", groups,
+                                      report.values.tolist(), report.overlaps.tolist(),
+                                      report.signs.tolist())
+    code, _, err = run([*argv, "--output", str(out)], capsys)
+    assert (code, err) == (0, "")
+    # line lists, so that a failure names its first differing row
+    assert out.read_text().split("\n") == expected
 
 
 def test_scan_with_a_node_off_the_network_writes_no_file(tmp_path, capsys):

@@ -117,3 +117,28 @@ def test_columns_of_unequal_length_are_refused():
         rows_g12(np.arange(3.0), np.arange(2.0))
     with pytest.raises(ValueError, match="equal lengths"):
         rows_g12(np.arange(ROWS + 1.0), np.arange(ROWS + 1.0), np.arange(ROWS + 2.0))
+
+
+def test_none_in_an_object_column_is_an_empty_field():
+    count = ROWS + 3
+    first = np.resize(np.array([None, 1.5, None, -2.0, 0.0], dtype=object), count)
+    absent = np.full(count, None, dtype=object)
+    nan = np.full(count, np.nan)
+    # first and last column, a column of None only, and nan beside them
+    expected = [",".join("" if v is None else "%.12g" % v for v in row)
+                for row in zip(first, nan, absent, first)]
+    assert rows_g12(first, nan, absent, first).split("\n") == expected + [""]
+    assert rows_g12(absent) == "\n" * count
+
+
+def test_signed_values_at_every_fast_exponent():
+    rng = np.random.default_rng(2211)
+    magnitudes = (rng.uniform(1.0, 10.0, (23, 40)) * 10.0 ** np.arange(-11, 12)[:, None]).ravel()
+    signed = np.concatenate([magnitudes, -magnitudes, -powers_of_ten(), -near_ties(rng),
+                             [-0.0, 0.0, -1.0, -1e-300, -np.inf]])
+    rng.shuffle(signed)
+    assert_lines_match_percent_g(signed)
+    assert_lines_match_percent_g(signed, -signed, signed[::-1])
+    # a pass without a sign beside passes with one
+    assert_lines_match_percent_g(np.concatenate([np.abs(signed[:ROWS]), signed]))
+    assert rows_g12(np.array([-0.0]), np.array([-1.0])) == "-0,-1\n"
