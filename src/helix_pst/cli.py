@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, evolve, pmax, dark, attain, scan, sweep,
 reproduce. Exit codes: 0 on success, 2 on usage or validation errors
-(an output that cannot be opened or written, a closed pipe on stdout
+(an output or stderr that cannot be opened or written, a closed pipe
 included), 1 on an internal numeric failure. NetworkSpec and ScanConfig
 refuse bad values when they are made; a ScanConfig refusal gets its
 flag's "--" here.
@@ -152,15 +152,16 @@ def _scan_config(args) -> ScanConfig:
 
 
 @contextmanager
-def _open_out(path: str):
-    """The stream of path, '-' for stdout, flushed or closed on leaving; an
+def _open_out(path: str, std: str = "stdout"):
+    """The stream of path, '-' for sys.<std>, flushed or closed on leaving; an
     OSError while it is opened, written, flushed or closed is a usage error."""
     try:
         if path == "-":
-            if sys.stdout is None:  # the process was started with stdout closed
+            stream = getattr(sys, std)
+            if stream is None:  # the process was started with it closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            yield sys.stdout
-            sys.stdout.flush()
+            yield stream
+            stream.flush()
         else:
             with open(path, "w", newline="") as fh:
                 yield fh
@@ -335,11 +336,11 @@ def _cmd_trace(args) -> int:
               for i, p in enumerate(chunks))
     label = "tau" if c.scaled else "t"
     _write_table(args, [label, "p"], blocks, {"profile": _rows(blocks), **extra})
-    if extra.get("pst_times"):
-        print("PST times: " + ", ".join("%.12g" % t for t in extra["pst_times"]), file=sys.stderr)
-    elif extra:
-        print("no PST event within the horizon", file=sys.stderr)
     _maybe_plot_script(args, label, "p")
+    if extra:  # after every file is written and closed
+        times = ", ".join("%.12g" % t for t in extra["pst_times"])
+        with _open_out("-", "stderr") as err:
+            err.write(f"PST times: {times}\n" if times else "no PST event within the horizon\n")
     return 0
 
 
@@ -551,22 +552,26 @@ def run_command(argv: list[str]) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        line, code = f"error: {exc}", 2
     except (FloatingPointError, ZeroDivisionError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
+        line, code = f"numeric failure: {exc}", 1
+    try:
+        with _open_out("-", "stderr") as err:
+            err.write(line + "\n")
+    except ValueError:  # stderr cannot take it either: a failed write, nowhere to say so
+        return 2
+    return code
 
 
 def main() -> None:
     code = run_command(sys.argv[1:])
-    try:
-        if sys.stdout is not None:  # see _open_out
-            sys.stdout.flush()
-    except OSError:
-        # a failed write is reported where it happened; what is left in the
-        # buffer goes to devnull, or the flush at exit would print it again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: see _open_out
+        try:
+            stream.flush()
+        except OSError:
+            # a failed write is reported where it happened; what is left in the
+            # buffer goes to devnull, or the flush at exit would print it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

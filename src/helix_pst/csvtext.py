@@ -5,8 +5,8 @@ rows_g12(*columns) returns the text that
     ("%.12g," * (k - 1) + "%.12g\\n") % row
 
 gives for every row of the k columns, rendered with numpy instead of
-one float at a time in Python: a pass formats ROWS rows of one column,
-its separator fixed, into that column's slots of a block of rows.
+one float at a time in Python: each column, its separator fixed, fills
+its slots of one block of words, and one translate drops the padding.
 
 Exactness. For a positive finite x take e = floor(log10 x) and
 y = fl(x * 10**(11 - e)). For 0 <= 11 - e <= 22, 10**(11 - e) is an
@@ -33,7 +33,7 @@ at a time and, by e and the last nonzero digit, the masks and the text
 behind the digits; every other step is one whole-array operation.
 
 A negative x whose |x| takes the fast path gets the text of |x| behind
-a "-", as %g rounds the magnitude alone: in a pass that holds one, the
+a "-", as %g rounds the magnitude alone: in a column that holds one, the
 three words of those fields move up one byte, which a fast field, at
 most 18 bytes, has room for, and the "-" fills byte 0. Every other
 value goes through "%.12g" % v on its own and is patched into its
@@ -48,9 +48,6 @@ import numpy as np
 
 E_LO, E_HI = -11, 11  # exponents of the fast path
 FIELD = 24  # bytes per field; the longest %.12g text is 19, plus the separator
-# rows per pass, measured: 1024 pays numpy's per-call cost twice as often;
-# with malloc's mmap threshold fixed, 4096 faults its freed blocks in again
-ROWS = 2048
 
 _U = np.dtype("<u8")  # little-endian words, whatever the machine's order
 _255, _56, _8, _MINUS = np.uint64(255), np.uint64(56), np.uint64(8), np.uint64(ord("-"))
@@ -153,15 +150,10 @@ def rows_g12(*columns) -> str:
     """The lines of "%.12g" fields, one per row of the equal-length
     columns, joined by "," and ended by "\\n"; None is an empty field."""
     values = [np.asarray(c) for c in columns]
-    columns = [v.astype(float, copy=False) for v in values]
-    rows = len(columns[0])
-    if any(len(c) != rows for c in columns):
-        raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
-    words = np.empty((min(rows, ROWS), len(columns), 3), dtype=_U)
-    text = []
-    for r in range(0, rows, ROWS):
-        block = words[:rows - r]
-        for j, x in enumerate(columns):
-            _fields(x[r:r + ROWS], j == len(columns) - 1, block[:, j], values[j][r:r + ROWS])
-        text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(text)
+    rows = len(values[0])
+    if any(len(v) != rows for v in values):
+        raise ValueError(f"columns must have equal lengths, got {[len(v) for v in values]}")
+    words = np.empty((rows, len(values), 3), dtype=_U)
+    for j, v in enumerate(values):
+        _fields(v.astype(float, copy=False), j == len(values) - 1, words[:, j], v)
+    return words.tobytes().translate(None, b"\0").decode("ascii")

@@ -271,11 +271,12 @@ def _root(x: float) -> float:
     return math.sqrt(max(1.0 - x, 0.0))
 
 
-def _step_for(w2: float, epsilon: float, extent: float = math.inf) -> float:
-    """The certified step at curvature bound W2, at most max(extent, 1), so a
-    pass over [0, extent] of a constant |A| (W2 = 0) takes one or two samples."""
+def _step_for(w2, epsilon: float, extent=math.inf) -> np.ndarray:
+    """The certified steps at curvature bounds W2, 0 at an inf W2, at most
+    max(extent, 1): a pass over [0, extent] of a constant |A| takes 1 or 2 samples."""
     gap = _root(epsilon) - _root(2.0 * epsilon)
-    return min(math.sqrt(8.0 * gap / w2) if w2 > 0.0 else math.inf, max(extent, 1.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.fmin(np.sqrt(8.0 * gap / np.asarray(w2, dtype=float)), np.maximum(extent, 1.0))
 
 
 def _spread(factor) -> tuple[float, float]:
@@ -358,10 +359,11 @@ def _steps(site, chan, grid, cfg: ScanConfig) -> tuple[list[tuple], np.ndarray]:
     where its W2 overflows, W2(g) from |g| about 1e154 on."""
     (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
     end = cfg.horizon + cfg.coarse_step
-    passes = [(f, w2, x, _step_for(w2, cfg.epsilon, x)) for f, w2, x in
-              ((site, w2_site, max(map(abs, grid), default=0.0) * end), (chan, w2_chan, end))]
-    rows = [x * x * w2_site * sum_q + w2_chan * sum_w for x in grid]  # W2(g)
-    return passes, np.array([min(cfg.coarse_step, _step_for(w2, cfg.epsilon)) for w2 in rows])
+    w2, extent = [w2_site, w2_chan], [max(map(abs, grid), default=0.0) * end, end]
+    passes = list(zip((site, chan), w2, extent, _step_for(w2, cfg.epsilon, extent).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # W2(g)
+        rows = np.square(grid, dtype=float) * w2_site * sum_q + w2_chan * sum_w
+    return passes, np.fmin(cfg.coarse_step, _step_for(rows, cfg.epsilon))
 
 
 def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[float, float, list]]:

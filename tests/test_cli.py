@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -736,6 +737,58 @@ def test_a_stdout_whose_reader_is_gone_is_a_usage_error(command, capsys, monkeyp
     monkeypatch.setattr(sys, "stdout", None)
     code, _, err = run([command, *_RING8_PAIR], capsys)
     assert (code, err) == (2, f"error: cannot write -: {os.strerror(errno.EBADF)}\n")
+
+
+def run_fresh(argv, stderr, shell: str = '"$@"') -> subprocess.CompletedProcess:
+    """argv through the module's main() in a fresh process, run by a shell
+    line on "$@", its stdout captured and its stderr the given file."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run(["sh", "-c", f"exec {shell}", "sh", sys.executable, "-m",
+                           "helix_pst.cli", *argv], stdout=subprocess.PIPE, stderr=stderr,
+                          env=env, timeout=120, check=False)
+
+
+_SCAN_P4 = ["scan", "--n", "4", "--site-bc", "open", "--channel-bc", "open", "--J", "1",
+            "--L", "0", "--in", "0,1", "--out", "3,1", "--horizon", "10"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("stderr", ["full", "closed", "pipe"])
+def test_a_stderr_that_cannot_take_the_scan_summary_exits_2(stderr, tmp_path, capsys):
+    # the summary comes after the table is written: the file is whole
+    code, _, err = run([*_SCAN_P4, "--output", str(tmp_path / "want.csv")], capsys)
+    assert (code, err) == (0, "no PST event within the horizon\n")
+    out = tmp_path / "scan.csv"
+    argv = [*_SCAN_P4, "--output", str(out)]
+    if stderr == "full":
+        with open("/dev/full", "w") as full:
+            proc = run_fresh(argv, full)
+    elif stderr == "closed":
+        proc = run_fresh(argv, None, '"$@" 2>&-')
+    else:  # a pipe whose reader is gone
+        read, write = os.pipe()
+        os.close(read)
+        proc = run_fresh(argv, write)
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_stderr_closed_from_the_start_exits_2(tmp_path, capsys, monkeypatch):
+    # such a process may have sys.stderr None, where print would pick stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run_command([*_SCAN_P4, "--output", str(tmp_path / "scan.csv")]) == 2
+    assert run_command(["pmax", *_RING8_PAIR[:-1], "9,1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert len((tmp_path / "scan.csv").read_text().splitlines()) == 2002
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_refusal_whose_error_line_cannot_be_written_exits_2():
+    argv = ["pmax", *_RING8_PAIR[:-1], "9,1"]  # the node is off the ring
+    with open("/dev/full", "w") as full:
+        proc = run_fresh(argv, full)
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 def test_a_dump_matrix_beyond_the_point_limit_opens_no_file(tmp_path, capsys, monkeypatch):
