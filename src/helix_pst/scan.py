@@ -62,22 +62,25 @@ streams: a W2 that overflows certifies no step, and a g or grid point
 count that is not finite no grid.
 
 Lockstep. The rows of a sweep are searched together, in groups whose
-windows fit BLOCK_TERMS (all rows of a figure sweep). One _intersect
-call gives every row's windows as index ranges on its own grid. On one
-slot axis each row then holds three -inf, its first range, -inf, its
-next range, ..., -inf, and _lockstep reads the slots of every unsettled
-row in blocks, each one rectangular (rows x (2 + n)) array: a row's last
-two values, carried from its previous block, then its next n slots,
-those past its end -inf. The slot of each entry gives its grid index,
-and one mask over the block gives its candidates. A block takes at most
-BLOCK_TERMS points x terms, terms = len(site) + len(chan), and n is at
-most ROOT at first, twice as many in each later block, so a first event
-found early ends its row early. One vectorised _golden pass refines all
-of a block's candidates, each from its own bracket alone, and the
-results are then taken in row and index order: each is kept, merged
-with its row's last event or, with first_only, dropped once its row has
-settled. A row settles, and drops out of later blocks, once its first
-time can no longer change.
+windows, at most len(s0) + len(c0) a row, and terms, len(site) +
+len(chan) a row, each fit BLOCK_TERMS (all rows of a figure sweep). One
+_intersect call gives a group's windows as index ranges on each row's
+own grid. On one slot axis each range's points are followed by a -inf,
+and _lockstep reads the slots of every unsettled row in blocks, each one
+rectangular (rows x (2 + n)) array: a row's last two values, carried
+from its previous block (-inf at first), then its next n slots from the
+-inf before its first range on, those past its end -inf. The slot of
+each entry gives its grid index, and one mask over the block gives its
+candidates. n is at most ROOT at first and twice as many in each later
+block, so a first event found early ends its row early, and at most
+BLOCK_TERMS // (terms x rows), at least 1: a block, and each call of
+the golden pass over its candidates, takes at most BLOCK_TERMS points x
+terms, or a point when terms exceed it. One vectorised _golden pass
+refines all of a block's candidates, each from its own bracket alone,
+and the results are then taken in row and index order: each is kept,
+merged with its row's last event or, with first_only, dropped once its
+row has settled. A row settles, and drops out of later blocks, once its
+first time can no longer change.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ def _golden(p_of, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
     its (t, p). a and b are overwritten."""
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
-    f1, f2 = np.split(p_of(np.tile(rows, 2), np.concatenate((x1, x2))), 2)
+    f1, f2 = p_of(rows, x1), p_of(rows, x2)
     live = np.flatnonzero(b - a > REFINE_XTOL)
     for _ in range(REFINE_ITERS):
         if not len(live):
@@ -153,7 +156,7 @@ def _golden(p_of, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
         f2[u], f1[d] = f[:len(u)], f[len(u):]
         live = live[b[live] - a[live] > REFINE_XTOL]
     t = np.array([(a + b) / 2.0, a, b])
-    p = p_of(np.tile(rows, 3), t.ravel()).reshape(3, -1)
+    p = np.array([p_of(rows, x) for x in t])
     best = np.argmax(p, axis=0), np.arange(len(rows))
     return t[best], p[best]
 
@@ -170,14 +173,6 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
     times: list[list[float]] = [[] for _ in steps]
     probs: list[list[float]] = [[] for _ in steps]
     done = np.zeros(len(steps), dtype=bool)
-    width = max(1, BLOCK_TERMS // terms)
-
-    def p_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # p_of over at most BLOCK_TERMS points x terms at a time
-        if len(t) <= width:
-            return p_of(rows, t)
-        return np.concatenate([p_of(rows[k:k + width], t[k:k + width])
-                               for k in range(0, len(t), width)])
 
     def settled(r: int, a: float) -> bool:
         # a candidate of row r whose bracket starts at a can neither merge
@@ -185,17 +180,16 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
         t = times[r]
         return first_only and bool(t) and (len(t) > 1 or a > t[0] + steps[r])
 
-    # slots: each range's points and a -inf, three -inf before each row so
-    # that the values a row's first block carries are its own -inf
+    # slots: each range's points, then a -inf
     size = hi - lo + 1
     opens = np.diff(row, prepend=-1) != 0  # a row's first range
-    ends = np.cumsum(size + 1 + 3 * opens)
+    ends = np.cumsum(size + 1)
     first = ends - size - 1  # the slot of each range's first point
     pos, stop = np.zeros((2, len(steps)), dtype=int)
-    pos[row[opens]] = first[opens] - 1  # a row starts on its last -inf
+    pos[row[opens]] = first[opens] - 1  # a row starts on the -inf before it
     closes = np.roll(opens, -1)
     stop[row[closes]] = ends[closes]  # and ends after its last range
-    tails = np.full((len(steps), 2), -np.inf)  # each row's last two values
+    tails = np.full((len(steps), 2), -np.inf)  # each row's last two values, -inf at first
     reach = ROOT
     while len(act := np.flatnonzero(~done & (pos < stop))):
         n = max(1, min(reach, BLOCK_TERMS // (terms * len(act))))
@@ -205,12 +199,12 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
         slot = pos[act, None] + np.arange(-2, n)
         j = np.maximum(np.searchsorted(first, slot, side="right") - 1, 0)
         at = lo[j] + slot - first[j]
-        real = (slot >= first[j]) & (at <= hi[j]) & (slot < stop[act, None])
+        fresh = (slot >= first[j]) & (at <= hi[j]) & (slot < stop[act, None])
+        fresh[:, :2] = False
         w = np.full(slot.shape, -np.inf)
         w[:, :2] = tails[act]
-        fresh = real & (np.arange(n + 2) >= 2)
         rows = np.broadcast_to(act[:, None], slot.shape)
-        w[fresh] = p_at(rows[fresh], (h[act, None] * at)[fresh])
+        w[fresh] = p_of(rows[fresh], (h[act, None] * at)[fresh])
         # a row's first slot in the block is no candidate, its last not yet
         mid = w[:, 1:-1]
         c = (mid > thr) & (mid > w[:, :-2]) & (mid >= w[:, 2:])
@@ -218,7 +212,7 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
         if len(rs):
             # every candidate in one pass, then each in row and index order
             a, b = i * h[rs] - h[rs], i * h[rs] + h[rs]
-            found = _golden(p_at, rs, np.maximum(a, 0.0), np.minimum(b, cfg.horizon))
+            found = _golden(p_of, rs, np.maximum(a, 0.0), np.minimum(b, cfg.horizon))
             for r, start, t, p in zip(rs.tolist(), a.tolist(), *(x.tolist() for x in found)):
                 if done[r] or settled(r, start):
                     done[r] = True
@@ -232,7 +226,7 @@ def _lockstep(p_of, row, lo, hi, h: np.ndarray, cfg: ScanConfig, first_only: boo
         tails[act] = w[:, -2:]
         pos[act] += n
         # no later candidate of a row comes before the last point it read
-        for r, i in zip(act.tolist(), np.where(real, at, -1).max(axis=1).tolist()):
+        for r, i in zip(act.tolist(), np.where(fresh, at, -1).max(axis=1).tolist()):
             if i >= 0 and settled(r, i * steps[r] - steps[r]):
                 done[r] = True
     return times
@@ -328,8 +322,6 @@ def _row_ranges(s0, s1, c0, c1, scale, h, count) -> tuple[np.ndarray, np.ndarray
     """(row, lo, hi): the index ranges on each row's grid of W_chan
     intersected with W_site / scale_row, sorted by row, then ascending and
     not adjacent; one _intersect call serves every row."""
-    if not len(s0):
-        return (np.empty(0, dtype=int),) * 3
     # a subnormal |g| may overflow a start to inf: a window never reached
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a0, a1 = s0 / scale[:, None], s1 / scale[:, None]
@@ -386,9 +378,10 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
     c0, c1 = _windows(*chan_pass, cfg.epsilon)
     s0, s1 = _windows(*site_pass, cfg.epsilon) if len(c0) else (c0, c1)
     count = np.array([grid_count(cfg.horizon, x) for x in h.tolist()], dtype=int)
-    # rows go together as far as their windows fit BLOCK_TERMS: a row's
-    # site windows, and its intersections, at most len(s0) + len(c0)
-    group = max(1, BLOCK_TERMS // max(len(s0) + len(c0), 1))
+    # rows go together as far as their windows, at most len(s0) + len(c0)
+    # a row, and their terms, a point of each in a block, fit BLOCK_TERMS
+    terms = len(site[0]) + len(chan[0])
+    group = max(1, BLOCK_TERMS // max(len(s0) + len(c0), terms))
     times: list[list[float]] = []
     for at in range(0, len(g), group):
         part = slice(at, at + group)
@@ -398,7 +391,7 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
                     * probability_at(chan[1], chan[0], t))
 
         times += _lockstep(p_of, *_row_ranges(s0, s1, c0, c1, scale[part], h[part], count[part]),
-                           h[part], cfg, first_only, len(site[0]) + len(chan[0]))
+                           h[part], cfg, first_only, terms)
     return list(zip(g.tolist(), h.tolist(), times))
 
 

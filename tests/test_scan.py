@@ -349,29 +349,54 @@ def test_fig2_sweep_makes_a_bounded_number_of_evaluator_calls(kind, monkeypatch)
                 else make_spec(N, site, channel, J=1.0, L=0.0))
     rows = gamma_sweep(template, pair, grid, ScanConfig())
     assert sum(r.tau_min is not None for r in rows) > 100
-    # a pass at brackets of 2 h <= 0.01 takes 1 + 20 + 1 calls, a block one
+    # a pass at brackets of 2 h <= 0.01 takes 2 + 20 + 3 calls, a block one
     assert 1 <= len(passes) <= 3 and len(calls) <= 100
 
 
 @pytest.mark.parametrize("fig", ["fig2", "fig4"])
 def test_sweep_rows_do_not_depend_on_the_block_budget(fig, monkeypatch):
     # a budget of 64 points x terms takes one row per group and a few
-    # points of it per block, so candidates meet block and group edges
+    # points of it per block, so candidates meet block and group edges;
+    # fig2 at gamma 3 adds a search for all of its 6 events
     N, site, channel, pair = FIGURES[fig]
     template = make_spec(N, site, channel, gamma=1.0)
     raw = make_spec(N, site, channel, J=1.0, L=0.0)
     grid = parse_grid("0.5:20:0.25")
+    fig2 = make_spec(*FIGURES["fig2"][:3], gamma=3.0)
 
     def sweeps():
         return (gamma_sweep(template, pair, grid, ScanConfig()),
-                gamma_sweep(raw, pair, grid, ScanConfig()))
+                gamma_sweep(raw, pair, grid, ScanConfig()),
+                find_pst_times(fig2, *PAIR8, ScanConfig(epsilon=0.01)))
 
     want = sweeps()
     points = count_range_points(monkeypatch)
     monkeypatch.setattr(scan, "BLOCK_TERMS", 64)
     assert sweeps() == want
     assert max(points) <= 64
-    assert sum(r.tau_min is not None for rows in want for r in rows) > 50
+    assert sum(r.tau_min is not None for rows in want[:2] for r in rows) > 50
+    assert len(want[2]) == 6 and want[2][0] == pytest.approx(12.5762, abs=1e-4)
+
+
+def test_large_n_sweep_evaluations_stay_within_the_block_budget(monkeypatch):
+    # N=2e4 open/open onto itself: 20 003 terms per row against 47
+    # windows, so terms size the row groups, 3 rows each, and every
+    # evaluation, of a block or a golden step, takes at most 3 points
+    template = make_spec(20000, "open", "open", gamma=1.0)
+    pair = (Node(0, 1), Node(0, 1))
+    (sigma, _), (c, _) = pair_factors(template, *pair)
+    width = max(1, scan.BLOCK_TERMS // (len(sigma) + len(c)))
+    sizes: list[int] = []
+    real = scan.probability_at
+
+    def spy(overlaps, values, t):
+        sizes.append(np.size(t))
+        return real(overlaps, values, t)
+
+    monkeypatch.setattr(scan, "probability_at", spy)
+    rows = gamma_sweep(template, pair, parse_grid("0.5:5:0.5"), ScanConfig())
+    assert len(rows) == 10 and sizes and max(sizes) <= width
+    assert [r.tau_min for r in rows] == [0.0] * 10
 
 
 @pytest.mark.parametrize("fig", list(FIGURES))
@@ -931,8 +956,8 @@ def test_large_gamma_sweep_memory_stays_within_the_block_budget():
             tracemalloc.stop()
         # an evaluation holds at most BLOCK_TERMS points x terms: values,
         # their products with t and the complex phases, 2 MiB in all; the
-        # golden pass's last call, three points of every row at once, would
-        # take 1173 x 153 x 32 B, 5.5 MiB
+        # golden pass reads its last three points of every row in three
+        # calls, as one call would take 1173 x 153 x 32 B, 5.5 MiB
         assert peak < 4 << 20, pair
     assert [r.tau_min for r in rows] == pytest.approx([0.0] * len(grid), abs=REFINE_XTOL)
 
