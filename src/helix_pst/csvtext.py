@@ -32,14 +32,14 @@ it, the exponent and the separator. Tables give the ASCII digits four
 at a time and, by e and the last nonzero digit, the masks and the text
 behind the digits; every other step is one whole-array operation.
 
-A negative x whose |x| takes the fast path gets the text of |x| behind
-a "-", as %g rounds the magnitude alone: in a column that holds one, the
-three words of those fields move up one byte, which a fast field, at
-most 18 bytes, has room for, and the "-" fills byte 0. Every other
-value goes through "%.12g" % v on its own and is patched into its
-field: 0, -0.0, subnormals, non-finite values, e outside [-11, 11], a
-y that is a half-integer and a mantissa that rounds up to 10**12, each
-with its sign. A None in an object column is an empty field.
+Each field is built from |x|, as %g rounds the magnitude alone; then
+the three words of each negative x's field move up one byte, which a
+fast field, at most 18 bytes, has room for, and a "-" fills byte 0.
+Every value off the fast path, of either sign, is "%.12g" % v, and a
+column's slow fields are patched in one batch: 0, -0.0, subnormals,
+non-finite values, e outside [-11, 11], a y that is a half-integer and
+a mantissa that rounds up to 10**12. None in an object column is an
+empty field.
 """
 
 from __future__ import annotations
@@ -99,14 +99,14 @@ _TAIL = _tail.reshape(-1, FIELD).view(_U).T.reshape(3, 2, -1)
 del _ascii, _j, _significant, _z, _dot, _exponent, _kept, _length, _text, _tail, _a, _end
 
 
-def _fields(x: np.ndarray, newline: bool, words: np.ndarray, values=None) -> None:
-    """Fill row i of words with "%.12g" of x[i], then "\\n" if newline else
-    ","; a slow row formats values[i] (x[i] by default), and None as nothing."""
+def _fields(x: np.ndarray, newline: bool, words: np.ndarray, values) -> None:
+    """Fill row i of words with "%.12g" of x[i], |x[i]|'s text behind a "-" if
+    negative, then "\\n" if newline else ","; a slow row formats values[i], None as ""."""
     with np.errstate(all="ignore"):
-        # fmax and fmin map nan to a bound, so every index is valid, and
-        # a negative x, off the fast path here, may overflow in y
-        at = (np.fmin(np.fmax(np.floor(np.log10(x)), E_LO), E_HI) - E_LO).astype(np.intp)
-        y = x * _SCALE[at]
+        magnitude = np.abs(x)
+        # fmax and fmin map nan to a bound, so every index is valid
+        at = (np.fmin(np.fmax(np.floor(np.log10(magnitude)), E_LO), E_HI) - E_LO).astype(np.intp)
+        y = magnitude * _SCALE[at]
         m = np.rint(y)
         fast = (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5)
     m = np.fmin(np.fmax(m, 1e11), 1e12 - 1)  # any in-range m for the others
@@ -132,18 +132,16 @@ def _fields(x: np.ndarray, newline: bool, words: np.ndarray, values=None) -> Non
     words[:, 0] = (left + moved_lo * _255) & _MASK[0][key] | tail[0][key]
     words[:, 1] = (right + moved_hi * _255 + (moved_lo >> _56)) & _MASK[1][key] | tail[1][key]
     words[:, 2] = (moved_hi >> _56) & _MASK[2][key] | tail[2][key]
+    negative = np.flatnonzero(x < 0)
+    if len(negative):  # the words of |x| move up one byte, high ones first
+        words[negative, 1:] = words[negative, 1:] << _8 | words[negative, :2] >> _56
+        words[negative, 0] = words[negative, 0] << _8 | _MINUS
     slow = np.flatnonzero(~fast)
-    negative = slow[x[slow] < 0]
-    if len(negative):  # the words of |x| and a "-" below them
-        shifted = np.empty((len(negative), 3), dtype=_U)
-        _fields(-x[negative], newline, shifted)
-        words[negative, 0] = shifted[:, 0] << _8 | _MINUS
-        words[negative, 1:] = shifted[:, 1:] << _8 | shifted[:, :2] >> _56
-        slow = slow[~(x[slow] < 0)]
-    values = x if values is None else values
-    for i in slow:
-        text = ("" if values[i] is None else "%.12g" % values[i]) + ("\n" if newline else ",")
-        words[i] = np.frombuffer(text.encode("ascii").ljust(FIELD, b"\0"), dtype=_U)
+    if len(slow):  # every other field, negatives too, from "%.12g" itself
+        end = "\n" if newline else ","
+        text = "".join((("" if v is None else "%.12g" % v) + end).ljust(FIELD, "\0")
+                       for v in values[slow].tolist())
+        words[slow] = np.frombuffer(text.encode("ascii"), dtype=_U).reshape(-1, 3)
 
 
 def rows_g12(*columns) -> str:

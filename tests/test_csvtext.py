@@ -146,3 +146,12 @@ def test_signed_values_at_every_fast_exponent():
     # a run of unsigned rows ahead of signed ones
     assert_lines_match_percent_g(np.concatenate([np.abs(signed[:ROWS]), signed]))
     assert rows_g12(np.array([-0.0]), np.array([-1.0])) == "-0,-1\n"
+    # int64 columns, as the command line passes group, multiplicity and
+    # sign: each cell is "%.12g" of the numpy int, and +-(10**12 + 7),
+    # off the fast path, reaches it as a Python int
+    count = len(signed)
+    signs = np.resize(np.array([-1, 0, 1], dtype=np.int64), count)
+    groups = 2 * ROWS - count // 2 + np.arange(count, dtype=np.int64)  # across a 4096-row block
+    big = np.resize(np.array([10 ** 12 + 7, -(10 ** 12 + 7), 7], dtype=np.int64), count)
+    expected = [",".join("%.12g" % v for v in row) for row in zip(signed, signs, groups, big)]
+    assert rows_g12(signed, signs, groups, big).split("\n") == expected + [""]
