@@ -25,7 +25,7 @@ from .core import (
 )
 from .hamiltonian import CouplingKind, build_hamiltonian, dump_matrix, neighbors
 from .scan import ScanConfig, SweepRow, find_pst_times, gamma_sweep, tau_min
-from .spectral import SpectralDecomposition, decompose
+from .spectral import Factor, SpectralDecomposition, decompose
 from .transfer import (
     TransferReport,
     grid_count,
@@ -44,6 +44,7 @@ __all__ = [
     "Constraints",
     "CouplingKind",
     "CouplingParams",
+    "Factor",
     "NetworkSpec",
     "Node",
     "ScanConfig",

@@ -3,7 +3,7 @@
 One search serves find_pst_times, tau_min and gamma_sweep. The network
 is a Cartesian product, so a pair's amplitude is A(t) = A_site(g t)
 A_chan(t), both factors at most 1 in modulus (Christandl et al., PRL
-92, 187902, 2004). The search reads the factors of
+92, 187902, 2004). The search reads the two Factors of
 spectral.pair_factors, as the CLI traces do: the site factor in units
 of g = J_eff, the channel factor scaled by L_eff; in scaled units t is
 tau and g is gamma, and on a raw L = 0 network g is J and the channel
@@ -56,10 +56,10 @@ and scans each g only in W_chan intersected with W_site / |g|, at
 h_g = min(coarse_step, _step_for(W2(g))), W2(g) = g^2 W2_site sum|q| +
 W2_chan sum|w|, the W2 of the product's terms. That W2(g) grows as g^2
 is why a fixed step misses events at high gamma. _steps gives both
-passes' steps and every h_g from one _spread per factor, and pass_points
-reads it at the largest |g|. A search is refused before either pass
-streams: a W2 that overflows certifies no step, and a g or grid point
-count that is not finite no grid.
+passes' steps and every h_g from each Factor's one cached spread, W2
+and sum|w|, and pass_points reads it at the largest |g|. A search is
+refused before either pass streams: a W2 that overflows certifies no
+step, and a g or grid point count that is not finite no grid.
 
 Lockstep. The rows of a sweep are searched together, in groups whose
 windows, at most len(s0) + len(c0) a row, and terms, len(site) +
@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NetworkSpec, Node
-from .spectral import pair_factors
+from .spectral import Factor, pair_factors
 from .transfer import CHUNK, ROOT, grid_count, probability_at, probability_chunks
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -273,16 +273,6 @@ def _step_for(w2, epsilon: float, extent=math.inf) -> np.ndarray:
         return np.fmin(np.sqrt(8.0 * gap / np.asarray(w2, dtype=float)), np.maximum(extent, 1.0))
 
 
-def _spread(factor) -> tuple[float, float]:
-    """W2 about the |w|-weighted mean, and sum |w|, of a factor (values, weights)."""
-    values, weights = factor
-    a = np.abs(weights)
-    total = float(a.sum())
-    c = a @ values / total if total else 0.0
-    with np.errstate(over="ignore"):  # an inf W2 certifies no step (_step_for gives 0)
-        return float(a @ (values - c) ** 2), total
-
-
 def _merge(lo: np.ndarray, hi: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
     """Runs [lo_k, hi_k], both ascending, joined across gaps of at most gap."""
     new = np.ones(len(lo), dtype=bool)
@@ -290,14 +280,14 @@ def _merge(lo: np.ndarray, hi: np.ndarray, gap: int) -> tuple[np.ndarray, np.nda
     return lo[new], hi[np.concatenate((new[1:], new[:1]))]
 
 
-def _windows(factor, w2, extent, h, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, disjoint windows (starts, ends) of a W2 factor's pass over [0, extent] at step h."""
-    values, weights = factor
+def _windows(factor: Factor, extent, h, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint windows (starts, ends) of a factor's pass over [0, extent] at step h."""
     count = math.ceil(extent / h) + 1
+    values = factor.values
     r = 8 * np.finfo(float).eps * (np.abs(values).max(initial=0) * count * h + len(values) + ROOT)
-    floor = _root(2.0 * epsilon) - w2 * h * h / 8 - 4 * r
+    floor = _root(2.0 * epsilon) - factor.spread[0] * h * h / 8 - 4 * r
     runs = [(np.empty(0, dtype=int),) * 2]
-    for at, chunk in zip(range(0, count, CHUNK), probability_chunks(weights, values, h, count)):
+    for at, chunk in zip(range(0, count, CHUNK), probability_chunks(factor, h, count)):
         # sqrt(p) >= floor, true of every sample when floor <= 0
         flagged = np.flatnonzero(chunk >= floor * abs(floor)) + at
         if len(flagged):  # most blocks of a pass flag nothing
@@ -343,24 +333,25 @@ def _row_ranges(s0, s1, c0, c1, scale, h, count) -> tuple[np.ndarray, np.ndarray
     return row, lo - base[row], hi - base[row]
 
 
-def _steps(site, chan, grid, cfg: ScanConfig) -> tuple[list[tuple], np.ndarray]:
-    """The site and channel passes (factor, W2, extent, step) of a search
+def _steps(site: Factor, chan: Factor, grid, cfg: ScanConfig) -> tuple[list[tuple], np.ndarray]:
+    """The site and channel passes (factor, extent, step) of a search
     over the g of grid, [0, max|g| end] and [0, end] at their certified
     steps, end = horizon + coarse_step, past a row grid's last point; and
     the row steps h_g = min(coarse_step, _step_for(W2(g))). A step is 0
     where its W2 overflows, W2(g) from |g| about 1e154 on."""
-    (w2_site, sum_w), (w2_chan, sum_q) = _spread(site), _spread(chan)
+    (w2_site, sum_w), (w2_chan, sum_q) = site.spread, chan.spread
     end = cfg.horizon + cfg.coarse_step
     w2, extent = [w2_site, w2_chan], [max(map(abs, grid), default=0.0) * end, end]
-    passes = list(zip((site, chan), w2, extent, _step_for(w2, cfg.epsilon, extent).tolist()))
+    passes = list(zip((site, chan), extent, _step_for(w2, cfg.epsilon, extent).tolist()))
     with np.errstate(over="ignore", invalid="ignore"):  # W2(g)
         rows = np.square(grid, dtype=float) * w2_site * sum_q + w2_chan * sum_w
     return passes, np.fmin(cfg.coarse_step, _step_for(rows, cfg.epsilon))
 
 
-def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[float, float, list]]:
-    """(g, step, PST times) of p_site(g tau) p_chan(tau), factors (values,
-    weights), per g of grid; with first_only, only the first time is final."""
+def _sweep(site: Factor, chan: Factor, grid, cfg: ScanConfig,
+           first_only: bool) -> list[tuple[float, float, list]]:
+    """(g, step, PST times) of p_site(g tau) p_chan(tau) per g of grid;
+    with first_only, only the first time is final."""
     g = np.array([float(x) for x in grid])
     scale = np.abs(g)
     # every refusal comes before either factor pass streams
@@ -380,15 +371,14 @@ def _sweep(site, chan, grid, cfg: ScanConfig, first_only: bool) -> list[tuple[fl
     count = np.array([grid_count(cfg.horizon, x) for x in h.tolist()], dtype=int)
     # rows go together as far as their windows, at most len(s0) + len(c0)
     # a row, and their terms, a point of each in a block, fit BLOCK_TERMS
-    terms = len(site[0]) + len(chan[0])
+    terms = len(site.values) + len(chan.values)
     group = max(1, BLOCK_TERMS // max(len(s0) + len(c0), terms))
     times: list[list[float]] = []
     for at in range(0, len(g), group):
         part = slice(at, at + group)
 
         def p_of(rows: np.ndarray, t: np.ndarray, s=scale[part]) -> np.ndarray:
-            return (probability_at(site[1], site[0], s[rows] * t)
-                    * probability_at(chan[1], chan[0], t))
+            return probability_at(site, s[rows] * t) * probability_at(chan, t)
 
         times += _lockstep(p_of, *_row_ranges(s0, s1, c0, c1, scale[part], h[part], count[part]),
                            h[part], cfg, first_only, terms)

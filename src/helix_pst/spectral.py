@@ -38,7 +38,7 @@ spectral radius allows: near a path's band edge they lie about
 A group is then its value, its multiplicity and its smallest sorted
 value: the spectrum, and nothing per mode. The overlap of a node pair
 with group k, <in| P_k |out>, is the sum of the terms w_i q_a of the
-pair's two factors (pair_factors) whose eigenvalue J sigma_i + L c_a
+pair's two Factors (pair_factors) whose eigenvalue J sigma_i + L c_a
 lies in the group. That eigenvalue is bit for bit one of the values
 decompose sorted, so one search over the groups' smallest values
 places every term exactly: O(N log N) time and O(N) memory per pair,
@@ -50,6 +50,7 @@ time domain reads pair_factors alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,23 @@ class SpectralDecomposition:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+@dataclass(frozen=True, eq=False)  # generated == and hash fail on arrays
+class Factor:
+    """sum_k w_k exp(-i v_k t): one factor of a pair's amplitude, or a grouped sum."""
+
+    values: np.ndarray  # v_k
+    weights: np.ndarray  # w_k, one per value
+
+    @cached_property
+    def spread(self) -> tuple[float, float]:
+        """W2 = sum_k |w_k| (v_k - c)^2 about the |w|-weighted mean c, and sum |w|."""
+        a = np.abs(self.weights)
+        total = float(a.sum())
+        c = a @ self.values / total if total else 0.0
+        with np.errstate(over="ignore"):  # an inf W2 certifies no step (scan._step_for gives 0)
+            return float(a @ (self.values - c) ** 2), total
 
 
 def _chain_values(size: int, closed: bool) -> np.ndarray:
@@ -115,7 +133,7 @@ def decompose(spec: NetworkSpec) -> SpectralDecomposition:
     return SpectralDecomposition(group_values, mult, tol, values[starts], spec)
 
 
-def _folded(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _folded(values: np.ndarray, weights: np.ndarray) -> Factor:
     """Equal values merged, ascending, with their weights summed in index
     order; zero sums dropped."""
     order = np.argsort(values, kind="stable")
@@ -123,29 +141,27 @@ def _folded(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nda
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     weights = np.add.reduceat(weights[order], starts)
     keep = weights != 0.0
-    return values[starts][keep], weights[keep]
+    return Factor(values[starts][keep], weights[keep])
 
 
-def pair_factors(
-    spec: NetworkSpec, input: Node, output: Node
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(values, weights) of the pair's site factor, in units of J_eff, and
-    of its channel factor, folded, then scaled by L_eff: the amplitude is
-    sum_i w_i exp(-i J_eff sigma_i t) times sum_a q_a exp(-i L_eff c_a t),
-    at most N and 3 terms; at L = 0 the channel factor is delta_{alpha beta}."""
+def pair_factors(spec: NetworkSpec, input: Node, output: Node) -> tuple[Factor, Factor]:
+    """The pair's site factor, in units of J_eff, and its channel factor,
+    folded, then scaled by L_eff: the amplitude is sum_i w_i exp(-i J_eff
+    sigma_i t) times sum_a q_a exp(-i L_eff c_a t), at most N and 3 terms;
+    at L = 0 the channel factor is delta_{alpha beta}."""
     site, chan = spec.chains
     flat_index(input, spec.N)  # range checks
     flat_index(output, spec.N)
     q = _chain_weights(*chan, input.alpha - 1, output.alpha - 1)
     s = _chain_weights(*site, input.n, output.n)
-    values, weights = _folded(_chain_values(*chan), q)
+    channel = _folded(_chain_values(*chan), q)
     l_eff = spec.couplings.effective()[1]
-    channel = ((l_eff * values, weights) if l_eff != 0.0
-               else (np.zeros(1), np.array([float(input.alpha == output.alpha)])))
+    channel = (Factor(l_eff * channel.values, channel.weights) if l_eff != 0.0
+               else Factor(np.zeros(1), np.array([float(input.alpha == output.alpha)])))
     return _folded(_chain_values(*site), s), channel
 
 
-def group_overlaps(decomp: SpectralDecomposition, factors) -> np.ndarray:
+def group_overlaps(decomp: SpectralDecomposition, site: Factor, chan: Factor) -> np.ndarray:
     """Overlaps of a pair's factors (pair_factors) with each group: the
     sum of the terms w_i q_a whose eigenvalue J_eff sigma_i + L_eff c_a
     the group holds. That eigenvalue is bit for bit one that decompose
@@ -153,8 +169,8 @@ def group_overlaps(decomp: SpectralDecomposition, factors) -> np.ndarray:
     smallest value does not exceed it is its own. Channel by channel the
     terms form at most three sorted runs, which one search reads nearly
     in order, and one bincount sums them: O(N log N) in all."""
-    (sigma, w), (c, q) = factors
-    site = decomp.spec.couplings.effective()[0] * sigma
-    groups = np.searchsorted(decomp.lows, np.add.outer(c, site).ravel(), side="right")
+    sigma = decomp.spec.couplings.effective()[0] * site.values
+    groups = np.searchsorted(decomp.lows, np.add.outer(chan.values, sigma).ravel(), side="right")
     groups -= 1
-    return np.bincount(groups, np.outer(q, w).ravel(), minlength=len(decomp))
+    terms = np.outer(chan.weights, site.weights).ravel()
+    return np.bincount(groups, terms, minlength=len(decomp))

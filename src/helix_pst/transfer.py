@@ -21,7 +21,9 @@ The PST search's factor passes stream it, and the CLI traces stream
 factor_chunks, the product of two of its streams. probability_at is
 the one evaluator of p at given times, for transition_probability and,
 once per factor, for the search's points inside its windows and its
-refinement.
+refinement. Both read a spectral.Factor, one of a pair's factors or the
+grouped sum: a report's p on the grid is
+probability_chunks(Factor(report.values, report.overlaps), step, count).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import NetworkSpec, Node
-from .spectral import SpectralDecomposition, group_overlaps, pair_factors
+from .spectral import Factor, SpectralDecomposition, group_overlaps, pair_factors
 
 DARK_TOL = 1e-10  # dark cut, relative to the pair's largest term (transfer_report)
 ROOT = 64
@@ -57,23 +59,23 @@ class TransferReport:
         return frozenset(np.flatnonzero(self.signs == 0).tolist())
 
 
-def probability_at(overlaps: np.ndarray, values: np.ndarray, t):
-    """p(t) = |sum_k o_k exp(-i lambda_k t)|^2 at a time t, or at each time
-    of an array t. Each sum runs in einsum's own loop, so a time's p does
-    not depend on the other times evaluated with it, and no BLAS product
-    of many times at few terms goes to threads that cost more than the
-    sum."""
-    phases = -1j * (np.asarray(t)[..., None] * values)
+def probability_at(factor: Factor, t):
+    """p(t) = |sum_k w_k exp(-i v_k t)|^2 of a factor at a time t, or at
+    each time of an array t. Each sum runs in einsum's own loop, so a
+    time's p does not depend on the other times evaluated with it, and no
+    BLAS product of many times at few terms goes to threads that cost
+    more than the sum."""
+    phases = -1j * (np.asarray(t)[..., None] * factor.values)
     np.exp(phases, out=phases)
-    return np.abs(np.einsum("...k,k->...", phases, overlaps)) ** 2
+    return np.abs(np.einsum("...k,k->...", phases, factor.weights)) ** 2
 
 
 def transition_probability(
     decomp: SpectralDecomposition, input: Node, output: Node, t: float
 ) -> float:
     """p(t) = |<out| exp(-iHt) |in>|^2 via the grouped decomposition."""
-    overlaps = group_overlaps(decomp, pair_factors(decomp.spec, input, output))
-    return float(probability_at(overlaps, decomp.values, t))
+    overlaps = group_overlaps(decomp, *pair_factors(decomp.spec, input, output))
+    return float(probability_at(Factor(decomp.values, overlaps), t))
 
 
 def grid_count(horizon: float, step: float) -> int:
@@ -82,29 +84,26 @@ def grid_count(horizon: float, step: float) -> int:
     return math.ceil((horizon + 0.5 * step) / step)
 
 
-def probability_chunks(
-    overlaps: np.ndarray, values: np.ndarray, step: float, count: int
-) -> Iterator[np.ndarray]:
-    """Yield p(i * step) for i < count, CHUNK points at a time, in order.
+def probability_chunks(factor: Factor, step: float, count: int) -> Iterator[np.ndarray]:
+    """Yield a factor's p(i * step), i < count, CHUNK points at a time, in order.
 
     The grid splits into rows of ROOT points, row r holding the indices
     ROOT * r + c, c < ROOT, below count, and each block into ROOT rows
     (fewer in the last block), raveled row by row. One inner table
-    exp(-i lambda c step) serves every block; the block seeds each of
-    its rows with o exp(-i lambda ROOT r step), computed from the row's
-    own number, and is then one (rows x groups) @ (groups x ROOT)
-    product. Each point's phase is thus the product of two directly
-    evaluated phases, never of a chain of earlier ones, so rounding does
-    not accumulate along the grid. The evaluation holds
-    O(CHUNK + ROOT * groups) numbers besides the row numbers, one per
-    ROOT points (an array: slicing it costs less per block than
-    converting a range).
+    exp(-i v c step) serves every block; the block seeds each of its
+    rows with w exp(-i v ROOT r step), computed from the row's own
+    number, and is then one (rows x terms) @ (terms x ROOT) product.
+    Each point's phase is thus the product of two directly evaluated
+    phases, never of a chain of earlier ones, so rounding does not
+    accumulate along the grid. The evaluation holds O(CHUNK + ROOT *
+    terms) numbers besides the row numbers, one per ROOT points (an
+    array: slicing it costs less per block than converting a range).
     """
-    inner = np.exp(-1j * np.outer(values, step * np.arange(ROOT)))
+    inner = np.exp(-1j * np.outer(factor.values, step * np.arange(ROOT)))
     picked = np.arange(-(-count // ROOT))
     for b in range(0, len(picked), ROOT):
         starts = ROOT * picked[b:b + ROOT]
-        seeds = overlaps * np.exp(-1j * np.outer(step * starts, values))
+        seeds = factor.weights * np.exp(-1j * np.outer(step * starts, factor.values))
         yield (np.abs(seeds @ inner) ** 2).ravel()[:ROOT * (len(starts) - 1) + count - starts[-1]]
 
 
@@ -113,10 +112,10 @@ def factor_chunks(spec: NetworkSpec, input: Node, output: Node, step: float,
     """p(i * step) for i < count in the blocks of probability_chunks, each
     p_site(J_eff t) p_chan(t) from streams over the pair's at most N site
     and 3 channel terms (spectral.pair_factors), read at the call."""
-    (sigma, s), (c, q) = pair_factors(spec, input, output)
-    return map(np.multiply,
-               probability_chunks(s, spec.couplings.effective()[0] * sigma, step, count),
-               probability_chunks(q, c, step, count))
+    site, chan = pair_factors(spec, input, output)
+    site = Factor(spec.couplings.effective()[0] * site.values, site.weights)
+    return map(np.multiply, probability_chunks(site, step, count),
+               probability_chunks(chan, step, count))
 
 
 def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) -> TransferReport:
@@ -131,10 +130,9 @@ def transfer_report(decomp: SpectralDecomposition, input: Node, output: Node) ->
     is dark. p_max sums the bright groups only, so a pair that is never
     reached reports 0, not the rounding left in its dark groups.
     """
-    factors = pair_factors(decomp.spec, input, output)
-    overlaps = group_overlaps(decomp, factors)
-    (_, w), (_, q) = factors
-    cut = DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q)))
+    site, chan = pair_factors(decomp.spec, input, output)
+    overlaps = group_overlaps(decomp, site, chan)
+    cut = DARK_TOL * (np.max(np.abs(site.weights)) * np.max(np.abs(chan.weights)))
     signs = np.where(np.abs(overlaps) < cut, 0, np.sign(overlaps)).astype(int)
     bound = float(np.sum(np.abs(overlaps[signs != 0])) ** 2)
     return TransferReport(input, output, decomp.values, overlaps, bound, signs)

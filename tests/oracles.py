@@ -34,6 +34,7 @@ import numpy as np
 from helix_pst import NetworkSpec, Node, flat_index, neighbors, node_from_index
 from helix_pst.core import CHANNELS, BoundaryCondition
 from helix_pst.hamiltonian import CouplingKind
+from helix_pst.spectral import Factor
 from helix_pst.transfer import grid_count, probability_chunks, transfer_report
 
 OVERLAP_IMAG_TOL = 1e-9
@@ -370,7 +371,7 @@ def grid_pst_times(decomp, input: Node, output: Node, cfg, first_only: bool = Fa
     o = transfer_report(decomp, input, output).overlaps
     lam = decomp.values
     h = cfg.coarse_step
-    p = np.concatenate(list(probability_chunks(o, lam, h, grid_count(cfg.horizon, h))))
+    p = np.concatenate(list(probability_chunks(Factor(lam, o), h, grid_count(cfg.horizon, h))))
     w = np.concatenate(([-np.inf], p, [-np.inf]))
     candidates = np.flatnonzero((p > 1.0 - 2.0 * cfg.epsilon) & (p > w[:-2]) & (p >= w[2:]))
 

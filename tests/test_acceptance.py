@@ -36,6 +36,7 @@ import pytest
 
 from conftest import make_decomp, make_dense, make_spec
 from helix_pst import (
+    Factor,
     NetworkSpec,
     Node,
     ScanConfig,
@@ -200,8 +201,9 @@ def _global_max(decomp, pair, horizon, step=0.002):
     """(t, p) of the largest local maximum of p on [0, horizon]."""
     count = grid_count(horizon, step)
     grid = step * np.arange(count)
-    o = transfer_report(decomp, *pair).overlaps
-    p = np.concatenate(list(probability_chunks(o, decomp.values, step, count)))
+    report = transfer_report(decomp, *pair)
+    p = np.concatenate(list(probability_chunks(Factor(report.values, report.overlaps), step,
+                                               count)))
     inner = (p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:])
     cands = [i + 1 for i in np.flatnonzero(inner) if p[i + 1] > p.max() - 1e-3]
     best = (float(grid[p.argmax()]), float(p.max()))

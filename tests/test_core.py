@@ -167,3 +167,11 @@ def test_library_entries_refuse_a_network_beyond_the_site_limit(monkeypatch):
     for make in makes:
         with pytest.raises(ValueError, match=f"^N={N} too large"):
             make()
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    import helix_pst
+
+    missing = [name for name in helix_pst.__all__ if not hasattr(helix_pst, name)]
+    assert missing == []
+    assert len(set(helix_pst.__all__)) == len(helix_pst.__all__)

@@ -20,7 +20,7 @@ from helix_pst import (
 )
 from helix_pst.cli import parse_grid
 from helix_pst.scan import REFINE_XTOL
-from helix_pst.spectral import pair_factors
+from helix_pst.spectral import Factor, pair_factors
 from helix_pst.transfer import CHUNK, ROOT
 from oracles import (EXACT_PST, _reference_golden_max, channel_hamiltonian, grid_pst_times,
                      product_rule_probability, reference_pst_times, ring_hamiltonian,
@@ -272,9 +272,9 @@ def count_kernel_calls(monkeypatch) -> list[tuple[float, int]]:
     calls: list[tuple[float, int]] = []
     real = transfer.probability_chunks
 
-    def spy(overlaps, values, step, count):
+    def spy(factor, step, count):
         calls.append((step, count))
-        return real(overlaps, values, step, count)
+        return real(factor, step, count)
 
     monkeypatch.setattr(scan, "probability_chunks", spy)
     return calls
@@ -384,14 +384,14 @@ def test_large_n_sweep_evaluations_stay_within_the_block_budget(monkeypatch):
     # evaluation, of a block or a golden step, takes at most 3 points
     template = make_spec(20000, "open", "open", gamma=1.0)
     pair = (Node(0, 1), Node(0, 1))
-    (sigma, _), (c, _) = pair_factors(template, *pair)
-    width = max(1, scan.BLOCK_TERMS // (len(sigma) + len(c)))
+    site, chan = pair_factors(template, *pair)
+    width = max(1, scan.BLOCK_TERMS // (len(site.values) + len(chan.values)))
     sizes: list[int] = []
     real = scan.probability_at
 
-    def spy(overlaps, values, t):
+    def spy(factor, t):
         sizes.append(np.size(t))
-        return real(overlaps, values, t)
+        return real(factor, t)
 
     monkeypatch.setattr(scan, "probability_at", spy)
     rows = gamma_sweep(template, pair, parse_grid("0.5:5:0.5"), ScanConfig())
@@ -530,15 +530,15 @@ def test_a_search_whose_grid_counts_are_not_finite_is_refused_naming_the_value(m
 @pytest.mark.parametrize("search", ["find_pst_times", "tau_min", "gamma_sweep"])
 def test_a_search_spreads_each_factor_once(search, monkeypatch):
     # the pass steps, the row steps and the windows all read the two
-    # factors' W2 from one _spread each
+    # factors' W2 from one evaluation of each one's cached spread
     calls = []
-    real = scan._spread
+    real = Factor.spread.func
 
     def spy(factor):
-        calls.append(len(factor[0]))
+        calls.append(len(factor.values))
         return real(factor)
 
-    monkeypatch.setattr(scan, "_spread", spy)
+    monkeypatch.setattr(Factor.spread, "func", spy)
     spec = make_spec(8, "closed", "closed", gamma=3.0)
     if search == "gamma_sweep":
         gamma_sweep(make_spec(8, "closed", "closed", gamma=1.0), PAIR8, [0.5, 3.0, 5.0],
@@ -564,8 +564,8 @@ def test_gamma_sweep_at_zero_and_negative_gamma():
 
 def certified_windows(factor, extent: float, epsilon: float):
     """scan._windows of a factor's pass over [0, extent] at its certified step."""
-    w2 = scan._spread(factor)[0]
-    return scan._windows(factor, w2, extent, scan._step_for(w2, epsilon, extent), epsilon)
+    step = scan._step_for(factor.spread[0], epsilon, extent)
+    return scan._windows(factor, extent, step, epsilon)
 
 
 def test_windows_hold_a_peak_between_two_samples():
@@ -576,8 +576,8 @@ def test_windows_hold_a_peak_between_two_samples():
     epsilon = 1e-3
     thr = 1 - 2 * epsilon
     a = math.sqrt(thr) + (math.sqrt(1 - epsilon) - math.sqrt(thr)) / 2
-    starts, ends = certified_windows((np.array([-1.0, 1.0]), np.array([a / 2, a / 2])), 2000.0,
-                                     epsilon)
+    starts, ends = certified_windows(Factor(np.array([-1.0, 1.0]), np.array([a / 2, a / 2])),
+                                     2000.0, epsilon)
     x = np.linspace(0.0, 2000.0, 400_001)
     hot = x[(a * np.cos(x)) ** 2 >= thr]
     k = np.searchsorted(starts, hot, side="right") - 1
@@ -797,8 +797,8 @@ def test_golden_pass_equals_the_scalar_reference_per_bracket():
     scale = np.array([0.5, 3.0, 14.5, 0.0, 0.0])
 
     def p_of(rows, t):
-        return (transfer.probability_at(site[1], site[0], scale[rows] * t)
-                * transfer.probability_at(chan[1], chan[0], np.where(rows == 4, 0.0, t)))
+        return (transfer.probability_at(site, scale[rows] * t)
+                * transfer.probability_at(chan, np.where(rows == 4, 0.0, t)))
 
     rng = np.random.default_rng(5)
     rows = np.concatenate((rng.integers(0, 4, 40), [4, 4, 0, 2]))

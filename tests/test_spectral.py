@@ -272,7 +272,37 @@ def _check_against_dense(N, spec, dense):
         assert np.max(np.abs(report.overlaps - oracle)) <= 1e-11
         # the report's dark cut, DARK_TOL times the pair's largest factor
         # term; a pair without one (L = 0 across channels) is dark throughout
-        (_, w), (_, q) = pair_factors(spec, a, b)
-        cut = DARK_TOL * (np.max(np.abs(w)) * np.max(np.abs(q)))
+        site, chan = pair_factors(spec, a, b)
+        cut = DARK_TOL * (np.max(np.abs(site.weights)) * np.max(np.abs(chan.weights)))
         signs = np.where(np.abs(oracle) < cut, 0, np.sign(oracle)) if cut else 0 * oracle
         assert np.array_equal(report.signs, signs)
+
+
+def _lines_up(x: int, y: int, size: int, closed: bool) -> bool:
+    """Whether y is x itself, x's mirror on a path or its antipode on a ring."""
+    return 2 * (y - x) % size == 0 if closed else y in (x, size - 1 - x)
+
+
+@pytest.mark.parametrize("site_bc, channel_bc", TOPOLOGIES)
+def test_factor_spread_sums_to_one_only_where_every_level_lines_up(site_bc, channel_bc):
+    # sum |w| of a factor is sum over its levels of |sum_k u_k[x] u_k[y]|,
+    # at most 1 by Cauchy-Schwarz, and 1 exactly where the two nodes'
+    # modes agree up to one sign per level: the node itself, a path's
+    # mirror and a ring's antipode
+    tri = channel_bc == "closed"
+    for N in range(3 if site_bc == "closed" else 2, 13):
+        spec = make_spec(N, site_bc, channel_bc, gamma=1.0)
+        for x in range(N):
+            for y in range(N):
+                total = pair_factors(spec, Node(x, 1), Node(y, 1))[0].spread[1]
+                assert total <= 1 + 1e-15
+                assert (abs(total - 1) <= 1e-12) == _lines_up(x, y, N, site_bc == "closed")
+        for a in range(1, 4):
+            for b in range(1, 4):
+                total = pair_factors(spec, Node(0, a), Node(0, b))[1].spread[1]
+                assert total <= 1 + 1e-15
+                assert (abs(total - 1) <= 1e-12) == _lines_up(a - 1, b - 1, 3, tri)
+                if tri and a != b:
+                    assert total == pytest.approx(2 / 3, abs=1e-15)
+                elif not tri and {a, b} == {1, 2}:
+                    assert total == pytest.approx(1 / math.sqrt(2), abs=1e-15)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_decomp, make_spec
 from helix_pst import (
+    Factor,
     Node,
     build_hamiltonian,
     flat_index,
@@ -237,8 +238,8 @@ def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     spec, decomp = make_decomp(5, site_bc, channel_bc, gamma=1.7)
     pair = (Node(0, 1), Node(3, 2))
     step = 0.0021
-    chunks = list(probability_chunks(
-        transfer_report(decomp, *pair).overlaps, decomp.values, step, count))
+    report = transfer_report(decomp, *pair)
+    chunks = list(probability_chunks(Factor(report.values, report.overlaps), step, count))
     sizes = [len(c) for c in chunks]
     factored = list(factor_chunks(spec, *pair, step, count))
     assert [len(c) for c in factored] == sizes
@@ -297,7 +298,7 @@ def test_grid_count_matches_arange():
     for horizon, step in ((1.0, 0.5), (200.0, 0.005), (600.0, 0.005), (100.0, 0.0071),
                           (2000.0, 0.005), (0.3, 0.1)):
         assert grid_count(horizon, step) == len(np.arange(0.0, horizon + 0.5 * step, step))
-    assert list(probability_chunks(np.ones(1), np.zeros(1), 0.1, 0)) == []
+    assert list(probability_chunks(Factor(np.zeros(1), np.ones(1)), 0.1, 0)) == []
 
 
 def test_overlap_guard_fires_for_ungrouped_complex_degenerate_pair():
