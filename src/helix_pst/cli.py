@@ -12,7 +12,9 @@ block as transfer.factor_chunks yields it from the pair's two factors,
 a table (spectrum, dark, attain, sweep) is named columns sliced CHUNK
 rows at a time, and each CSV block is one call of the vectorised
 csvtext.rows_g12, byte for byte what %.12g gives, None an empty cell.
-Only spectrum, pmax, dark and attain build the grouped decomposition.
+Only spectrum, pmax, dark and attain build the grouped decomposition;
+evolve, scan and sweep build the pair's two factors once, and their
+pass bound, search (scan.search) and trace all read them.
 JSON output carries a top-level "schema": 1 field and is byte for byte
 json.dumps(doc, indent=2) and a newline, rendered by json's C encoder a
 container or a block of rows at a time as it is written. Plot scripts
@@ -41,8 +43,8 @@ from .attainability import DEFAULT_RESIDUAL_TOL, check_attainability, independen
 from .core import CHANNELS, BoundaryConditions, CouplingParams, NetworkSpec, Node
 from .csvtext import rows_g12
 from .hamiltonian import build_hamiltonian, dump_matrix
-from .scan import ScanConfig, find_pst_times, gamma_sweep, pass_points
-from .spectral import decompose
+from .scan import ScanConfig, pass_points, search
+from .spectral import decompose, pair_factors
 from .transfer import CHUNK, factor_chunks, grid_count, transfer_report
 
 SCHEMA_VERSION = 1
@@ -244,12 +246,13 @@ def _write_table(args, header, blocks, doc: dict | None = None) -> None:
             out.write(rows_g12(*block))
 
 
-def _check_passes(spec: NetworkSpec, pair, grid, cfg: ScanConfig, flags: str) -> None:
-    """Refuse a PST search whose factor passes exceed MAX_GRID_POINTS."""
-    points = pass_points(spec, pair, grid, cfg)
+def _search(factors, grid, cfg: ScanConfig, flags: str, first_only: bool) -> list[tuple]:
+    """scan.search, refused first where its factor passes exceed MAX_GRID_POINTS."""
+    points = pass_points(*factors, grid, cfg)
     if not points <= MAX_GRID_POINTS:
         raise ValueError(f"{flags} at --horizon {cfg.horizon:g} needs {points:.3g} factor-pass "
                          f"grid points, more than {MAX_GRID_POINTS}")
+    return search(*factors, grid, cfg, first_only)
 
 
 def _gnuplot(title: str, panels: list[tuple[str, str, str]]) -> str:
@@ -317,20 +320,18 @@ def _cmd_trace(args) -> int:
     c = spec.couplings
     if c.J == 0.0 and c.L == 0.0:
         raise ValueError("J and L cannot both be zero when dynamics are requested")
-    input, output = parse_node(args.node_in), parse_node(args.node_out)
+    pair = parse_node(args.node_in), parse_node(args.node_out)
     cfg = _scan_config(args)
-    extra = {}
+    factors = pair_factors(spec, *pair)  # checks both nodes before any search or output
+    g, extra = c.effective()[0], {}
     if args.command == "scan":
         flags = f"--gamma {c.J:g}" if c.scaled else f"--J {c.J:g} and --L {c.L:g}"
-        _check_passes(spec, (input, output), [c.effective()[0]], cfg, flags)
-        extra["pst_times"] = find_pst_times(spec, input, output, cfg)
+        [(_, _, extra["pst_times"])] = _search(factors, [g], cfg, flags, first_only=False)
     # a phase lambda t past the float range turns p into nan
     if not math.isfinite(c.eigenvalue_bound() * (cfg.horizon + cfg.coarse_step)):
         raise ValueError(f"--horizon {cfg.horizon:g} at --step {cfg.coarse_step:g} overflows the "
                          "phases: 2 (|J_eff| + |L_eff|) (horizon + step) is not finite")
-    # reads the pair's factors, so both nodes are checked before the output opens
-    chunks = factor_chunks(spec, input, output, cfg.coarse_step,
-                           grid_count(cfg.horizon, cfg.coarse_step))
+    chunks = factor_chunks(*factors, g, cfg.coarse_step, grid_count(cfg.horizon, cfg.coarse_step))
     # (times, p) of each block, all but the last CHUNK points long
     blocks = ((cfg.coarse_step * np.arange(i * CHUNK, i * CHUNK + len(p)), p)
               for i, p in enumerate(chunks))
@@ -404,11 +405,10 @@ def _cmd_sweep(args) -> int:
     else:
         flag, grid = "--J-grid", parse_grid(args.J_grid, "--J-grid")
         couplings, header = CouplingParams(J=grid[0], L=0.0), ["J", "t_min"]
-    spec = NetworkSpec(args.n, bc, couplings)
-    _check_passes(spec, pair, grid, cfg, f"{flag} up to {max(map(abs, grid)):g}")
-    rows = gamma_sweep(spec, pair, grid, cfg)
+    factors = pair_factors(NetworkSpec(args.n, bc, couplings), *pair)
+    rows = _search(factors, grid, cfg, f"{flag} up to {max(map(abs, grid)):g}", first_only=True)
     # object columns keep each tau_min a float, or None where no event
-    blocks = _slices(*np.array([(r.parameter, r.tau_min) for r in rows], dtype=object).T)
+    blocks = _slices(*np.array([(g, t[0] if t else None) for g, _, t in rows], dtype=object).T)
     _write_table(args, header, blocks, {"rows": _rows(blocks), "columns": header})
     _maybe_plot_script(args, header[0], header[1], style="points")
     return 0

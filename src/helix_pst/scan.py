@@ -1,14 +1,14 @@
 """Time-domain searches for perfect-transfer events and parameter sweeps.
 
-One search serves find_pst_times, tau_min and gamma_sweep. The network
-is a Cartesian product, so a pair's amplitude is A(t) = A_site(g t)
-A_chan(t), both factors at most 1 in modulus (Christandl et al., PRL
-92, 187902, 2004). The search reads the two Factors of
-spectral.pair_factors, as the CLI traces do: the site factor in units
-of g = J_eff, the channel factor scaled by L_eff; in scaled units t is
-tau and g is gamma, and on a raw L = 0 network g is J and the channel
-factor is delta_{alpha beta}. A search at one network is _sweep at its
-own J_eff, a sweep of one row.
+One search serves find_pst_times, tau_min, gamma_sweep and the CLI's
+scan and sweep. The network is a Cartesian product, so a pair's
+amplitude is A(t) = A_site(g t) A_chan(t), both factors at most 1 in
+modulus (Christandl et al., PRL 92, 187902, 2004). search reads the two
+Factors of spectral.pair_factors, which a CLI command builds once: the
+site factor in units of g = J_eff, the channel factor scaled by L_eff;
+in scaled units t is tau and g is gamma, and on a raw L = 0 network g is
+J and the channel factor is delta_{alpha beta}. A search at one network
+is search at its own J_eff, a sweep of one row.
 
 Each row reads p(t) = p_site(|g| t) p_chan(t), each factor from its own
 terms, on a grid t = i * h. Candidates are grid local maxima
@@ -245,7 +245,7 @@ def find_pst_times(spec: NetworkSpec, input: Node, output: Node, cfg: ScanConfig
     1e154), the product's W2(J_eff) (|J_eff| from about 1e154), both
     certifying no step, or a grid point count that is not finite.
     """
-    [(_, _, times)] = _sweep(*pair_factors(spec, input, output), [spec.couplings.effective()[0]],
+    [(_, _, times)] = search(*pair_factors(spec, input, output), [spec.couplings.effective()[0]],
                              cfg, first_only=False)
     return times
 
@@ -348,10 +348,11 @@ def _steps(site: Factor, chan: Factor, grid, cfg: ScanConfig) -> tuple[list[tupl
     return passes, np.fmin(cfg.coarse_step, _step_for(rows, cfg.epsilon))
 
 
-def _sweep(site: Factor, chan: Factor, grid, cfg: ScanConfig,
+def search(site: Factor, chan: Factor, grid, cfg: ScanConfig,
            first_only: bool) -> list[tuple[float, float, list]]:
-    """(g, step, PST times) of p_site(g tau) p_chan(tau) per g of grid;
-    with first_only, only the first time is final."""
+    """(g, step, PST times) of p_site(g tau) p_chan(tau) per g of grid,
+    from a pair's two Factors (spectral.pair_factors); with first_only,
+    only the first time is final. Refused as find_pst_times is."""
     g = np.array([float(x) for x in grid])
     scale = np.abs(g)
     # every refusal comes before either factor pass streams
@@ -385,12 +386,12 @@ def _sweep(site: Factor, chan: Factor, grid, cfg: ScanConfig,
     return list(zip(g.tolist(), h.tolist(), times))
 
 
-def pass_points(spec: NetworkSpec, pair: tuple[Node, Node], grid, cfg: ScanConfig) -> float:
-    """Points of the two factor passes of a search over the g of grid, a
-    float, to bound before any work: inf on overflow, of a factor's W2 too,
+def pass_points(site: Factor, chan: Factor, grid, cfg: ScanConfig) -> float:
+    """Points of the two factor passes of search(site, chan, grid, cfg, ...),
+    a float, to bound before any work: inf on overflow, of a factor's W2 too,
     or of the W2(g) of the largest |g|, whose row no step certifies. A row's
     grid within the windows holds at most about as many."""
-    passes, [h] = _steps(*pair_factors(spec, *pair), [max(map(abs, grid), default=0.0)], cfg)
+    passes, [h] = _steps(site, chan, [max(map(abs, grid), default=0.0)], cfg)
     return sum(x / step + 1.0 if step else math.inf for *_, x, step in passes) if h else math.inf
 
 
@@ -401,4 +402,4 @@ def gamma_sweep(template: NetworkSpec, pair: tuple[Node, Node], grid,
     tau_min versus gamma = J/L in scaled units, or t_min versus J on a raw
     L = 0 template, where the channel factor is delta_{alpha beta}."""
     return [SweepRow(g, times[0] if times else None, h)
-            for g, h, times in _sweep(*pair_factors(template, *pair), grid, cfg, first_only=True)]
+            for g, h, times in search(*pair_factors(template, *pair), grid, cfg, first_only=True)]

@@ -18,11 +18,12 @@ probability_chunks is the one evaluator of p(t) on a time grid, in
 blocks of CHUNK points over t = i * step, i < grid_count(horizon, step),
 each one 64 x 64 complex matrix product of exactly seeded row phases.
 The PST search's factor passes stream it, and the CLI traces stream
-factor_chunks, the product of two of its streams. probability_at is
-the one evaluator of p at given times, for transition_probability and,
-once per factor, for the search's points inside its windows and its
-refinement. Both read a spectral.Factor, one of a pair's factors or the
-grouped sum: a report's p on the grid is
+factor_chunks(site, chan, g, ...), the product of its streams over the
+two Factors their command built once. probability_at is the one
+evaluator of p at given times, for transition_probability and, once per
+factor, for the search's points inside its windows and its refinement.
+Both read a spectral.Factor, one of a pair's factors or the grouped sum:
+a report's p on the grid is
 probability_chunks(Factor(report.values, report.overlaps), step, count).
 """
 
@@ -34,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import NetworkSpec, Node
+from .core import Node
 from .spectral import Factor, SpectralDecomposition, group_overlaps, pair_factors
 
 DARK_TOL = 1e-10  # dark cut, relative to the pair's largest term (transfer_report)
@@ -107,14 +108,12 @@ def probability_chunks(factor: Factor, step: float, count: int) -> Iterator[np.n
         yield (np.abs(seeds @ inner) ** 2).ravel()[:ROOT * (len(starts) - 1) + count - starts[-1]]
 
 
-def factor_chunks(spec: NetworkSpec, input: Node, output: Node, step: float,
+def factor_chunks(site: Factor, chan: Factor, g: float, step: float,
                   count: int) -> Iterator[np.ndarray]:
     """p(i * step) for i < count in the blocks of probability_chunks, each
-    p_site(J_eff t) p_chan(t) from streams over the pair's at most N site
-    and 3 channel terms (spectral.pair_factors), read at the call."""
-    site, chan = pair_factors(spec, input, output)
-    site = Factor(spec.couplings.effective()[0] * site.values, site.weights)
-    return map(np.multiply, probability_chunks(site, step, count),
+    p_site(g t) p_chan(t) from streams over a pair's at most N site and 3
+    channel terms (spectral.pair_factors), g the site coupling J_eff."""
+    return map(np.multiply, probability_chunks(Factor(g * site.values, site.weights), step, count),
                probability_chunks(chan, step, count))
 
 

@@ -861,7 +861,8 @@ def test_scan_evaluates_the_trace_grid_once_and_bounds_its_passes(fmt, tmp_path,
     # the search's two factor passes, within the bound checked beforehand
     spec = make_decomp(8, "closed", "closed", gamma=3.0)[0]
     cfg = scan.ScanConfig(horizon=80.0)
-    assert 0 < sum(passes) <= scan.pass_points(spec, (Node(0, 1), Node(4, 1)), [3.0], cfg) + 2
+    factors = spectral.pair_factors(spec, Node(0, 1), Node(4, 1))
+    assert 0 < sum(passes) <= scan.pass_points(*factors, [3.0], cfg) + 2
     if fmt == "json":
         doc = json.loads(out.read_text())
         assert len(doc["profile"]) == count and doc["pst_times"]
@@ -920,7 +921,8 @@ def test_evolve_csv_equals_percent_formatting_of_the_blocks(network, pair, flags
     args = cli.build_parser().parse_args(argv)
     spec = make_spec(int(N), site, channel, gamma=2.0)
     text, start = ["tau,p\n"], 0
-    for chunk in factor_chunks(spec, parse_node(pair[0]), parse_node(pair[1]), args.step,
+    factors = spectral.pair_factors(spec, parse_node(pair[0]), parse_node(pair[1]))
+    for chunk in factor_chunks(*factors, spec.couplings.effective()[0], args.step,
                                grid_count(args.horizon, args.step)):
         rows = np.column_stack((args.step * np.arange(start, start + len(chunk)), chunk))
         text.append("%.12g,%.12g\n" * len(chunk) % tuple(rows.ravel().tolist()))
@@ -1079,6 +1081,52 @@ def test_evolve_and_scan_read_only_the_two_factors(fmt, tmp_path, capsys, monkey
         assert (tmp_path / "evolve").read_bytes() == (tmp_path / "scan").read_bytes()
 
 
+def test_scan_sweep_and_evolve_build_the_pair_factors_once(tmp_path, capsys, monkeypatch):
+    # the pass bound, the search and the trace of a command read one build
+    build, calls = spectral.pair_factors, []
+
+    def counted(spec, input, output):
+        calls.append((input, output))
+        return build(spec, input, output)
+
+    for module in (spectral, cli, scan, transfer):
+        monkeypatch.setattr(module, "pair_factors", counted)
+    network = ["--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
+               "--in", "0,1", "--out", "4,1", "--horizon", "80"]
+    for argv, stderr in ((["scan", "--gamma", "3"], "PST times: 73.3055114357\n"),
+                         (["sweep", "--gamma-grid", "1:3:1"], ""),
+                         (["sweep", "--J-grid", "1:3:1"], ""),
+                         (["evolve", "--gamma", "3"], "")):
+        calls.clear()
+        code, _, err = run([*argv, *network, "--output", str(tmp_path / argv[0])], capsys)
+        assert (code, err) == (0, stderr)
+        assert calls == [(Node(0, 1), Node(4, 1))], argv
+
+
+NODE_OFF = "error: site index 9 out of range for N=8\n"
+FAR = ["--horizon", "1e308", "--step", "1e303"]
+
+
+@pytest.mark.parametrize("command, out, flags, want", [
+    # both faults: the pair's factors, and so both nodes, come before the
+    # phase bound
+    ("evolve", "9,1", FAR, NODE_OFF),
+    ("scan", "9,1", FAR, NODE_OFF),
+    # each fault alone keeps its own message
+    ("evolve", "9,1", [], NODE_OFF),
+    ("evolve", "4,1", FAR, "error: --horizon 1e+308 at --step 1e+303 overflows the phases: "
+                           "2 (|J_eff| + |L_eff|) (horizon + step) is not finite\n"),
+], ids=["evolve-both", "scan-both", "evolve-node", "evolve-phases"])
+def test_a_node_off_the_network_is_refused_before_overflowing_phases(command, out, flags, want,
+                                                                     tmp_path, capsys):
+    path = tmp_path / "never.csv"
+    code, stdout, err = run([command, "--n", "8", "--site-bc", "closed", "--channel-bc", "closed",
+                             "--gamma", "3", "--in", "0,1", "--out", out, *flags,
+                             "--output", str(path)], capsys)
+    assert (code, stdout, err) == (2, "", want)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--gamma", "2"],
     ["evolve", "--gamma", "2", "--in", "0,1", "--out", "3,1"],
@@ -1092,7 +1140,7 @@ def test_evolve_and_scan_read_only_the_two_factors(fmt, tmp_path, capsys, monkey
 def test_network_beyond_the_site_limit_exits_before_any_work(argv, tmp_path, capsys,
                                                              monkeypatch):
     for module, name in ((cli, "decompose"), (spectral, "decompose"), (spectral, "pair_factors"),
-                         (scan, "pair_factors"), (transfer, "pair_factors")):
+                         (cli, "pair_factors"), (scan, "pair_factors"), (transfer, "pair_factors")):
         monkeypatch.setattr(module, name, refuse)
     out = tmp_path / "never.txt"
     code, stdout, err = run(argv[:1] + ["--n", "100000000", "--site-bc", "open",

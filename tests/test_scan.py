@@ -147,7 +147,7 @@ def test_find_pst_times_reads_a_fraction_of_the_grid(monkeypatch):
     # grid a scan at the same step would read
     spec, decomp = make_decomp(8, "closed", "closed", gamma=3.0)
     cfg = ScanConfig(horizon=150.0, epsilon=5e-3)
-    [(_, h, _)] = scan._sweep(*pair_factors(spec, *PAIR8), [3.0], cfg, first_only=False)
+    [(_, h, _)] = scan.search(*pair_factors(spec, *PAIR8), [3.0], cfg, first_only=False)
     passes = count_grid_points(monkeypatch)
     points = count_range_points(monkeypatch)
     times = find_pst_times(spec, *PAIR8, cfg)
@@ -486,7 +486,7 @@ def test_a_search_whose_channel_curvature_overflows_is_refused(monkeypatch):
         with pytest.raises(ValueError, match="^a factor's curvature W2 overflows"):
             search(spec, Node(0, 1), Node(3, 2), cfg)
     assert passes == []
-    assert scan.pass_points(spec, (Node(0, 1), Node(3, 2)), [1.0], cfg) == math.inf
+    assert scan.pass_points(*pair_factors(spec, Node(0, 1), Node(3, 2)), [1.0], cfg) == math.inf
 
 
 def test_a_search_whose_row_curvature_overflows_is_refused(monkeypatch):
@@ -504,8 +504,8 @@ def test_a_search_whose_row_curvature_overflows_is_refused(monkeypatch):
     with pytest.raises(ValueError, match="^a row's curvature W2"):
         gamma_sweep(spec, pair, [1.0, 1e154], cfg)
     assert passes == []
-    assert scan.pass_points(spec, pair, [1e154], cfg) == math.inf
-    assert scan.pass_points(spec, pair, [1e150], cfg) < 1e6
+    assert scan.pass_points(*pair_factors(spec, *pair), [1e154], cfg) == math.inf
+    assert scan.pass_points(*pair_factors(spec, *pair), [1e150], cfg) < 1e6
 
 
 def test_a_search_whose_grid_counts_are_not_finite_is_refused_naming_the_value(monkeypatch):
@@ -753,7 +753,7 @@ def test_chunked_scan_matches_reference_scan(case):
     # at the step the search certified for this network
     spec, decomp, pair, cfg = EQUIVALENCE_CASES[case]()
     times = find_pst_times(spec, *pair, cfg)
-    [(_, h, same)] = scan._sweep(*pair_factors(spec, *pair), [spec.couplings.effective()[0]],
+    [(_, h, same)] = scan.search(*pair_factors(spec, *pair), [spec.couplings.effective()[0]],
                                  cfg, first_only=False)
     assert same == times and h <= cfg.coarse_step
     want = reference_pst_times(decomp, *pair, replace(cfg, coarse_step=h))
@@ -922,7 +922,7 @@ def test_tau_min_without_event_reads_only_the_factor_passes(monkeypatch):
     passes = count_grid_points(monkeypatch)
     points = count_range_points(monkeypatch)
     assert tau_min(weak, *pair, cfg) is None
-    assert 0 < sum(passes) <= scan.pass_points(weak, pair, [4.0], cfg) + 2
+    assert 0 < sum(passes) <= scan.pass_points(*pair_factors(weak, *pair), [4.0], cfg) + 2
     assert sum(points) < grid_count(cfg.horizon, cfg.coarse_step) / 100
 
 

@@ -15,6 +15,7 @@ from helix_pst import (
     transfer_report,
     transition_probability,
 )
+from helix_pst.spectral import pair_factors
 from helix_pst.transfer import CHUNK, ROOT, factor_chunks
 from oracles import (
     block_overlaps,
@@ -241,7 +242,8 @@ def _check_chunks(site_bc: str, channel_bc: str, count: int) -> list[int]:
     report = transfer_report(decomp, *pair)
     chunks = list(probability_chunks(Factor(report.values, report.overlaps), step, count))
     sizes = [len(c) for c in chunks]
-    factored = list(factor_chunks(spec, *pair, step, count))
+    g = spec.couplings.effective()[0]
+    factored = list(factor_chunks(*pair_factors(spec, *pair), g, step, count))
     assert [len(c) for c in factored] == sizes
     q = np.concatenate(factored)
     assert np.max(np.abs(q - np.concatenate(chunks))) <= 1e-12
@@ -288,7 +290,7 @@ def test_factor_chunks_match_pointwise_in_raw_units(site_bc, channel_bc, J, L):
     spec, decomp = make_decomp(6, site_bc, channel_bc, J=J, L=L)
     step, count = 0.013, CHUNK + ROOT + 3
     for pair in ((Node(0, 1), Node(3, 1)), (Node(1, 2), Node(4, 3))):
-        p = np.concatenate(list(factor_chunks(spec, *pair, step, count)))
+        p = np.concatenate(list(factor_chunks(*pair_factors(spec, *pair), J, step, count)))
         t = step * np.arange(count)
         exact = [transition_probability(decomp, *pair, x) for x in t[::41]]
         assert np.max(np.abs(p[::41] - exact)) <= 1e-12
